@@ -68,7 +68,7 @@ def cmd_validate(doc, args, budget, report):
 
 
 def cmd_tensor(doc, args, budget, report):
-    from .tensors import tensor
+    from .tensors import FreeTensor, tensor
 
     M = doc.env.get(args.left)
     N = doc.env.get(args.right)
@@ -77,6 +77,14 @@ def cmd_tensor(doc, args, budget, report):
 
     def run():
         T = tensor(M, N, budget=budget)
+        if isinstance(T, FreeTensor):
+            # listing a free tensor spends nothing, so check its size first
+            size = len(T.over.elements) ** len(T.pairs)
+            left = budget.limit - budget.used
+            if size > left:
+                raise UndecidedError(
+                    f"free tensor has {size} elements, more than the {left} budget units left"
+                )
         els = T.result.elements()
         return {
             "cardinality": len(els),
@@ -239,6 +247,18 @@ def cmd_gallery(doc, args, budget, report):
         )
 
 
+# keys each report command reads without a default
+REQUIRED_KEYS = {
+    "validate": (),
+    "tensor": ("left", "right"),
+    "dual": ("coring",),
+    "coideal": ("coring",),
+    "rational": ("pairing", "module"),
+    "exact": ("maps",),
+    "gallery": (),
+}
+
+
 def cmd_report(doc, args, budget, report):
     dispatch = {
         "validate": lambda c: cmd_validate(doc, argparse.Namespace(target=c.get("target")), budget, report),
@@ -258,6 +278,9 @@ def cmd_report(doc, args, budget, report):
         kind = c["cmd"]
         if kind not in dispatch:
             raise FormatError(f"command {i}: unknown cmd {kind!r}")
+        missing = [k for k in REQUIRED_KEYS[kind] if k not in c]
+        if missing:
+            raise FormatError(f"command {i}: {kind} needs key {missing[0]!r}")
         dispatch[kind](c)
 
 

@@ -5,13 +5,18 @@ commutative monoid are multiplicity vectors (tuples of non-negative ints).
 The congruence generated by a finite relation set is decided by completing
 the relations into a convergent vector rewriting system (critical pairs via
 componentwise joins, orientation by a degree-lexicographic well-order), and
-the quotient monoid is enumerated by a frontier that grows by adding one
-generator at a time.  A work budget turns potentially infinite runs into a
-loud "undecided" failure rather than a wrong answer.
+the quotient monoid is enumerated breadth first by adding one generator at a
+time.  The walk keeps what it computes: the right Cayley graph of the
+quotient (the class of v + e_g for every class v and generator g) and the
+spanning tree that first reached each class, so callers can fold sums along
+generator steps instead of rewriting them again (Froidure & Pin, Algorithms
+for computing finite semigroups, 1997).  A work budget turns potentially
+infinite runs into a loud "undecided" failure rather than a wrong answer.
 """
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .errors import UndecidedError
 
@@ -135,24 +140,39 @@ class MonoidPresentation:
     def enumerate_quotient(self):
         """All classes reachable from 0 by adding generators (budgeted).
 
-        Returns the list of canonical forms in discovery order; if the
+        Returns the quotient's right Cayley graph as a Quotient, with classes
+        as canonical forms in breadth-first discovery order.  The walk takes
+        |classes| * n steps, each one budget unit plus a reduce; if the
         quotient is infinite the budget raises UndecidedError.
         """
         zero = self.reduce((0,) * self.n)
-        seen = {zero}
         order = [zero]
-        frontier = deque([zero])
-        units = [tuple(1 if i == g else 0 for i in range(self.n)) for g in range(self.n)]
-        while frontier:
-            v = frontier.popleft()
-            for e in units:
+        index = {zero: 0}
+        steps = []
+        parent = [None]
+        # order grows while it is walked: it is the breadth-first queue
+        for i, v in enumerate(order):
+            row = []
+            for g in range(self.n):
                 self.budget.spend()
-                w = self.reduce(tuple(x + y for x, y in zip(v, e)))
-                if w not in seen:
-                    seen.add(w)
+                w = self.reduce(v[:g] + (v[g] + 1,) + v[g + 1:])
+                j = index.setdefault(w, len(order))
+                if j == len(order):
                     order.append(w)
-                    frontier.append(w)
-        return order
+                    parent.append((i, g))
+                row.append(j)
+            steps.append(row)
+        return Quotient(order, steps, parent)
 
-    def add(self, u, v):
-        return self.reduce(tuple(x + y for x, y in zip(u, v)))
+
+class Quotient(NamedTuple):
+    """Right Cayley graph of a finite quotient, found breadth first.
+
+    order[0] is the class of 0.  steps[i][g] is the index in order of the
+    class of order[i] + e_g.  parent[j] = (i, g) is the step that first
+    reached order[j], so i < j; parent[0] is None.
+    """
+
+    order: list
+    steps: list
+    parent: list

@@ -143,8 +143,7 @@ class SaturationTensor(TensorProduct):
         if lazy:
             self.result = None
         else:
-            classes = self.pres.enumerate_quotient()
-            self._build_result(classes, name, left_action, right_action)
+            self._build_result(self.pres.enumerate_quotient(), name, left_action, right_action)
 
     # lazy interface: raw vectors plus normalization
     def zero_vec(self):
@@ -221,14 +220,22 @@ class SaturationTensor(TensorProduct):
 
     # result assembly --------------------------------------------------------
 
-    def _build_result(self, classes, name, left_action, right_action):
-        add_table = {(a, b): self.pres.add(a, b) for a in classes for b in classes}
+    def _build_result(self, quotient, name, left_action, right_action):
+        classes, steps, parent = quotient
+        # Row a of the addition table, folded along the spanning tree: with
+        # b reached as p + e_g, nf(a + b) is the g-step from nf(a + p).  The
+        # forms are convergent, so this is exact and rewrites nothing.
+        tree = parent[1:]
+        add_table = {}
+        for i, a in enumerate(classes):
+            row = [i]
+            for p, g in tree:
+                row.append(steps[row[p]][g])
+            for b, j in zip(classes, row):
+                add_table[(a, b)] = classes[j]
         r_ring, r_fn = right_action if right_action is not None else (self.over, None)
         l_ring, l_fn = left_action if left_action is not None else (self.over, None)
-        units = [
-            tuple(1 if i == g else 0 for i in range(self.n)) for g in range(self.n)
-        ]
-        gen_nfs = [self.pres.reduce(u) for u in units]
+        gen_nfs = [classes[j] for j in steps[0]]
         if r_ring.elements is not None:
             action = {
                 (x, s): self._act_slot(x, s, -1, r_fn)

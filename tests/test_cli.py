@@ -86,6 +86,35 @@ def test_input_error_exits_3(tmp_path):
     assert "input error" in r.stderr
 
 
+def test_report_command_missing_key_exits_3(tmp_path):
+    doc = {"declarations": DOC["declarations"][:3], "commands": [{"cmd": "tensor", "left": "M"}]}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["report", str(p)])
+    assert r.returncode == 3
+    assert "input error" in r.stderr and "'right'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_free_tensor_larger_than_budget_is_undecided(tmp_path):
+    # FREE(2) (x) FREE(2) over ZMOD(6) is free of rank 4: 6^4 = 1296 elements
+    doc = {
+        "declarations": [
+            {"kind": "semiring", "name": "Z6", "builtin": "ZMOD", "n": 6},
+            {"kind": "semimodule", "name": "F", "base": "Z6", "atoms": [{"kind": "FREE", "rank": 2}]},
+        ],
+        "commands": [{"cmd": "tensor", "left": "F", "right": "F"}],
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--budget", "50", "--format", "jsonl", "report", str(p)], timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout.splitlines()[0])["verdict"] == "undecided"
+    r = run_cli(["--format", "jsonl", "report", str(p)], timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(json.loads(r.stdout.splitlines()[0])["detail"])["cardinality"] == 1296
+
+
 def test_reports_byte_stable(doc_path):
     outs = []
     for _ in range(2):

@@ -6,7 +6,7 @@ from semikernel.presentations import Budget, MonoidPresentation
 
 
 def classes(relations, n=1):
-    return MonoidPresentation(n, relations).enumerate_quotient()
+    return MonoidPresentation(n, relations).enumerate_quotient().order
 
 
 def test_cyclic_collapses():
@@ -16,7 +16,7 @@ def test_cyclic_collapses():
     for a in range(1, 7):
         for b in range(1, 7):
             p = MonoidPresentation(1, [((a,), (0,)), ((b,), (0,))])
-            assert len(p.enumerate_quotient()) == gcd(a, b)
+            assert len(p.enumerate_quotient().order) == gcd(a, b)
 
 
 def test_idempotent_with_inverse_is_zero():
@@ -27,7 +27,7 @@ def test_idempotent_with_inverse_is_zero():
 def test_two_generator_mixed():
     # g idempotent, h of order 2, and g + h = g: quotient {0, g, h, g+h=g}
     rels = [((2, 0), (1, 0)), ((0, 2), (0, 0)), ((1, 1), (1, 0))]
-    q = MonoidPresentation(2, rels).enumerate_quotient()
+    q = MonoidPresentation(2, rels).enumerate_quotient().order
     assert len(q) == 3  # 0, g, h
 
 

@@ -23,6 +23,7 @@ from semikernel.semimodules import (
 from semikernel.semirings import bool_semiring, nat, zmod
 from semikernel.tensors import (
     FreeTensor,
+    SaturationTensor,
     flatness_probe,
     flip_isomorphism,
     product_interchange,
@@ -214,6 +215,53 @@ def test_product_interchange():
     fam = [cyclic_module(N, 2), cyclic_module(N, 4), cyclic_module(N, 3)]
     phi3, preds3 = product_interchange(C2, fam)
     assert preds3["surjective"]
+
+
+def _chain_module(k):
+    """The chain 0 < 1 < ... < k under max, as a table module over B."""
+    els = list(range(k + 1))
+    return table_module(
+        B,
+        els,
+        {(a, b): max(a, b) for a in els for b in els},
+        {(a, s): a * s for a in els for s in B.elements},
+    )
+
+
+@pytest.mark.parametrize(
+    "mods",
+    [
+        [free_semimodule(B, 2), free_semimodule(B, 2)],
+        [free_semimodule(Z2, 2), free_semimodule(Z2, 2)],
+        [free_semimodule(Z3, 2), free_semimodule(Z3, 1)],
+        [cyclic_module(N, 4), cyclic_module(N, 6)],
+        [_chain_module(3), semiring_module(B)],
+        [free_semimodule(B, 1), free_semimodule(B, 2), free_semimodule(B, 2)],
+    ],
+    ids=["B2xB2", "Z2^2xZ2^2", "Z3^2xZ3", "C4xC6", "chain3xB", "B1xB2xB2"],
+)
+def test_result_table_matches_rewriting(mods):
+    """Oracle: the addition table folded from the Cayley graph agrees with
+    rewriting every sum, and the graph is the quotient's right Cayley graph
+    with a spanning tree that reaches parents first."""
+    T = SaturationTensor(mods, mods[0].base)
+    pres = T.pres
+    atom = T.result.atoms[0]
+    els = atom.elements()
+    for a in els:
+        for b in els:
+            assert atom.add(a, b) == pres.reduce(tuple(x + y for x, y in zip(a, b)))
+    q = pres.enumerate_quotient()
+    assert sorted(q.order) == sorted(els)
+    assert [g for _, g in atom.gens()] == [q.order[j] for j in q.steps[0]]
+    for i, v in enumerate(q.order):
+        for g in range(pres.n):
+            e = tuple(1 if h == g else 0 for h in range(pres.n))
+            assert q.order[q.steps[i][g]] == pres.reduce(tuple(x + y for x, y in zip(v, e)))
+    assert q.parent[0] is None and q.order[0] == atom.zero
+    for j in range(1, len(q.order)):
+        i, g = q.parent[j]
+        assert i < j and q.steps[i][g] == j
 
 
 def test_budget_exceeded_is_undecided():
