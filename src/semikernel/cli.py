@@ -76,7 +76,13 @@ def cmd_tensor(doc, args, budget, report):
         raise FormatError("unknown module reference")
 
     def run():
-        T = tensor(M, N, budget=budget)
+        if M.gens() is None or N.gens() is None:
+            # not finitely generated (Q/Z): only the rule lane can answer
+            from .structured import rule_tensor
+
+            T = rule_tensor(M, N)
+        else:
+            T = tensor(M, N, budget=budget)
         if isinstance(T, FreeTensor):
             # listing a free tensor spends nothing, so check its size first
             size = len(T.over.elements) ** len(T.pairs)
@@ -87,7 +93,7 @@ def cmd_tensor(doc, args, budget, report):
                 )
         els = T.result.elements()
         return {
-            "cardinality": len(els),
+            "cardinality": None if els is None else len(els),
             "atoms": [a.describe() for a in T.result.atoms],
         }
 

@@ -375,30 +375,31 @@ class Subsemimodule:
 
 
 def span(M, gens):
-    """Smallest subsemimodule of a finite M containing gens."""
+    """Smallest subsemimodule of a finite M containing gens.
+
+    Semi-naive closure: each pass adds only the elements found in the pass
+    before to the set, in both orders, and acts only on them, so every
+    ordered sum and every action is computed once, |span|² + |span|·|S| in
+    all.  Stops at the first pass that finds nothing new.
+    """
     if not M.is_finite:
         raise UnsupportedError("span needs a finite ambient")
-    cur = {M.zero}
-    frontier = [M.zero] + [g for g in gens]
-    cur.update(frontier)
-    scalars = M.base.elements
-    changed = True
-    while changed:
-        changed = False
-        new = set()
-        for x in cur:
-            for g in list(cur):
-                y = M.add(x, g)
-                if y not in cur:
-                    new.add(y)
-            if scalars is not None:
-                for s in scalars:
-                    y = M.act(x, s)
-                    if y not in cur:
-                        new.add(y)
-        if new:
-            cur.update(new)
-            changed = True
+    scalars = M.base.elements or ()
+    cur = {M.zero, *gens}
+    old, new = [], list(cur)
+    while new:
+        found = set()
+        for x in new:
+            for y in old:
+                found.add(M.add(x, y))
+                found.add(M.add(y, x))
+            for y in new:
+                found.add(M.add(x, y))
+            for s in scalars:
+                found.add(M.act(x, s))
+        old += new
+        new = list(found - cur)
+        cur.update(new)
     return Subsemimodule(M, frozenset(cur), tuple(gens))
 
 
@@ -427,29 +428,89 @@ def is_subtractive(L: Subsemimodule) -> bool:
     return subtractive_closure(L).elements == L.elements
 
 
+def _closure_tables(M):
+    """Sum and action tables of a finite M on indices into M.elements().
+
+    sums[x][y] has bit add(x, y) and bit add(y, x) set; acts[x] has the bit
+    of act(x, s) set for every scalar s (0 when the base is not finite).
+    """
+    els = M.elements()
+    index = {e: i for i, e in enumerate(els)}
+
+    def bit(v, what):
+        i = index.get(v)
+        if i is None:
+            raise FormatError(f"{M.name}: {what} = {v!r} is not an element of the carrier")
+        return 1 << i
+
+    add = [[bit(M.add(x, y), f"{x!r} + {y!r}") for y in els] for x in els]
+    sums = [[a | b for a, b in zip(row, col)] for row, col in zip(add, zip(*add))]
+    acts = [0] * len(els)
+    for i, x in enumerate(els):
+        for s in M.base.elements or ():
+            acts[i] |= bit(M.act(x, s), f"{x!r} * {s!r}")
+    return sums, acts
+
+
+def _members(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def enumerate_submodules(M, cap=4096):
     """All subsemimodules of a finite module, walking the submodule lattice.
 
-    Each submodule is extended by one new element at a time, so the cost is
-    proportional to the number of submodules rather than of subsets.
+    Elements are indexed by their position in M.elements() (the ordkey
+    order) and a submodule is an int bitmask.  Each lattice edge L -> L + e
+    is one frontier-only closure of L | e: a popped element x is added to
+    every member in both orders and acted on by every scalar, through
+    tables built once (|M|² adds, |M|·|S| actions).  L is closed already,
+    so the edge costs |span(L + e) \\ L| · |span(L + e)| table lookups.
+    Raises UnsupportedError once more than cap submodules turn up.  The
+    result is sorted by (size, member indices), i.e. (size, ordkey order).
     """
     els = M.elements()
-    zero_sub = span(M, [])
-    seen = {zero_sub.elements: zero_sub}
-    frontier = [zero_sub]
-    while frontier:
-        sub = frontier.pop()
-        for e in els:
-            if e in sub.elements:
+    sums, acts = _closure_tables(M)
+
+    def close(mask, members, e):
+        mask |= 1 << e
+        members = members + [e]
+        frontier = [e]
+        while frontier:
+            x = frontier.pop()
+            row = sums[x]
+            hit = acts[x]
+            for y in members:
+                hit |= row[y]
+            for y in _members(hit & ~mask):
+                mask |= 1 << y
+                members.append(y)
+                frontier.append(y)
+        return mask
+
+    zero = close(0, [], els.index(M.zero))
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        mask = stack.pop()
+        members = _members(mask)
+        for e in range(len(els)):
+            if mask >> e & 1:
                 continue
-            bigger = span(M, list(sub.elements) + [e])
-            if bigger.elements not in seen:
+            bigger = close(mask, members, e)
+            if bigger not in seen:
                 if len(seen) >= cap:
                     raise UnsupportedError("submodule lattice exceeds the cap")
-                seen[bigger.elements] = bigger
-                frontier.append(bigger)
-    out = list(seen.values())
-    out.sort(key=lambda s: (len(s.elements), tuple(ordkey(e) for e in s.sorted_elements())))
+                seen.add(bigger)
+                stack.append(bigger)
+    out = []
+    for members in sorted((_members(m) for m in seen), key=lambda ms: (len(ms), ms)):
+        elements = tuple(els[i] for i in members)
+        out.append(Subsemimodule(M, frozenset(elements), elements))
     return out
 
 

@@ -115,6 +115,37 @@ def test_free_tensor_larger_than_budget_is_undecided(tmp_path):
     assert json.loads(json.loads(r.stdout.splitlines()[0])["detail"])["cardinality"] == 1296
 
 
+QZ_DOC = {
+    "declarations": [
+        {"kind": "semiring", "name": "N0", "builtin": "NAT"},
+        {"kind": "semimodule", "name": "QZ", "base": "N0", "atoms": [{"kind": "QMODZ"}]},
+        {"kind": "semimodule", "name": "C4", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 4}]},
+        {"kind": "semimodule", "name": "N1", "base": "N0", "atoms": [{"kind": "NAT"}]},
+    ],
+    "commands": [],
+}
+
+
+@pytest.mark.parametrize(
+    "left,right,cardinality",
+    [
+        # Q/Z is divisible and C4 torsion, so the tensor is 0
+        ("QZ", "C4", 1),
+        # NAT (x) Q/Z = Q/Z, infinite
+        ("N1", "QZ", None),
+    ],
+)
+def test_tensor_of_qmodz_takes_rule_lane(tmp_path, left, right, cardinality):
+    p = tmp_path / "qz.json"
+    p.write_text(json.dumps(QZ_DOC))
+    r = run_cli(["--format", "jsonl", "tensor", str(p), left, right])
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    rec = json.loads(r.stdout.splitlines()[0])
+    assert rec["verdict"] == "pass"
+    assert json.loads(rec["detail"])["cardinality"] == cardinality
+
+
 def test_reports_byte_stable(doc_path):
     outs = []
     for _ in range(2):

@@ -1,10 +1,14 @@
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semikernel.errors import FormatError
+from semikernel.errors import FormatError, UnsupportedError
 from semikernel.semimodules import (
     LinearMap,
+    Semimodule,
     bool_module,
     cancellative_reflection,
     check_semimodule_axioms,
@@ -38,7 +42,8 @@ from semikernel.semimodules import (
     table_module,
     zero_module,
 )
-from semikernel.semirings import bool_semiring, nat, zmod
+from semikernel.semirings import bool_semiring, nat, tropcap, zmod
+from semikernel.util import ordkey, sorted_elems
 
 B = bool_semiring()
 N = nat()
@@ -365,3 +370,110 @@ def test_tensor_pure_bilinear_random(seed):
         assert T.pure(M.add(m, m2), n) == T.result.add(T.pure(m, n), T.pure(m2, n))
         s = rng.choice(M.base.elements)
         assert T.pure(M.act(m, s), n) == T.pure(m, Nn.act_left(s, n))
+
+
+# ------------------------------------------- lattice walk and span vs brute force
+
+def _closed(M, sub):
+    scalars = M.base.elements or ()
+    return all(M.add(x, y) in sub for x in sub for y in sub) and all(
+        M.act(x, s) in sub for x in sub for s in scalars
+    )
+
+
+def _brute_submodules(M):
+    """Every subset holding zero that is closed under add and act, ordered by
+    size and then by the ordkeys of its sorted elements."""
+    rest = [e for e in M.elements() if e != M.zero]
+    subs = [
+        frozenset((M.zero, *combo))
+        for k in range(len(rest) + 1)
+        for combo in itertools.combinations(rest, k)
+    ]
+    subs = [sub for sub in subs if _closed(M, sub)]
+    subs.sort(key=lambda sub: (len(sub), tuple(ordkey(e) for e in sorted_elems(sub))))
+    return subs
+
+
+def _brute_span(M, gens):
+    scalars = M.base.elements or ()
+    cur = {M.zero, *gens}
+    while True:
+        nxt = cur | {M.add(x, y) for x in cur for y in cur}
+        nxt |= {M.act(x, s) for x in cur for s in scalars}
+        if nxt == cur:
+            return frozenset(cur)
+        cur = nxt
+
+
+def _skew_table():
+    """A non-commutative table over NAT on 0, a..e: a + a = b, b + a = e and
+    c + b = d; every other sum of two non-zeros is its left term.  Closing
+    {a, c} finds b first, then e only as (new b) + (old a) and d only as
+    (old c) + (new b), so a closure must add new elements on both sides."""
+    special = {(1, 1): 2, (2, 1): 5, (3, 2): 4}
+
+    def add(x, y):
+        if x == 0 or y == 0:
+            return x + y
+        return special.get((x, y), x)
+
+    return table_module(N, range(6), {(x, y): add(x, y) for x in range(6) for y in range(6)}, name="skew")
+
+
+def _oracle_carriers():
+    from semikernel.tensors import tensor
+
+    mods = [free_semimodule(B, n) for n in (1, 2, 3)]
+    mods += [free_semimodule(Z2, 2), free_semimodule(zmod(3), 2)]
+    # min-plus scalars: the action adds what addition alone cannot reach
+    mods += [free_semimodule(tropcap(1), 2), semiring_module(tropcap(2))]
+    # over NAT: no action table
+    mods += [cyclic_module(N, 4), cyclic_module(N, 6), _skew_table()]
+    mods += enumerate_modules(B, 4) + enumerate_modules(Z2, 4)
+    T = tensor(free_semimodule(B, 1), free_semimodule(B, 3), force_saturation=True).result
+    mods.append(Semimodule(B, T.atoms, name="B(x)B^3", act_right=lambda x, s: T.act_left(s, x)))
+    return mods
+
+
+@pytest.mark.parametrize("M", _oracle_carriers(), ids=lambda M: M.name)
+def test_enumerate_submodules_matches_brute_force(M):
+    subs = enumerate_submodules(M)
+    assert [s.elements for s in subs] == _brute_submodules(M)
+    assert all(s.ambient is M and frozenset(s.generators) == s.elements for s in subs)
+
+
+def test_submodule_counts_of_free_bool_modules():
+    # the Moore families of B^0 .. B^4
+    counts = [len(enumerate_submodules(free_semimodule(B, n))) for n in range(5)]
+    assert counts == [1, 2, 7, 61, 2480]
+
+
+def test_enumerate_submodules_cap_boundary():
+    B3 = free_semimodule(B, 3)
+    assert len(enumerate_submodules(B3, cap=61)) == 61
+    with pytest.raises(UnsupportedError):
+        enumerate_submodules(B3, cap=60)
+
+
+def test_enumerate_submodules_rejects_escaping_action():
+    bad = Semimodule(B, bool_module(B).atoms, act_right=lambda x, s: (2,))
+    with pytest.raises(FormatError, match=r"\(0,\) \* 0"):
+        enumerate_submodules(bad)
+
+
+def test_span_matches_brute_force():
+    from semikernel.tensors import tensor
+
+    B3 = free_semimodule(B, 3)
+    T = tensor(B3, B3, force_saturation=True).result
+    assert len(T.elements()) == 512
+    skew = _skew_table()
+    assert span(skew, [(1,), (3,)]).elements == frozenset((x,) for x in range(6))
+    rng = random.Random(7)
+    for M in _oracle_carriers() + [T]:
+        els = M.elements()
+        for k in (0, 1, 2, 3):
+            for _ in range(3 if k else 1):
+                gens = [rng.choice(els) for _ in range(k)]
+                assert span(M, gens).elements == _brute_span(M, gens), (M.name, gens)
