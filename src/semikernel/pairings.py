@@ -3,7 +3,7 @@ from __future__ import annotations
 
 
 from .errors import CertificateError, FormatError, InternalInvariantError
-from .semicomodules import Semicomodule, check_comodule
+from .semicomodules import Semicomodule, check_comodule, lift_coaction
 from .semicorings import Semicoring, check_semicoring, dual_semiring
 from .semimodules import (
     LinearMap,
@@ -19,7 +19,7 @@ from .semimodules import (
 )
 from .semirings import semiring_from_tables
 from .tensors import tensor
-from .util import Report, fs_make, sorted_elems
+from .util import Report, fs_eval, fs_make, sorted_elems
 
 
 class MeasuringPairing:
@@ -92,14 +92,13 @@ class MeasuringPairing:
             for b in aels:
                 ab = self.asemiring.mul(a, b)
                 for c in els:
-                    acc = A.zero
-                    for (c1, c2), mult in C.delta[c]:
-                        acc = A.add(
-                            acc,
-                            A.times_int(
-                                self.ev[(b, car.act(c1, self.ev[(a, c2)]))], mult
-                            ),
-                        )
+                    acc = fs_eval(
+                        A,
+                        (
+                            (self.ev[(b, car.act(c1, self.ev[(a, c2)]))], mult)
+                            for (c1, c2), mult in C.delta[c]
+                        ),
+                    )
                     if acc != self.ev[(ab, c)]:
                         w = (a, b, c)
                         break
@@ -161,10 +160,7 @@ def restrict_to_base(P: MeasuringPairing, M):
 
 def alpha_eval(P: MeasuringPairing, M_A, T, t, a):
     """alpha(t)(a) = sum m_i <a, c_i> evaluated from the canonical representative."""
-    acc = M_A.zero
-    for (m, c), mult in T.rep(t):
-        acc = M_A.add(acc, M_A.times_int(M_A.act(m, P.ev[(a, c)]), mult))
-    return acc
+    return fs_eval(M_A, ((M_A.act(m, P.ev[(a, c)]), mult) for (m, c), mult in T.rep(t)))
 
 
 def alpha_check(P: MeasuringPairing, M_A) -> dict:
@@ -227,10 +223,9 @@ def induced_action(P: MeasuringPairing, M: Semicomodule):
     action = {}
     for m in els:
         for a in aels:
-            acc = car.zero
-            for (m1, c1), mult in M.coaction[m]:
-                acc = car.add(acc, car.times_int(car.act(m1, P.ev[(a, c1)]), mult))
-            action[(m, a)] = acc
+            action[(m, a)] = fs_eval(
+                car, ((car.act(m1, P.ev[(a, c1)]), mult) for (m1, c1), mult in M.coaction[m])
+            )
     add_table = {(x, y): car.add(x, y) for x in els for y in els}
     out = table_module(P.asemiring, els, add_table, action, name=f"{M.name} induced")
     return out
@@ -298,25 +293,14 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
         if found is not None:
             rho[m] = found
     E = subcarrier_module(M_A, [m[0] for m in rho], name=f"Rat({M.name})")
-    TE = tensor(E, P.coring.carrier, over=P.base)
     incl = LinearMap(E, M_A, lambda x: x, name="rat-incl")
-    from .semimodules import identity_map
-
-    FI = TE.map_of([incl, identity_map(P.coring.carrier)], T)
-    pre = {}
-    for x in TE.result.elements():
-        pre.setdefault(FI(x), []).append(x)
-    coaction = {}
-    for e in E.elements():
-        t = rho[e]
-        cands = pre.get(t, [])
-        if len(cands) != 1:
-            raise InternalInvariantError(
-                f"coaction of {e} not uniquely liftable to the rational part"
-            )
-        coaction[e] = fs_make(
-            [((em, c), mult) for (em, c), mult in TE.rep(cands[0])]
-        )
+    lift, _ = lift_coaction(E, P.coring, incl, T)
+    coaction = lift(
+        rho.__getitem__,
+        lambda e: InternalInvariantError(
+            f"coaction of {e} not uniquely liftable to the rational part"
+        ),
+    )
     com = Semicomodule(P.coring, E, coaction, name=f"Rat({M.name})")
     chk = check_comodule(com)
     if not chk.ok:
@@ -450,10 +434,7 @@ def coring_in_dual_check(P: MeasuringPairing) -> Report:
         if target is None:
             w = c
             break
-        acc = T.result.zero
-        for (c1, c2), mult in C.delta[c]:
-            acc = T.result.add(acc, T.result.times_int(T.pure(chi[c1], c2), mult))
-        if acc != target:
+        if T.push(C.delta[c], (chi.__getitem__, None)) != target:
             w = c
             break
     rep.add("chi-colinear", w is None, w)
@@ -470,20 +451,12 @@ def end_semiring_iso_check(C: Semicoring) -> Report:
     com = coring_as_comodule(C)
     ends = colinear_maps(com, com)
     rep.add("cardinality", len(ends) == len(D.homs), (len(ends), len(D.homs)))
-    car = C.carrier
-    els = car.elements()
+    els = C.carrier.elements()
+    phis = {k: _phi_tuple(C, k, D) for k in D.semiring.elements}
     images = {}
     w = None
     for k in D.semiring.elements:
-        fv = D.key_of[k]
-
-        def phi(c, fv=fv):
-            acc = car.zero
-            for (c1, c2), mult in C.delta[c]:
-                acc = car.add(acc, car.times_int(car.act_left(fv[c1], c2), mult))
-            return acc
-
-        tup = tuple(phi(c) for c in els)
+        tup = phis[k]
         if tup in images:
             w = k
             break
@@ -500,11 +473,10 @@ def end_semiring_iso_check(C: Semicoring) -> Report:
     w = None
     for k1 in D.semiring.elements:
         for k2 in D.semiring.elements:
-            prod = D.semiring.mul(k1, k2)
-            f1 = dict(zip(els, (t for t in _phi_tuple(C, k1, D))))
-            f2 = dict(zip(els, (t for t in _phi_tuple(C, k2, D))))
+            f1 = dict(zip(els, phis[k1]))
+            f2 = dict(zip(els, phis[k2]))
             comp = tuple(f1[f2[c]] for c in els)
-            if comp != _phi_tuple(C, prod, D):
+            if comp != phis[D.semiring.mul(k1, k2)]:
                 w = (k1, k2)
                 break
         if w:
@@ -516,13 +488,10 @@ def end_semiring_iso_check(C: Semicoring) -> Report:
 def _phi_tuple(C, k, D):
     car = C.carrier
     fv = D.key_of[k]
-    out = []
-    for c in car.elements():
-        acc = car.zero
-        for (c1, c2), mult in C.delta[c]:
-            acc = car.add(acc, car.times_int(car.act_left(fv[c1], c2), mult))
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        fs_eval(car, ((car.act_left(fv[c1], c2), mult) for (c1, c2), mult in C.delta[c]))
+        for c in car.elements()
+    )
 
 
 # ---------------------------------------------------------------- products
@@ -537,14 +506,11 @@ def pairing_tensor(P: MeasuringPairing, Q: MeasuringPairing):
     tv_els = TV.result.elements()
 
     def v_mul(x, y):
-        acc = TV.result.zero
-        for (vq1, vp1), m1 in TV.rep(x):
-            for (vq2, vp2), m2 in TV.rep(y):
-                prod = TV.pure(
-                    (Q.asemiring.mul(vq1[0], vq2[0]),), (P.asemiring.mul(vp1[0], vp2[0]),)
-                )
-                acc = TV.result.add(acc, TV.result.times_int(prod, m1 * m2))
-        return acc
+        return TV.push(
+            (((Q.asemiring.mul(vq1[0], vq2[0]),), (P.asemiring.mul(vp1[0], vp2[0]),)), m1 * m2)
+            for (vq1, vp1), m1 in TV.rep(x)
+            for (vq2, vp2), m2 in TV.rep(y)
+        )
 
     add_table = {(x, y): TV.result.add(x, y) for x in tv_els for y in tv_els}
     mul_table = {(x, y): v_mul(x, y) for x in tv_els for y in tv_els}
@@ -559,17 +525,18 @@ def pairing_tensor(P: MeasuringPairing, Q: MeasuringPairing):
     delta = {}
     eps = {}
     for x in TW.result.elements():
-        terms = []
-        val = A.zero
-        for (w, wp), mult in TW.rep(x):
-            for (w1, w2), m1 in P.coring.delta[w]:
-                for (wp1, wp2), m2 in Q.coring.delta[wp]:
-                    terms.append(
-                        ((TW.pure(w1, wp1), TW.pure(w2, wp2)), mult * m1 * m2)
-                    )
-            val = A.add(val, A.times_int(A.mul(P.coring.eps[w], Q.coring.eps[wp]), mult))
-        delta[x] = fs_make(terms)
-        eps[x] = val
+        reps = TW.rep(x)
+        delta[x] = fs_make(
+            [
+                ((TW.pure(w1, wp1), TW.pure(w2, wp2)), mult * m1 * m2)
+                for (w, wp), mult in reps
+                for (w1, w2), m1 in P.coring.delta[w]
+                for (wp1, wp2), m2 in Q.coring.delta[wp]
+            ]
+        )
+        eps[x] = fs_eval(
+            A, ((A.mul(P.coring.eps[w], Q.coring.eps[wp]), mult) for (w, wp), mult in reps)
+        )
     Cprod = Semicoring(A, TW.result, delta, eps, name=f"{P.coring.name}(x){Q.coring.name}")
     chk = check_semicoring(Cprod)
     if not chk.ok:
@@ -578,13 +545,14 @@ def pairing_tensor(P: MeasuringPairing, Q: MeasuringPairing):
     ev = {}
     for x in tv_els:
         for y in TW.result.elements():
-            acc = A.zero
-            for (vq, vp), mv in TV.rep(x):
-                for (w, wp), mw in TW.rep(y):
-                    inner = Q.ev[(vq[0], wp)]
-                    term = P.ev[(vp[0], CW.act(w, inner))]
-                    acc = A.add(acc, A.times_int(term, mv * mw))
-            ev[(x, y)] = acc
+            ev[(x, y)] = fs_eval(
+                A,
+                (
+                    (P.ev[(vp[0], CW.act(w, Q.ev[(vq[0], wp)]))], mv * mw)
+                    for (vq, vp), mv in TV.rep(x)
+                    for (w, wp), mw in TW.rep(y)
+                ),
+            )
     eta = {s: TV.pure((Q.eta[s],), (P.asemiring.one,)) for s in A.elements}
     out = MeasuringPairing(ring, Cprod, ev, eta, name=f"{P.name}(x){Q.name}")
     return out
@@ -615,22 +583,12 @@ def finiteness_closure(P: MeasuringPairing, M: Semicomodule, F):
         raise CertificateError("alpha condition not certified")
     N = span(MA, [(f,) for f in F])
     E = subcarrier_module(MA_A, [n[0] for n in N.elements], name="N")
-    TE = tensor(E, P.coring.carrier, over=P.base)
-    TM = M.mc()
     incl = LinearMap(E, car, lambda x: x[0], name="incl")
-    from .semimodules import identity_map
-
-    FI = TE.map_of([incl, identity_map(P.coring.carrier)], TM)
-    pre = {}
-    for x in TE.result.elements():
-        pre.setdefault(FI(x), []).append(x)
-    coaction = {}
-    for e in E.elements():
-        t = M.rho_norm(e[0])
-        cands = pre.get(t, [])
-        if len(cands) != 1:
-            raise CertificateError(f"coaction of {e} does not restrict uniquely")
-        coaction[e] = fs_make([((em, c), mult) for (em, c), mult in TE.rep(cands[0])])
+    lift, _ = lift_coaction(E, P.coring, incl, M.mc())
+    coaction = lift(
+        lambda e: M.rho_norm(e[0]),
+        lambda e: CertificateError(f"coaction of {e} does not restrict uniquely"),
+    )
     out = Semicomodule(P.coring, E, coaction, name="N")
     chk = check_comodule(out)
     if not chk.ok:

@@ -28,7 +28,7 @@ from .structured import (
     structured_mono_flat_probe,
 )
 from .tensors import tensor, tensor_multi
-from .util import Report, fs_make, ordkey
+from .util import Report, fs_eval, fs_make, ordkey
 
 
 class Semicomodule:
@@ -49,11 +49,7 @@ class Semicomodule:
         return self._mc
 
     def rho_norm(self, m):
-        T = self.mc()
-        acc = T.result.zero
-        for (m1, c1), mult in self.coaction[m]:
-            acc = T.result.add(acc, T.result.times_int(T.pure(m1, c1), mult))
-        return acc
+        return self.mc().push(self.coaction[m])
 
     def __repr__(self):
         return f"<Semicomodule {self.name} over {self.coring.name}>"
@@ -109,9 +105,7 @@ def check_comodule(M) -> Report:
     # counit triangle doubles as the splitting retraction for the coaction
     w = None
     for m in els:
-        acc = car.zero
-        for (m1, c1), mult in M.coaction[m]:
-            acc = car.add(acc, car.times_int(car.act(m1, C.eps[c1]), mult))
+        acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
         if acc != m:
             w = (m, acc)
             break
@@ -167,13 +161,9 @@ def _check_comodule_structured(M) -> Report:
 
 def comodule_hom_check(f: LinearMap, M: Semicomodule, N: Semicomodule) -> bool:
     """Colinearity square: (f (x) C) . rho_M = rho_N . f."""
-    C = M.coring
     TN = N.mc()
     for m in M.carrier.elements():
-        lhs = TN.result.zero
-        for (m1, c1), mult in M.coaction[m]:
-            lhs = TN.result.add(lhs, TN.result.times_int(TN.pure(f(m1), c1), mult))
-        if lhs != N.rho_norm(f(m)):
+        if TN.push(M.coaction[m], (f, None)) != N.rho_norm(f(m)):
             return False
     return True
 
@@ -218,16 +208,10 @@ def cofree_adjunction_check(Y: Semicomodule, X) -> Report:
     w = None
     for f in colin:
         def phi(y, f=f):
-            acc = X.zero
-            for (xm, c), mult in T.rep(f(y)):
-                acc = X.add(acc, X.times_int(X.act(xm, C.eps[c]), mult))
-            return acc
+            return fs_eval(X, ((X.act(xm, C.eps[c]), mult) for (xm, c), mult in T.rep(f(y))))
 
         def back(y, phi=phi):
-            acc = T.result.zero
-            for (y1, c1), mult in Y.coaction[y]:
-                acc = T.result.add(acc, T.result.times_int(T.pure(phi(y1), c1), mult))
-            return acc
+            return T.push(Y.coaction[y], (phi, None))
 
         if any(back(y) != f(y) for y in Y.carrier.elements()):
             w = f.name
@@ -254,10 +238,7 @@ def comodule_coequalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicom
         formal = None
         for n in members:
             terms = [((pi(n1), c1), mult) for (n1, c1), mult in N.coaction[n]]
-            acc = TQ.result.zero
-            for (q1, c1), mult in terms:
-                acc = TQ.result.add(acc, TQ.result.times_int(TQ.pure(q1, c1), mult))
-            pushes.add(acc)
+            pushes.add(TQ.push(terms))
             if formal is None:
                 formal = fs_make(terms)
         if len(pushes) != 1:
@@ -318,28 +299,15 @@ def comodule_equalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomod
         raise CertificateError(
             "flatness certificate failed; equalizer cannot be formed in modules"
         )
-    TE = tensor(E, C.carrier, over=C.base)
-    TM = M.mc()
-    FI = TE.map_of([iota, identity_map(C.carrier)], TM)
-    images = {}
-    for x in TE.result.elements():
-        y = FI(x)
-        if y in images:
-            raise CertificateError(
-                f"tensoring does not preserve the equalizer inclusion (collapse at {x})"
-            )
-        images[y] = x
-    coaction = {}
-    for e in E.elements():
-        target = M.rho_norm(e[0])
-        if target not in images:
-            raise CertificateError(
-                f"coaction of {e} does not restrict to the equalizer"
-            )
-        x = images[target]
-        coaction[e] = fs_make(
-            [(((em,), c), mult) for ((em,), c), mult in _rep_pairs(TE, x)]
+    lift, collision = lift_coaction(E, C, iota, M.mc())
+    if collision is not None:
+        raise CertificateError(
+            f"tensoring does not preserve the equalizer inclusion (collapse at {collision})"
         )
+    coaction = lift(
+        lambda e: M.rho_norm(e[0]),
+        lambda e: CertificateError(f"coaction of {e} does not restrict to the equalizer"),
+    )
     out = Semicomodule(C, E, coaction, name=f"Eq({f.name},{g.name})")
     rep = check_comodule(out)
     if not rep.ok:
@@ -347,8 +315,36 @@ def comodule_equalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomod
     return out, iota
 
 
-def _rep_pairs(T, x):
-    return [((m, c), mult) for (m, c), mult in T.rep(x)]
+def lift_coaction(E, C, incl, T):
+    """Lift a coaction on a subobject E through incl (x) C: E (x) C -> T.
+
+    Returns (lift, collision).  collision is the first element of E (x) C,
+    in element order, whose image repeats an earlier one (None if there is
+    none).  lift(target, fail) returns the coaction sending each e of E to
+    the formal sum of the one preimage of target(e), and raises fail(e) at
+    the first e whose target has no preimage or several.  The lift runs
+    only when called, so a caller can refuse a collapse first.
+    """
+    TE = tensor(E, C.carrier, over=C.base)
+    FI = TE.map_of([incl, identity_map(C.carrier)], T)
+    pre = {}
+    collision = None
+    for x in TE.result.elements():
+        y = FI(x)
+        if y in pre and collision is None:
+            collision = x
+        pre.setdefault(y, []).append(x)
+
+    def lift(target, fail):
+        coaction = {}
+        for e in E.elements():
+            cands = pre.get(target(e), ())
+            if len(cands) != 1:
+                raise fail(e)
+            coaction[e] = fs_make(TE.rep(cands[0]))
+        return coaction
+
+    return lift, collision
 
 
 def verify_equalizer_universal(f, g, M, N, eq, iota, candidates):
@@ -388,10 +384,7 @@ def cogenerator_probe(Q, C, family):
         sep = None
         for phi in hom_enumerate(N.carrier, Q):
             def h(n, phi=phi):
-                acc = T.result.zero
-                for (n1, c1), mult in N.coaction[n]:
-                    acc = T.result.add(acc, T.result.times_int(T.pure(phi(n1), c1), mult))
-                return acc
+                return T.push(N.coaction[n], (phi, None))
 
             if any(h(f(m)) != h(g(m)) for m in M.carrier.elements()):
                 sep = phi

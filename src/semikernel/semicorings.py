@@ -35,7 +35,7 @@ from .structured import (
     structured_map_tensor,
 )
 from .tensors import SaturationTensor, tensor, tensor_multi
-from .util import Report, fs_make, ordkey
+from .util import Report, fs_eval, fs_make, ordkey
 
 
 class Semicoring:
@@ -70,11 +70,7 @@ class Semicoring:
 
     def delta_norm(self, c):
         """Delta(c) as an element of the computed C (x) C."""
-        T = self.cc()
-        acc = T.result.zero
-        for (c1, c2), mult in self.delta[c]:
-            acc = T.result.add(acc, T.result.times_int(T.pure(c1, c2), mult))
-        return acc
+        return self.cc().push(self.delta[c])
 
     def delta_map(self):
         return LinearMap(self.carrier, self.cc().result, self.delta_norm, name="Delta")
@@ -196,11 +192,8 @@ def check_semicoring(C) -> Report:
     # counit triangles, evaluated directly in the carrier
     w = None
     for c in els:
-        left = car.zero
-        right = car.zero
-        for (c1, c2), mult in C.delta[c]:
-            left = car.add(left, car.times_int(car.act_left(C.eps[c1], c2), mult))
-            right = car.add(right, car.times_int(car.act(c1, C.eps[c2]), mult))
+        left = fs_eval(car, ((car.act_left(C.eps[c1], c2), mult) for (c1, c2), mult in C.delta[c]))
+        right = fs_eval(car, ((car.act(c1, C.eps[c2]), mult) for (c1, c2), mult in C.delta[c]))
         if left != c:
             w = ("left", c, left)
             break
@@ -310,10 +303,7 @@ def semicoring_morphism_check(f: LinearMap, source, target) -> Report:
     Tt = target.cc()
     w = None
     for d in source.carrier.elements():
-        lhs = Tt.result.zero
-        for (d1, d2), mult in source.delta[d]:
-            lhs = Tt.result.add(lhs, Tt.result.times_int(Tt.pure(f(d1), f(d2)), mult))
-        if lhs != target.delta_norm(f(d)):
+        if Tt.push(source.delta[d], (f, f)) != target.delta_norm(f(d)):
             w = d
             break
     rep.add("comult-square", w is None, w)
@@ -535,13 +525,9 @@ def sweedler_semicoring(phi, name=None):
     delta = {}
     eps = {}
     for x in car.elements():
-        terms = []
-        val = A.zero
-        for (ma, mb), mult in T.rep(x):
-            terms.append(((T.pure(ma, one), T.pure(one, mb)), mult))
-            val = A.add(val, A.times_int(A.mul(from_m(ma), from_m(mb)), mult))
-        delta[x] = fs_make(terms)
-        eps[x] = val
+        reps = T.rep(x)
+        delta[x] = fs_make([((T.pure(ma, one), T.pure(one, mb)), mult) for (ma, mb), mult in reps])
+        eps[x] = fs_eval(A, ((A.mul(from_m(ma), from_m(mb)), mult) for (ma, mb), mult in reps))
     return Semicoring(A, car, delta, eps, name=name or f"Sw({A.name}/{B.name})")
 
 
@@ -668,18 +654,16 @@ def dual_semiring(C, side="left", max_size=64):
         keys[tuple(scalar_of(SM, f(c)) for c in els)] = f
     eval_of = {k: dict(zip(els, k)) for k in keys}
 
+    def term(fv, gv, c1, c2):
+        if side == "left":
+            return gv[car.act(c1, fv[c2])]
+        if side == "right":
+            return fv[car.act_left(gv[c1], c2)]
+        return A.mul(gv[c1], fv[c2])
+
     def conv(fk, gk, c):
         fv, gv = eval_of[fk], eval_of[gk]
-        acc = A.zero
-        for (c1, c2), mult in C.delta[c]:
-            if side == "left":
-                term = gv[car.act(c1, fv[c2])]
-            elif side == "right":
-                term = fv[car.act_left(gv[c1], c2)]
-            else:
-                term = A.mul(gv[c1], fv[c2])
-            acc = A.add(acc, A.times_int(term, mult))
-        return acc
+        return fs_eval(A, ((term(fv, gv, c1, c2), mult) for (c1, c2), mult in C.delta[c]))
 
     add_table = {}
     mul_table = {}
@@ -751,10 +735,7 @@ def quotient_semicoring(C, K: Subsemimodule):
         formal = None
         for c in members:
             terms = [((pi(c1), pi(c2)), mult) for (c1, c2), mult in C.delta[c]]
-            acc = TQ.result.zero
-            for (q1, q2), mult in terms:
-                acc = TQ.result.add(acc, TQ.result.times_int(TQ.pure(q1, q2), mult))
-            pushes.add(acc)
+            pushes.add(TQ.push(terms))
             vals.add(C.eps[c])
             if formal is None:
                 formal = fs_make(terms)

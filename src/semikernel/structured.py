@@ -15,7 +15,8 @@ from math import gcd
 from .atoms import BoolAtom, CyclicAtom, NatAtom, QmodzAtom
 from .errors import FormatError, InternalInvariantError, UnsupportedError
 from .semimodules import Semimodule
-from .tensors import SaturationTensor
+from .tensors import SaturationTensor, TensorProduct
+from .util import fs_eval
 
 ZERO_RULE = "zero"
 
@@ -91,6 +92,8 @@ class RuleTensor:
     def pure(self, m, n):
         return tuple(beta(m[i], n[j]) for i, j, beta in self.comps)
 
+    push = TensorProduct.push
+
 
 def rule_tensor(M, N, over=None, name=None):
     return RuleTensor(M, N, over=over, name=name)
@@ -165,21 +168,21 @@ class StructuredMap:
                 raise FormatError(f"unknown description tag {tag}")
 
     def __call__(self, x):
-        out = self.target.zero
-        for i, (atom, d, v) in enumerate(zip(self.source.atoms, self.descrs, x)):
+        terms = []
+        for atom, d, v in zip(self.source.atoms, self.descrs, x):
             if d is None or v == atom.zero:
                 continue
             tag = d[0]
             if tag == "gen":
-                out = self.target.add(out, self.target.times_int(d[1], v))
+                terms.append((d[1], v))
             elif tag == "qmz":
                 piece = list(self.target.zero)
                 for j, k in d[1].items():
                     piece[j] = self.target.atoms[j].add(piece[j], _frac(v * k))
-                out = self.target.add(out, tuple(piece))
+                terms.append((tuple(piece), 1))
             else:
-                out = self.target.add(out, d[1][v])
-        return out
+                terms.append((d[1][v], 1))
+        return fs_eval(self.target, terms)
 
     def __eq__(self, other):
         if not isinstance(other, StructuredMap):
@@ -335,11 +338,11 @@ def structured_map_tensor(f: StructuredMap, g: StructuredMap, Tsrc: RuleTensor, 
             Mb = Semimodule(Tsrc.over, [B], name="b")
             Tp = SaturationTensor([Ma, Mb], Tsrc.over)
             for v in src_atom.elements():
-                acc = Tdst.result.zero
-                for (ma, mb), mult in Tp.rep((v,)):
-                    p = Tdst.pure(f(X.inject(i, ma[0])), g(Z.inject(j, mb[0])))
-                    acc = Tdst.result.add(acc, Tdst.result.times_int(p, mult))
-                tab[v] = acc
+                terms = (
+                    ((X.inject(i, ma[0]), Z.inject(j, mb[0])), mult)
+                    for (ma, mb), mult in Tp.rep((v,))
+                )
+                tab[v] = Tdst.push(terms, (f, g))
             descrs.append(("table", tab))
         else:
             raise UnsupportedError("unsupported structured tensor component")

@@ -28,8 +28,10 @@ from .semimodules import (
     identity_map,
     map_predicates,
     scalar_of,
+    scalar_to,
     subtractive_closure,
 )
+from .util import fs_eval
 
 
 class TensorProduct:
@@ -46,6 +48,17 @@ class TensorProduct:
         """A representing formal sum [((m_1..m_k), mult)] for a result element."""
         raise NotImplementedError
 
+    def push(self, terms, maps=None):
+        """The sum of mult * pure(f_1(m_1), ..., f_k(m_k)) over terms
+        [((m_1..m_k), mult)], folded in term order.
+
+        maps holds one callable per slot, None in a slot meaning identity.
+        """
+        if maps is not None:
+            maps = [(lambda m: m) if f is None else f for f in maps]
+            terms = ((tuple(f(m) for f, m in zip(maps, ms)), mult) for ms, mult in terms)
+        return fs_eval(self.result, ((self.pure(*ms), mult) for ms, mult in terms))
+
     def map_of(self, maps, target, check=True):
         """The induced map on tensors from per-slot linear maps.
 
@@ -55,11 +68,7 @@ class TensorProduct:
             raise FormatError("one map per tensor slot required")
 
         def fn(x):
-            acc = target.result.zero
-            for ms, mult in self.rep(x):
-                p = target.pure(*[f(m) for f, m in zip(maps, ms)])
-                acc = target.result.add(acc, target.result.times_int(p, mult))
-            return acc
+            return target.push(self.rep(x), maps)
 
         name = "(" + "x".join(f.name for f in maps) + ")"
         try:
@@ -338,27 +347,26 @@ def tensor_of_maps(f, g, source_tensor=None, target_tensor=None, over=None, budg
 
 # ---------------------------------------------------------------- unit laws
 
+def _verify_mutually_inverse(theta, inv):
+    for x in theta.source.elements():
+        if inv(theta(x)) != x:
+            raise InternalInvariantError(f"{theta.name} not iso at {x}")
+    for m in inv.source.elements():
+        if theta(inv(m)) != m:
+            raise InternalInvariantError(f"{theta.name} inverse fails at {m}")
+
+
 def unit_isos_right(M, SM, budget=None):
     """theta^r: M (x) S -> M and its inverse; both verified linear and mutually
     inverse on every element."""
     T = tensor(M, SM, over=M.base, budget=budget)
 
     def fwd(x):
-        acc = M.zero
-        for (m, smod), mult in T.rep(x):
-            acc = M.add(acc, M.times_int(M.act(m, scalar_of(SM, smod)), mult))
-        return acc
+        return fs_eval(M, ((M.act(m, scalar_of(SM, smod)), mult) for (m, smod), mult in T.rep(x)))
 
     theta = LinearMap(T.result, M, fwd, name="theta_r", check=True)
-    from .semimodules import scalar_to
-
     inv = LinearMap(M, T.result, lambda m: T.pure(m, scalar_to(SM, M.base.one)), name="theta_r_inv", check=True)
-    for x in T.result.elements():
-        if inv(theta(x)) != x:
-            raise InternalInvariantError(f"theta_r not iso at {x}")
-    for m in M.elements():
-        if theta(inv(m)) != m:
-            raise InternalInvariantError(f"theta_r inverse fails at {m}")
+    _verify_mutually_inverse(theta, inv)
     return T, theta, inv
 
 
@@ -366,21 +374,13 @@ def unit_isos_left(M, SM, budget=None):
     T = tensor(SM, M, over=M.base, budget=budget)
 
     def fwd(x):
-        acc = M.zero
-        for (smod, m), mult in T.rep(x):
-            acc = M.add(acc, M.times_int(M.act_left(scalar_of(SM, smod), m), mult))
-        return acc
+        return fs_eval(
+            M, ((M.act_left(scalar_of(SM, smod), m), mult) for (smod, m), mult in T.rep(x))
+        )
 
     theta = LinearMap(T.result, M, fwd, name="theta_l", check=True)
-    from .semimodules import scalar_to
-
     inv = LinearMap(M, T.result, lambda m: T.pure(scalar_to(SM, M.base.one), m), name="theta_l_inv", check=True)
-    for x in T.result.elements():
-        if inv(theta(x)) != x:
-            raise InternalInvariantError(f"theta_l not iso at {x}")
-    for m in M.elements():
-        if theta(inv(m)) != m:
-            raise InternalInvariantError(f"theta_l inverse fails at {m}")
+    _verify_mutually_inverse(theta, inv)
     return T, theta, inv
 
 
@@ -388,10 +388,7 @@ def flip_isomorphism(T, Tflip):
     """M (x) N -> N (x) M over a commutative base, with verification."""
 
     def fn(x):
-        acc = Tflip.result.zero
-        for (m, n), mult in T.rep(x):
-            acc = Tflip.result.add(acc, Tflip.result.times_int(Tflip.pure(n, m), mult))
-        return acc
+        return Tflip.push(((n, m), mult) for (m, n), mult in T.rep(x))
 
     f = LinearMap(T.result, Tflip.result, fn, name="flip", check=True)
     preds = map_predicates(f)
@@ -454,12 +451,14 @@ def product_interchange(M, family, over=None, budget=None):
     Q, qinjs, _ = direct_sum([t.result for t in Ts])
 
     def fn(x):
-        acc = Q.zero
-        for (m, p), mult in T.rep(x):
-            for i, t in enumerate(Ts):
-                comp = t.pure(m, projs[i](p))
-                acc = Q.add(acc, Q.times_int(qinjs[i](comp), mult))
-        return acc
+        return fs_eval(
+            Q,
+            (
+                (qinjs[i](t.pure(m, projs[i](p))), mult)
+                for (m, p), mult in T.rep(x)
+                for i, t in enumerate(Ts)
+            ),
+        )
 
     phi = LinearMap(T.result, Q, fn, name="interchange", check=True)
     preds = map_predicates(phi)

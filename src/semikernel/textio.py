@@ -6,6 +6,7 @@ deterministic for identical inputs apart from the timing field.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -115,25 +116,17 @@ def to_jsonable(value):
 
     if isinstance(value, TensorProduct):
         body = to_jsonable(value.result)
+        pools = [f.elements() for f in value.factors]
+        pure_pairs = [] if any(p is None for p in pools) else itertools.product(*pools)
         body["pure_tensors"] = [
             [
                 [elem_to_json(m) for m in ms],
                 elem_to_json(value.pure(*ms)),
             ]
-            for ms in _pure_pairs(value)
+            for ms in pure_pairs
         ]
         return body
     raise FormatError(f"unserializable value {value!r}")
-
-
-def _pure_pairs(T):
-    pools = [f.elements() for f in T.factors]
-    if any(p is None for p in pools):
-        return []
-    out = [[]]
-    for p in pools:
-        out = [combo + [e] for combo in out for e in p]
-    return [tuple(c) for c in out]
 
 
 def _atom_to_jsonable(a):

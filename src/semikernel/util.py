@@ -50,6 +50,15 @@ def fs_scale(a, k):
     return tuple((s, m * k) for s, m in a)
 
 
+def fs_eval(M, pairs):
+    """The sum of k * x over (x, k) pairs in M (a semimodule or a semiring),
+    folded left from M.zero in iteration order."""
+    acc = M.zero
+    for x, k in pairs:
+        acc = M.add(acc, M.times_int(x, k))
+    return acc
+
+
 @dataclass
 class Check:
     name: str

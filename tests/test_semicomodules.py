@@ -1,15 +1,28 @@
+from types import SimpleNamespace
 
 import pytest
 
 from semikernel.errors import CertificateError, FormatError
 from semikernel.gallery import gallery_coring
+from semikernel.pairings import (
+    alpha_check,
+    canonical_dual_pairing,
+    finiteness_closure,
+    induced_action,
+    rational_part,
+    restrict_to_base,
+)
+from semikernel.semicorings import basis_elem
 from semikernel.semimodules import (
     LinearMap,
+    cyclic_module,
     free_semimodule,
+    identity_map,
     semiring_module,
+    table_module,
     zero_module,
 )
-from semikernel.semirings import bool_semiring
+from semikernel.semirings import bool_semiring, nat
 from semikernel.semicomodules import (
     Semicomodule,
     check_comodule,
@@ -22,10 +35,12 @@ from semikernel.semicomodules import (
     comodule_hom_check,
     coring_as_comodule,
     counterexample_equalizer_refusal,
+    lift_coaction,
     two_coactions_counterexample,
     verify_coequalizer_universal,
     verify_equalizer_universal,
 )
+from semikernel.tensors import tensor
 
 B = bool_semiring()
 GL = gallery_coring("grouplike_bool_2")
@@ -143,3 +158,66 @@ def test_cogenerator_probe():
     Z0 = zero_module(B)
     rep3 = cogenerator_probe(Z0, GL, [(f, g, CC, CC)])
     assert not rep3["all_separated"]
+
+
+def test_equalizer_lift_pushes_back_to_the_coaction():
+    CC = coring_as_comodule(GL)
+    ends = colinear_maps(CC, CC)
+    T = CC.mc()
+    for f in ends:
+        for g in ends:
+            eq, iota = comodule_equalizer(f, g, CC, CC)
+            for e in eq.carrier.elements():
+                assert T.push(eq.coaction[e], (iota, None)) == CC.rho_norm(iota(e))
+
+
+def test_rational_part_lift_pushes_back_to_the_coaction():
+    P = canonical_dual_pairing(GL)
+    for M in (
+        coring_as_comodule(GL),
+        cofree_comodule(semiring_module(B), GL),
+        cofree_comodule(free_semimodule(B, 2), GL),
+    ):
+        MA = induced_action(P, M)
+        rep = alpha_check(P, restrict_to_base(P, MA))
+        rat = rational_part(P, MA, alpha_report=rep)
+        for e in rat.comodule.carrier.elements():
+            assert rep["tensor"].push(rat.comodule.coaction[e]) == rat.rho_class[e]
+
+
+def test_finiteness_closure_lift_pushes_back_to_the_coaction():
+    P = canonical_dual_pairing(GL)
+    CC = coring_as_comodule(GL)
+    T = CC.mc()
+    for F in ([basis_elem(GL.carrier, 0)], [GL.carrier.zero], list(GL.carrier.elements())):
+        Nc = finiteness_closure(P, CC, F)
+        for e in Nc.carrier.elements():
+            assert T.push(Nc.coaction[e], (lambda x: x[0], None)) == CC.rho_norm(e[0])
+
+
+def test_lift_coaction_reports_the_first_collision():
+    """2Z/8 in Z/8 over NAT collapses under - (x) Z/4: k (2 (x) 1) maps to
+    2k (1 (x) 1), so images repeat twice and the first repeat is reported."""
+    Nat = nat()
+    C8, C4 = cyclic_module(Nat, 8), cyclic_module(Nat, 4)
+    els = [(0,), (2,), (4,), (6,)]
+    E = table_module(Nat, els, {(a, b): C8.add(a, b) for a in els for b in els})
+    incl = LinearMap(E, C8, lambda x: x[0], name="incl")
+    T = tensor(C8, C4)
+    coring = SimpleNamespace(carrier=C4, base=Nat)
+    lift, collision = lift_coaction(E, coring, incl, T)
+    TE = tensor(E, C4)
+    FI = TE.map_of([incl, identity_map(C4)], T)
+    seen, repeats = set(), []
+    for x in TE.result.elements():
+        if FI(x) in seen:
+            repeats.append(x)
+        seen.add(FI(x))
+    assert len(repeats) == 2 and collision == repeats[0]
+    with pytest.raises(CertificateError, match=r"^no lift at \(\(0,\),\)$"):
+        lift(lambda e: T.result.zero, lambda e: CertificateError(f"no lift at {e}"))
+    # an injective inclusion has no collision and lifts every target
+    lift, collision = lift_coaction(C8, coring, identity_map(C8), T)
+    assert collision is None
+    lifted = lift(lambda m: T.pure(m, (1,)), lambda e: CertificateError(str(e)))
+    assert all(T.push(lifted[m]) == T.pure(m, (1,)) for m in C8.elements())

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from semikernel.semimodules import (
     enumerate_submodules,
     find_isomorphism,
     free_semimodule,
+    hom_enumerate,
     identity_map,
     semiring_module,
     span,
@@ -33,6 +35,7 @@ from semikernel.tensors import (
     unit_isos_left,
     unit_isos_right,
 )
+from semikernel.util import fs_eval
 
 B = bool_semiring()
 N = nat()
@@ -281,3 +284,48 @@ def test_deterministic_tensor():
     for m in M.elements():
         for n in M.elements():
             assert T1.pure(m, n) == T2.pure(m, n)
+
+
+def _left_fold(T, terms, maps):
+    acc = T.result.zero
+    for ms, mult in terms:
+        ms = [m if f is None else f(m) for f, m in zip(maps, ms)]
+        acc = T.result.add(acc, T.result.times_int(T.pure(*ms), mult))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["free B2 (x) B2", "saturation B2 (x) B2", "C4 (x) C6 over NAT"],
+)
+def test_push_is_the_left_fold(case):
+    if case == "C4 (x) C6 over NAT":
+        M, Nn = cyclic_module(N, 4), cyclic_module(N, 6)
+        T = tensor(M, Nn)
+    else:
+        M = Nn = free_semimodule(B, 2)
+        T = tensor(M, Nn, force_saturation=case.startswith("saturation"))
+    assert isinstance(T, FreeTensor) == case.startswith("free")
+    rng = random.Random(7)
+    f = rng.choice(hom_enumerate(M, M))
+    g = rng.choice(hom_enumerate(Nn, Nn))
+    pairs = [(m, n) for m in M.elements() for n in Nn.elements()]
+    term_lists = [[]] + [
+        [(rng.choice(pairs), rng.randint(1, 4)) for _ in range(size)] for size in (1, 2, 5, 9)
+    ]
+    for terms in term_lists:
+        for maps in (None, (None, None), (f, None), (None, g), (f, g)):
+            want = _left_fold(T, terms, maps or (None, None))
+            assert T.push(terms, maps) == want
+            assert T.push(iter(terms), maps) == want
+    assert T.push([]) == T.result.zero
+
+
+def test_fs_eval_over_a_semiring():
+    Z6 = zmod(6)
+    assert fs_eval(Z6, []) == Z6.zero
+    pairs = [(2, 3), (5, 1), (4, 0), (1, 7)]
+    acc = Z6.zero
+    for x, k in pairs:
+        acc = Z6.add(acc, Z6.times_int(x, k))
+    assert fs_eval(Z6, pairs) == acc == (2 * 3 + 5 + 7) % 6
