@@ -196,6 +196,9 @@ class QmodzAtom(Atom):
         return Fraction(rng.randrange(0, den), den)
 
 
+_ABSENT = object()  # never an element
+
+
 class TableAtom(Atom):
     """Finite commutative monoid with an explicit scalar action.
 
@@ -209,18 +212,21 @@ class TableAtom(Atom):
         self.base = base
         self._elements = tuple(sorted_elems(elements))
         els = set(self._elements)
-        for (a, b), c in add_table.items():
-            if a not in els or b not in els or c not in els:
-                raise FormatError("TABLE add not closed")
+        # one pass over the element pairs checks presence and membership; with
+        # every pair present, any further entry has a key outside the carrier
         for a in self._elements:
             for b in self._elements:
-                if (a, b) not in add_table:
-                    raise FormatError(f"TABLE add missing ({a},{b})")
+                if add_table.get((a, b), _ABSENT) not in els:
+                    if (a, b) not in add_table:
+                        raise FormatError(f"TABLE add missing ({a},{b})")
+                    raise FormatError("TABLE add not closed")
+        if len(add_table) != len(els) ** 2:
+            raise FormatError("TABLE add not closed")
         self._add = add_table
-        zeros = [z for z in self._elements if all(add_table[(z, a)] == a for a in self._elements)]
-        if not zeros:
+        zeros = (z for z in self._elements if all(add_table[(z, a)] == a for a in self._elements))
+        self.zero = next(zeros, _ABSENT)
+        if self.zero is _ABSENT:
             raise FormatError("TABLE has no additive identity")
-        self.zero = zeros[0]
         if action is None:
             if base.name != "NAT":
                 raise FormatError("TABLE without action table needs base NAT")

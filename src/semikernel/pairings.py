@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 
-from .errors import CertificateError, FormatError, InternalInvariantError
+from .errors import CertificateError, FormatError, InternalInvariantError, UnsupportedError
 from .semicomodules import Semicomodule, check_comodule, lift_coaction
 from .semicorings import Semicoring, check_semicoring, dual_semiring
 from .semimodules import (
@@ -379,7 +379,7 @@ def _small_submodules(M):
 
     try:
         return enumerate_submodules(M)
-    except Exception:
+    except UnsupportedError:  # more submodules than the cap
         return [span(M, []), span(M, [e for e in M.elements() if e != M.zero][:1])]
 
 

@@ -12,6 +12,8 @@ from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
 from .errors import FormatError, UnsupportedError
 from .util import Report, ordkey, sorted_elems
 
+SAMPLES = 64  # sample size of the checks on effective carriers
+
 
 class Semimodule:
     """Direct sum of atoms over a base semiring; elements are tuples, one
@@ -58,12 +60,6 @@ class Semimodule:
 
     def times_int(self, x, k):
         return tuple(a.times_int(u, k) for a, u in zip(self.atoms, x))
-
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
 
     def sample(self, rng):
         out = []
@@ -302,7 +298,7 @@ class LinearMap:
             return id(self)
         return hash(tuple(sorted(self.mapping.items(), key=lambda p: ordkey(p[0]))))
 
-    def check(self, rng_seed=0, samples=64) -> Report:
+    def check(self) -> Report:
         """Linearity: exhaustive on finite sources, sampled otherwise."""
         M, N, f = self.source, self.target, self.fn
         rep = Report(f"linear {self.name}")
@@ -324,13 +320,13 @@ class LinearMap:
             )
             rep.add("action", w is None, w)
         else:
-            rng = random.Random(rng_seed)
+            rng = random.Random(0)
             rep.sampled = True
             rep.add("zero", f(M.zero) == N.zero, M.zero)
-            pairs = [(M.sample(rng), M.sample(rng)) for _ in range(samples)]
+            pairs = [(M.sample(rng), M.sample(rng)) for _ in range(SAMPLES)]
             w = next(((x, y) for x, y in pairs if f(M.add(x, y)) != N.add(f(x), f(y))), None)
             rep.add("additive", w is None, w)
-            scal = M.base.sample_elements(rng, samples)
+            scal = M.base.sample_elements(rng, SAMPLES)
             w = next(
                 ((x, s) for (x, _), s in zip(pairs, scal) if f(M.act(x, s)) != N.act(f(x), s)),
                 None,
@@ -363,9 +359,6 @@ class Subsemimodule:
     ambient: Semimodule
     elements: frozenset
     generators: tuple = ()
-
-    def contains(self, x):
-        return x in self.elements
 
     def sorted_elements(self):
         return sorted_elems(self.elements)
@@ -401,10 +394,6 @@ def span(M, gens):
         new = list(found - cur)
         cur.update(new)
     return Subsemimodule(M, frozenset(cur), tuple(gens))
-
-
-def full_submodule(M):
-    return Subsemimodule(M, frozenset(M.elements()), ())
 
 
 def subtractive_closure(L: Subsemimodule) -> Subsemimodule:
@@ -691,23 +680,23 @@ def is_cancellative(M):
 
 # ---------------------------------------------------------------- axiom check
 
-def check_semimodule_axioms(M, samples=64, rng_seed=0) -> Report:
+def check_semimodule_axioms(M) -> Report:
     rep = Report(f"semimodule {M.name}")
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     if M.is_finite:
         els = M.elements()
         pairs = [(x, y) for x in els for y in els]
     else:
         rep.sampled = True
-        els = [M.sample(rng) for _ in range(samples)] + [M.zero]
-        pairs = [(M.sample(rng), M.sample(rng)) for _ in range(samples)]
+        els = [M.sample(rng) for _ in range(SAMPLES)] + [M.zero]
+        pairs = [(M.sample(rng), M.sample(rng)) for _ in range(SAMPLES)]
     if M.base.elements is not None:
         scalars = list(M.base.elements)
         spairs = [(s, t) for s in scalars for t in scalars]
     else:
         rep.sampled = True
         scalars = list(range(0, 6)) + [rng.randrange(0, 32) for _ in range(8)]
-        spairs = [(rng.choice(scalars), rng.choice(scalars)) for _ in range(samples)]
+        spairs = [(rng.choice(scalars), rng.choice(scalars)) for _ in range(SAMPLES)]
 
     w = next(((x, y) for x, y in pairs if M.add(x, y) != M.add(y, x)), None)
     rep.add("add-commutative", w is None, w)
@@ -1176,7 +1165,7 @@ def _additive_endos(size, table):
     return out
 
 
-def enumerate_modules(S, max_size, dedupe=True):
+def enumerate_modules(S, max_size):
     """All semimodule structures over finite S on carriers of size <= max_size.
 
     Scalar actions are maps S -> End(M) respecting unit, addition and
@@ -1219,16 +1208,14 @@ def enumerate_modules(S, max_size, dedupe=True):
                 out.append(
                     table_module(S, range(size), add_table, action, name=f"M{size}#{len(out)}")
                 )
-    if dedupe:
-        seen = set()
-        uniq = []
-        for M in out:
-            key = _module_iso_key(M)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(M)
-        return uniq
-    return out
+    seen = set()
+    uniq = []
+    for M in out:
+        key = _module_iso_key(M)
+        if key not in seen:
+            seen.add(key)
+            uniq.append(M)
+    return uniq
 
 
 def _module_iso_key(M):

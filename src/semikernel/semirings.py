@@ -67,12 +67,6 @@ class Semiring:
     def is_finite(self):
         return self.elements is not None
 
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
-
     def times_int(self, x, k):
         """k-fold sum x + ... + x computed in the semiring (k a non-negative int)."""
         acc = self.zero
@@ -92,16 +86,16 @@ class Semiring:
         return f"<Semiring {self.name} ({size})>"
 
 
-def _triples(S, budget=SAMPLE_BUDGET):
+def _triples(S):
     """All element triples (finite) or a deterministic sample of them."""
     if S.elements is not None:
         els = S.elements
-        if len(els) ** 3 <= budget:
+        if len(els) ** 3 <= SAMPLE_BUDGET:
             return [(a, b, c) for a in els for b in els for c in els], False
         rng = random.Random(0)
-        return [tuple(rng.choice(els) for _ in range(3)) for _ in range(budget)], True
+        return [tuple(rng.choice(els) for _ in range(3)) for _ in range(SAMPLE_BUDGET)], True
     rng = random.Random(0)
-    return [tuple(S.sample_elements(rng, 3)) for _ in range(budget)], True
+    return [tuple(S.sample_elements(rng, 3)) for _ in range(SAMPLE_BUDGET)], True
 
 
 def check_semiring_axioms(S) -> Report:
@@ -258,20 +252,26 @@ def nat():
     )
 
 
+# tag -> (constructor, the parameter it takes or None)
 _BUILTINS = {
-    "BOOL": lambda **kw: bool_semiring(),
-    "ZMOD": lambda n, **kw: zmod(n),
-    "NATCAP": lambda k, **kw: natcap(k),
-    "TROPCAP": lambda k, **kw: tropcap(k),
-    "IDEALS": lambda n, **kw: ideals(n),
-    "NAT": lambda **kw: nat(),
+    "BOOL": (bool_semiring, None),
+    "ZMOD": (zmod, "n"),
+    "NATCAP": (natcap, "k"),
+    "TROPCAP": (tropcap, "k"),
+    "IDEALS": (ideals, "n"),
+    "NAT": (nat, None),
 }
 
 
 def builtin_semiring(tag, **params):
-    if tag not in _BUILTINS:
+    if not isinstance(tag, str) or tag not in _BUILTINS:
         raise FormatError(f"unknown builtin semiring {tag!r}")
-    return _BUILTINS[tag](**params)
+    make, param = _BUILTINS[tag]
+    if param is None:
+        return make()
+    if not isinstance(params.get(param), int):
+        raise FormatError(f"builtin semiring {tag} needs an integer parameter {param!r}")
+    return make(params[param])
 
 
 class SemiringMorphism:

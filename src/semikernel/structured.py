@@ -276,10 +276,6 @@ def structured_identity(M):
     return StructuredMap(M, M, descrs, name="id", check=False)
 
 
-def structured_zero(M, N):
-    return StructuredMap(M, N, [None] * len(M.atoms), name="0", check=False)
-
-
 def structured_map_tensor(f: StructuredMap, g: StructuredMap, Tsrc: RuleTensor, Tdst: RuleTensor):
     """(f (x) g) between rule tensors, computed symbolically per component."""
     X, Z = Tsrc.factors

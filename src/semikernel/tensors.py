@@ -338,10 +338,10 @@ def tensor_multi(mods, over=None, budget=None, force_saturation=False, lazy=Fals
     return SaturationTensor(mods, over, budget=budget, lazy=lazy)
 
 
-def tensor_of_maps(f, g, source_tensor=None, target_tensor=None, over=None, budget=None):
+def tensor_of_maps(f, g, source_tensor=None, target_tensor=None, over=None):
     """(f (x) g) between computed tensor products."""
-    st = source_tensor or tensor(f.source, g.source, over=over, budget=budget)
-    tt = target_tensor or tensor(f.target, g.target, over=over, budget=budget)
+    st = source_tensor or tensor(f.source, g.source, over=over)
+    tt = target_tensor or tensor(f.target, g.target, over=over)
     return st.map_of([f, g], tt), st, tt
 
 
@@ -356,10 +356,10 @@ def _verify_mutually_inverse(theta, inv):
             raise InternalInvariantError(f"{theta.name} inverse fails at {m}")
 
 
-def unit_isos_right(M, SM, budget=None):
+def unit_isos_right(M, SM):
     """theta^r: M (x) S -> M and its inverse; both verified linear and mutually
     inverse on every element."""
-    T = tensor(M, SM, over=M.base, budget=budget)
+    T = tensor(M, SM, over=M.base)
 
     def fwd(x):
         return fs_eval(M, ((M.act(m, scalar_of(SM, smod)), mult) for (m, smod), mult in T.rep(x)))
@@ -370,8 +370,8 @@ def unit_isos_right(M, SM, budget=None):
     return T, theta, inv
 
 
-def unit_isos_left(M, SM, budget=None):
-    T = tensor(SM, M, over=M.base, budget=budget)
+def unit_isos_left(M, SM):
+    T = tensor(SM, M, over=M.base)
 
     def fwd(x):
         return fs_eval(
@@ -397,16 +397,16 @@ def flip_isomorphism(T, Tflip):
     return f
 
 
-def takahashi_tensor(M, N, over=None, budget=None):
+def takahashi_tensor(M, N, over=None):
     """Tensor followed by cancellative reflection (the tensor-like product)."""
-    T = tensor(M, N, over=over, budget=budget)
+    T = tensor(M, N, over=over)
     Q, pi = cancellative_reflection(T.result)
     return T, Q, pi
 
 
 # ---------------------------------------------------------------- probes
 
-def flatness_probe(M, family, over=None, budget=None):
+def flatness_probe(M, family, over=None):
     """Family-relative certificate: does M (x) - preserve the given monos?
 
     family: list of LinearMaps that are injective (checked).  Returns a dict
@@ -421,8 +421,8 @@ def flatness_probe(M, family, over=None, budget=None):
         preds = map_predicates(f)
         if not preds["injective"]:
             raise FormatError(f"family member {f.name} is not injective")
-        TX = tensor(M, f.source, over=over, budget=budget)
-        TY = tensor(M, f.target, over=over, budget=budget)
+        TX = tensor(M, f.source, over=over)
+        TY = tensor(M, f.target, over=over)
         Ff = TX.map_of([identity_map(M), f], TY)
         p = map_predicates(Ff)
         entry["mono_preserved"] = p["injective"]
@@ -442,12 +442,12 @@ def flatness_probe(M, family, over=None, budget=None):
     }
 
 
-def product_interchange(M, family, over=None, budget=None):
+def product_interchange(M, family, over=None):
     """The canonical map M (x) prod(X_i) -> prod(M (x) X_i) for a finite family."""
     over = over or M.base
     P, injs, projs = direct_sum(family)
-    T = tensor(M, P, over=over, budget=budget)
-    Ts = [tensor(M, X, over=over, budget=budget) for X in family]
+    T = tensor(M, P, over=over)
+    Ts = [tensor(M, X, over=over) for X in family]
     Q, qinjs, _ = direct_sum([t.result for t in Ts])
 
     def fn(x):

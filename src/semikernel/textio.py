@@ -266,50 +266,55 @@ class Document:
         self.commands = commands
 
 
+def _parse_declaration(decl, env, where):
+    kind = decl.get("kind")
+    if kind == "semiring":
+        return parse_semiring(decl, where)
+    if kind == "semimodule":
+        base = _resolve_semiring(decl["base"], env, where)
+        return parse_semimodule(decl, base, where)
+    if kind == "map":
+        src = _resolve_module(decl["source"], env, None, where)
+        tgt = _resolve_module(decl["target"], env, None, where)
+        pairs = {elem_from_json(a): elem_from_json(b) for a, b in decl["pairs"]}
+        missing = [x for x in src.elements() if x not in pairs]
+        if missing:
+            raise FormatError(f"{where}: map table missing {missing[0]}")
+        return LinearMap(src, tgt, pairs.__getitem__, name=decl["name"])
+    if kind == "coring":
+        return parse_coring(decl, env, where)
+    if kind == "pairing":
+        from .pairings import canonical_dual_pairing
+
+        coring = env.get(decl["dual_of"])
+        if not isinstance(coring, Semicoring):
+            raise FormatError(f"{where}: dangling coring reference")
+        return canonical_dual_pairing(coring)
+    raise FormatError(f"{where}: unknown declaration kind {kind!r}")
+
+
 def parse_document(text) -> Document:
+    """Parse a document; its commands are checked by the CLI's verb table."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"line {e.lineno} col {e.colno}: {e.msg}") from e
     if not isinstance(raw, dict):
         raise FormatError("document must be a JSON object")
+    decls, commands = raw.get("declarations", []), raw.get("commands", [])
+    for key, items in (("declarations", decls), ("commands", commands)):
+        if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+            raise FormatError(f"{key} must be a list of objects")
     env = {}
-    for i, decl in enumerate(raw.get("declarations", [])):
+    for i, decl in enumerate(decls):
         where = f"declaration {i}"
-        kind = decl.get("kind")
         name = decl.get("name")
-        if not name:
+        if not name or not isinstance(name, str):
             raise FormatError(f"{where}: missing name")
-        if kind == "semiring":
-            env[name] = parse_semiring(decl, where)
-        elif kind == "semimodule":
-            base = _resolve_semiring(decl["base"], env, where)
-            env[name] = parse_semimodule(decl, base, where)
-        elif kind == "map":
-            src = _resolve_module(decl["source"], env, None, where)
-            tgt = _resolve_module(decl["target"], env, None, where)
-            pairs = {
-                elem_from_json(a): elem_from_json(b) for a, b in decl["pairs"]
-            }
-            missing = [x for x in src.elements() if x not in pairs]
-            if missing:
-                raise FormatError(f"{where}: map table missing {missing[0]}")
-            env[name] = LinearMap(src, tgt, pairs.__getitem__, name=name)
-        elif kind == "coring":
-            env[name] = parse_coring(decl, env, where)
-        elif kind == "pairing":
-            from .pairings import canonical_dual_pairing
-
-            coring = env.get(decl["dual_of"])
-            if not isinstance(coring, Semicoring):
-                raise FormatError(f"{where}: dangling coring reference")
-            env[name] = canonical_dual_pairing(coring)
-        else:
-            raise FormatError(f"{where}: unknown declaration kind {kind!r}")
-    commands = raw.get("commands", [])
-    for i, cmd in enumerate(commands):
-        if "cmd" not in cmd:
-            raise FormatError(f"command {i}: missing 'cmd'")
+        try:
+            env[name] = _parse_declaration(decl, env, where)
+        except KeyError as e:
+            raise FormatError(f"{where} ({name}): missing field {e}") from e
     return Document(env, commands)
 
 
@@ -330,20 +335,15 @@ class RunReport:
             return 1
         return 0
 
-    def to_jsonl(self, with_timing=True):
-        lines = []
-        for r in self.records:
-            rec = dict(r)
-            if not with_timing:
-                rec.pop("elapsed_ms", None)
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    def to_jsonl(self):
+        lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records]
         return "\n".join(lines) + "\n"
 
-    def to_markdown(self, with_timing=True):
+    def to_markdown(self):
         out = ["| command | subject | verdict | detail |", "|---|---|---|---|"]
         for r in self.records:
             detail = r.get("witness") or r.get("detail") or ""
-            timing = f" ({r['elapsed_ms']} ms)" if with_timing and "elapsed_ms" in r else ""
+            timing = f" ({r['elapsed_ms']} ms)" if "elapsed_ms" in r else ""
             out.append(
                 f"| {r['cmd']} | {r.get('subject','')} | {r['verdict']}{timing} | {detail} |"
             )

@@ -40,16 +40,6 @@ def fs_make(pairs):
     return tuple(sorted(((s, k) for s, k in acc.items() if k), key=lambda p: ordkey(p[0])))
 
 
-def fs_add(a, b):
-    return fs_make(list(a) + list(b))
-
-
-def fs_scale(a, k):
-    if k == 0:
-        return ()
-    return tuple((s, m * k) for s, m in a)
-
-
 def fs_eval(M, pairs):
     """The sum of k * x over (x, k) pairs in M (a semimodule or a semiring),
     folded left from M.zero in iteration order."""
@@ -64,12 +54,6 @@ class Check:
     name: str
     ok: bool
     witness: object = None
-
-    def as_dict(self):
-        d = {"name": self.name, "ok": self.ok}
-        if self.witness is not None:
-            d["witness"] = repr(self.witness)
-        return d
 
 
 @dataclass
@@ -95,14 +79,6 @@ class Report:
             if not c.ok:
                 return c.name, c.witness
         return None
-
-    def as_dict(self):
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "sampled": self.sampled,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
     def __repr__(self):
         flag = "ok" if self.ok else f"FAILED({len(self.failures())})"

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +250,129 @@ def test_budget_env_var(tmp_path, monkeypatch):
         env=env,
     )
     assert r.returncode == 2
+
+
+# declarations every bad-input case can refer to
+INPUT_DECLS = [
+    {"kind": "semiring", "name": "B", "builtin": "BOOL"},
+    {"kind": "semiring", "name": "N0", "builtin": "NAT"},
+    {"kind": "semimodule", "name": "M", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 4}]},
+    {"kind": "semimodule", "name": "F", "base": "B", "atoms": [{"kind": "FREE", "rank": 1}]},
+    {"kind": "map", "name": "f", "source": "F", "target": "F", "pairs": [[[[0]], [[0]]], [[[1]], [[1]]]]},
+    {"kind": "coring", "name": "GL", "gallery": "grouplike_bool_2"},
+    {"kind": "pairing", "name": "P", "dual_of": "GL"},
+]
+
+
+def _report_case(command, name):
+    return (["report", "{doc}"], {"declarations": INPUT_DECLS, "commands": [command]}, name)
+
+
+def _argv_case(args, name):
+    return (args, {"declarations": INPUT_DECLS, "commands": []}, name)
+
+
+def _doc_case(doc, name):
+    return (["report", "{doc}"], doc, name)
+
+
+BAD_INPUTS = {
+    # report commands
+    "dual-of-a-module": _report_case({"cmd": "dual", "coring": "M"}, "coring"),
+    "tensor-of-a-semiring": _report_case({"cmd": "tensor", "left": "B", "right": "M"}, "left"),
+    "rational-of-a-coring": _report_case(
+        {"cmd": "rational", "pairing": "GL", "module": "dual"}, "pairing"
+    ),
+    "coring-not-a-string": _report_case({"cmd": "dual", "coring": ["x"]}, "coring"),
+    "generator-not-an-element": _report_case(
+        {"cmd": "coideal", "coring": "GL", "generators": [7]}, "generators"
+    ),
+    "side-not-a-choice": _report_case({"cmd": "dual", "coring": "GL", "side": "up"}, "side"),
+    "maps-not-a-list": _report_case({"cmd": "exact", "maps": "f"}, "maps"),
+    # command-line verbs
+    "gen-not-json": _argv_case(["coideal", "{doc}", "GL", "--gen", "notjson"], "gen"),
+    "gen-not-an-element": _argv_case(["coideal", "{doc}", "GL", "--gen", "[[5, 5]]"], "gen"),
+    "dual-verb-of-a-module": _argv_case(["dual", "{doc}", "M"], "coring"),
+    "exact-of-a-module": _argv_case(["exact", "{doc}", "M"], "maps"),
+    "tensor-missing-right": _argv_case(["tensor", "{doc}", "M"], "right"),
+    "side-up": _argv_case(["dual", "{doc}", "GL", "--side", "up"], "side"),
+    # documents
+    "declaration-not-an-object": _doc_case({"declarations": [5]}, "declarations"),
+    "semimodule-without-base": _doc_case(
+        {"declarations": [{"kind": "semimodule", "name": "M", "atoms": []}]}, "base"
+    ),
+    "cyclic-without-n": _doc_case(
+        {"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=[{"kind": "CYCLIC"}])]}, "'n'"
+    ),
+    "pairing-without-dual-of": _doc_case(
+        {"declarations": [INPUT_DECLS[5], {"kind": "pairing", "name": "P"}]}, "dual_of"
+    ),
+    "zmod-without-n": _doc_case(
+        {"declarations": [{"kind": "semiring", "name": "Z", "builtin": "ZMOD"}]}, "'n'"
+    ),
+    "command-not-an-object": _doc_case({"commands": [5]}, "commands"),
+    "commands-not-a-list": _doc_case({"commands": {"cmd": "gallery"}}, "commands"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_3(tmp_path, case):
+    args, doc, name = BAD_INPUTS[case]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli([a.replace("{doc}", str(p)) for a in args], timeout=120)
+    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
+    assert r.stderr.startswith("input error"), r.stderr
+    assert name in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+# each command as a verb on the command line and as a report command
+SAME_COMMAND = [
+    (["validate", "{doc}", "--target", "GL"], {"cmd": "validate", "target": "GL"}),
+    (["validate", "{doc}"], {"cmd": "validate"}),
+    (["tensor", "{doc}", "M", "M"], {"cmd": "tensor", "left": "M", "right": "M"}),
+    (["dual", "{doc}", "GL", "--side", "right"], {"cmd": "dual", "coring": "GL", "side": "right"}),
+    (["dual", "{doc}", "GL"], {"cmd": "dual", "coring": "GL"}),
+    (
+        ["coideal", "{doc}", "GL", "--gen", "[[1, 0]]", "--gen", "[[0, 1]]"],
+        {"cmd": "coideal", "coring": "GL", "generators": [[[1, 0]], [[0, 1]]]},
+    ),
+    (["coideal", "{doc}", "GL"], {"cmd": "coideal", "coring": "GL"}),
+    (["rational", "{doc}", "P", "dual"], {"cmd": "rational", "pairing": "P", "module": "dual"}),
+    (["exact", "{doc}", "f", "f", "--mode", "semi"], {"cmd": "exact", "maps": ["f", "f"], "mode": "semi"}),
+    (["exact", "{doc}", "f"], {"cmd": "exact", "maps": ["f"]}),
+    (["gallery", "--skip-mutations"], {"cmd": "gallery", "skip_mutations": True}),
+]
+
+
+def _records(stdout):
+    out = []
+    for line in stdout.splitlines():
+        rec = json.loads(line)
+        rec.pop("elapsed_ms", None)
+        out.append(rec)
+    return out
+
+
+@pytest.mark.parametrize("args,command", SAME_COMMAND, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_verb_and_report_command_give_the_same_records(tmp_path, args, command):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"declarations": INPUT_DECLS, "commands": [command]}))
+    verb = run_cli(["--format", "jsonl", *[a.replace("{doc}", str(p)) for a in args]], timeout=120)
+    report = run_cli(["--format", "jsonl", "report", str(p)], timeout=120)
+    assert verb.returncode == report.returncode, (verb.stderr, report.stderr)
+    assert verb.returncode in (0, 1), verb.stderr
+    assert _records(verb.stdout) == _records(report.stdout)
+    assert _records(verb.stdout)
+
+
+def test_readme_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "example.json"
+    p.write_text(example)
+    for verb in ("report", "validate"):
+        r = run_cli([verb, str(p)], timeout=120)
+        assert r.returncode == 0, (verb, r.stdout, r.stderr)
+        assert "| pass" in r.stdout

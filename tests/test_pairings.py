@@ -292,3 +292,35 @@ def test_alpha_family_member_is_uniformly_flat():
     incl = LinearMap(SM, F2, lambda s: ((s[0][0], 0),), name="e1")
     rep = flatness_probe(GL.carrier, [incl])
     assert rep["mono_flat_on_family"] and rep["uniformly_flat_on_family"]
+
+
+def _raising(exc):
+    calls = []
+
+    def enumerate_submodules(M, cap=4096):
+        calls.append(M)
+        raise exc(f"stand-in failure on {M.name}")
+
+    return enumerate_submodules, calls
+
+
+def test_rat_property_suite_raises_a_broken_lattice_walk(monkeypatch):
+    import semikernel.semimodules as sm
+
+    fake, calls = _raising(FormatError)
+    monkeypatch.setattr(sm, "enumerate_submodules", fake)
+    with pytest.raises(FormatError, match="stand-in failure"):
+        rat_property_suite(P, enumerate_modules(P.asemiring, 2))
+    assert calls
+
+
+def test_rat_property_suite_falls_back_past_the_submodule_cap(monkeypatch):
+    import semikernel.semimodules as sm
+    from semikernel.errors import UnsupportedError
+
+    fake, calls = _raising(UnsupportedError)
+    monkeypatch.setattr(sm, "enumerate_submodules", fake)
+    fam = enumerate_modules(P.asemiring, 2)
+    rep = rat_property_suite(P, fam)
+    assert rep.ok, rep.failures()
+    assert len(calls) == len(fam)

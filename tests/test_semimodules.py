@@ -477,3 +477,23 @@ def test_span_matches_brute_force():
             for _ in range(3 if k else 1):
                 gens = [rng.choice(els) for _ in range(k)]
                 assert span(M, gens).elements == _brute_span(M, gens), (M.name, gens)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda t: t.pop((1, 2)), r"TABLE add missing \(1,2\)"),
+        (lambda t: t.update({(2, 1): 7}), "TABLE add not closed"),
+        (lambda t: t.update({(7, 0): 0}), "TABLE add not closed"),
+        (lambda t: t.update({(0, a): (a + 1) % 3 for a in range(3)}), "no additive identity"),
+    ],
+)
+def test_table_atom_rejects_bad_tables(edit, message):
+    from semikernel.atoms import TableAtom
+
+    N = nat()
+    table = {(a, b): max(a, b) for a in range(3) for b in range(3)}  # a 3-chain under max
+    assert TableAtom(N, range(3), dict(table)).zero == 0
+    edit(table)
+    with pytest.raises(FormatError, match=message):
+        TableAtom(N, range(3), table)
