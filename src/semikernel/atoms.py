@@ -4,7 +4,8 @@ A semimodule carrier is a direct sum of atoms.  Finite atoms (CYCLIC, BOOL,
 TABLE, FREE) expose full element lists; NAT and QMODZ are effective, with
 exact integers and reduced fractions in [0,1) as canonical forms.  Each atom
 provides a generating set with a complete additive (Cayley-style)
-presentation, which is what the tensor saturation consumes.
+presentation, which is what the tensor saturation consumes.  TABLE atoms
+hold their addition on integer indices: one row of positions per element.
 """
 from __future__ import annotations
 
@@ -200,30 +201,46 @@ _ABSENT = object()  # never an element
 
 
 class TableAtom(Atom):
-    """Finite commutative monoid with an explicit scalar action.
+    """Finite commutative monoid with an explicit scalar action, on indices.
 
-    The action is a dict (element, base element) -> element for finite bases,
-    or None over NAT (iterated addition).
+    The carrier is a list of elements, `index` maps each element to its
+    position, and row i of the addition holds, for every position j, the
+    position of carrier[i] + carrier[j]; `add` looks up two positions and
+    returns the carrier's element.  `elements()` is in ordkey order.
+
+    The addition comes in one of two forms, converted to rows once:
+
+    * a dict (a, b) -> a + b over every pair of elements.  The carrier is
+      put in ordkey order, and the conversion checks, pair by pair in that
+      order, that each sum is present and is an element, then that the dict
+      has no other key;
+    * a list of rows of positions into `elements`, taken in the given order:
+      the form a builder that already computed the sums on indices passes
+      (the saturation tensor's Cayley-graph fold).  The conversion checks
+      that there is one row of n positions in range(n) per element.
+
+    The zero is the first left identity in ordkey order.  The action is a
+    dict (element, base element) -> element for finite bases, or None over
+    NAT (iterated addition).
     """
 
     kind = "TABLE"
 
     def __init__(self, base, elements, add_table, action=None):
         self.base = base
-        self._elements = tuple(sorted_elems(elements))
-        els = set(self._elements)
-        # one pass over the element pairs checks presence and membership; with
-        # every pair present, any further entry has a key outside the carrier
-        for a in self._elements:
-            for b in self._elements:
-                if add_table.get((a, b), _ABSENT) not in els:
-                    if (a, b) not in add_table:
-                        raise FormatError(f"TABLE add missing ({a},{b})")
-                    raise FormatError("TABLE add not closed")
-        if len(add_table) != len(els) ** 2:
-            raise FormatError("TABLE add not closed")
-        self._add = add_table
-        zeros = (z for z in self._elements if all(add_table[(z, a)] == a for a in self._elements))
+        if isinstance(add_table, dict):
+            carrier = ordered = sorted_elems(elements)
+        else:
+            carrier = list(elements)
+            ordered = sorted_elems(carrier)
+        self.index = {e: i for i, e in enumerate(carrier)}
+        if len(self.index) != len(carrier):
+            raise FormatError("TABLE elements repeat")
+        self._carrier = carrier
+        self._elements = tuple(ordered)
+        self._rows = self._rows_of(add_table)
+        identity = list(range(len(carrier)))
+        zeros = (z for z in ordered if self._rows[self.index[z]] == identity)
         self.zero = next(zeros, _ABSENT)
         if self.zero is _ABSENT:
             raise FormatError("TABLE has no additive identity")
@@ -232,19 +249,46 @@ class TableAtom(Atom):
                 raise FormatError("TABLE without action table needs base NAT")
             self._action = None
         else:
-            for a in self._elements:
+            for a in ordered:
                 for s in base.elements:
                     if (a, s) not in action:
                         raise FormatError(f"TABLE action missing ({a},{s})")
-                    if action[(a, s)] not in els:
+                    if action[(a, s)] not in self.index:
                         raise FormatError("TABLE action not closed")
             self._action = action
+
+    def _rows_of(self, add_table):
+        """The addition as checked rows of positions (see the class docstring)."""
+        carrier, index = self._carrier, self.index
+        n = len(carrier)
+        if not isinstance(add_table, dict):
+            if len(add_table) != n or any(
+                len(row) != n or min(row) < 0 or max(row) >= n for row in add_table
+            ):
+                raise FormatError("TABLE add not closed")
+            return add_table
+        rows = []
+        for a in carrier:
+            row = []
+            for b in carrier:
+                j = index.get(add_table.get((a, b), _ABSENT))
+                if j is None:
+                    if (a, b) not in add_table:
+                        raise FormatError(f"TABLE add missing ({a},{b})")
+                    raise FormatError("TABLE add not closed")
+                row.append(j)
+            rows.append(row)
+        # with every pair present, any further entry has a key outside the carrier
+        if len(add_table) != n * n:
+            raise FormatError("TABLE add not closed")
+        return rows
 
     def elements(self):
         return list(self._elements)
 
     def add(self, a, b):
-        return self._add[(a, b)]
+        index = self.index
+        return self._carrier[self._rows[index[a]][index[b]]]
 
     def act(self, a, s):
         if self._action is None:
@@ -276,6 +320,8 @@ class PresentedTableAtom(TableAtom):
     Elements are canonical multiplicity vectors over the generators; the
     stored relations generate the defining congruence, so downstream tensors
     can present this atom by its few generators instead of all elements.
+    The saturation tensor builds it from rows of positions, with the
+    classes in the order the quotient walk found them.
     """
 
     kind = "TABLE"

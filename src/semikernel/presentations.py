@@ -12,6 +12,11 @@ spanning tree that first reached each class, so callers can fold sums along
 generator steps instead of rewriting them again (Froidure & Pin, Algorithms
 for computing finite semigroups, 1997).  A work budget turns potentially
 infinite runs into a loud "undecided" failure rather than a wrong answer.
+
+Rules are stored sparse as well as dense: a left side touches only a few
+generators, so each rule keeps the support of its left side as (i, c) pairs
+and the non-zero entries of r - l as (i, d) pairs.  Matching a rule reads
+only its support, and a rewrite touches only the generators it changes.
 """
 from __future__ import annotations
 
@@ -40,23 +45,39 @@ def _key(v):
     return (sum(v), v)
 
 
-def _leq(small, big):
-    return all(s <= b for s, b in zip(small, big))
-
-
-def _sub_add(v, l, r):
-    return tuple(x - a + b for x, a, b in zip(v, l, r))
-
-
 def _join(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _min_gen(v):
-    for i, c in enumerate(v):
-        if c:
-            return i
-    return -1
+def _shift(v, delta):
+    """v + (r - l) for a rule's sparse difference delta."""
+    w = list(v)
+    for i, d in delta:
+        w[i] += d
+    return tuple(w)
+
+
+class Rule(NamedTuple):
+    """l -> r, dense, plus the support of l and the non-zero entries of r - l."""
+
+    l: tuple
+    r: tuple
+    lhs: tuple  # (i, l[i]) for every i with l[i] > 0, i ascending
+    delta: tuple  # (i, r[i] - l[i]) for every i where l and r differ
+
+
+def _rule(l, r):
+    lhs = tuple((i, c) for i, c in enumerate(l) if c)
+    delta = tuple((i, b - a) for i, (a, b) in enumerate(zip(l, r)) if a != b)
+    return Rule(l, r, lhs, delta)
+
+
+def _below(lhs, v):
+    """Whether the left side with support lhs is <= v componentwise."""
+    for i, c in lhs:
+        if v[i] < c:
+            return False
+    return True
 
 
 class MonoidPresentation:
@@ -64,46 +85,45 @@ class MonoidPresentation:
 
     Rules are kept interreduced: a rule whose left side becomes reducible is
     deactivated and its content re-queued, which keeps the rule set and the
-    reduction scans small.
+    reduction scans small.  _by_min[g] lists the active rules whose left
+    side has least generator g, oldest first; reduce scans the generators of
+    a vector in order and applies the first rule that matches.
     """
 
     def __init__(self, n_gens, relations, budget=None):
         self.n = n_gens
         self.budget = budget if budget is not None else Budget()
-        self.rules = []  # (l, r) tuples; parallel to active flags
+        self.rules = []  # Rule tuples; parallel to active flags
         self.active = []
         self._by_min = [[] for _ in range(n_gens)]
         self._complete([tuple(map(tuple, rel)) for rel in relations])
 
     # -- rewriting ---------------------------------------------------------
 
+    def _match(self, v):
+        """The difference r - l of the first rule that applies to v, or None."""
+        by_min = self._by_min
+        for g, cnt in enumerate(v):
+            if cnt:
+                for rule in by_min[g]:
+                    if _below(rule.lhs, v):
+                        return rule.delta
+        return None
+
     def reduce(self, v):
-        v = tuple(v)
-        while True:
-            applied = False
-            for g, cnt in enumerate(v):
-                if not cnt:
-                    continue
-                for idx in self._by_min[g]:
-                    if not self.active[idx]:
-                        continue
-                    l, r = self.rules[idx]
-                    if _leq(l, v):
-                        self.budget.spend()
-                        v = _sub_add(v, l, r)
-                        applied = True
-                        break
-                if applied:
-                    break
-            if not applied:
-                return v
+        v = list(v)
+        while (delta := self._match(v)) is not None:
+            self.budget.spend()
+            for i, d in delta:
+                v[i] += d
+        return tuple(v)
 
     def _add_rule(self, l, r):
-        idx = len(self.rules)
-        self.rules.append((l, r))
+        rule = _rule(l, r)
+        self.rules.append(rule)
         self.active.append(True)
-        self._by_min[_min_gen(l)].append(idx)
-        return idx
+        self._by_min[rule.lhs[0][0]].append(rule)
+        return rule
 
     def _complete(self, relations):
         queue = deque(sorted(relations, key=lambda p: (_key(p[0]), _key(p[1]))))
@@ -116,21 +136,19 @@ class MonoidPresentation:
             l, r = (u, v) if _key(u) > _key(v) else (v, u)
             new = self._add_rule(l, r)
             # interreduce: displace rules whose left side the new rule reduces
-            for j, (lj, rj) in enumerate(self.rules):
-                if j != new and self.active[j] and _leq(l, lj):
+            for j, rule in enumerate(self.rules):
+                if rule is not new and self.active[j] and _below(new.lhs, rule.l):
                     self.active[j] = False
-                    queue.append((lj, rj))
+                    self._by_min[rule.lhs[0][0]].remove(rule)
+                    queue.append((rule.l, rule.r))
             # critical pairs only with rules sharing a generator: disjoint
             # supports always resolve (the two reductions commute)
-            support = [i for i, c in enumerate(l) if c]
-            seen = set()
-            for j, (lj, rj) in enumerate(self.rules):
-                if j == new or not self.active[j] or j in seen:
+            for j, rule in enumerate(self.rules):
+                if rule is new or not self.active[j]:
                     continue
-                if any(lj[i] for i in support):
-                    seen.add(j)
-                    joint = _join(l, lj)
-                    queue.append((_sub_add(joint, l, r), _sub_add(joint, lj, rj)))
+                if any(rule.l[i] for i, _ in new.lhs):
+                    joint = _join(l, rule.l)
+                    queue.append((_shift(joint, new.delta), _shift(joint, rule.delta)))
 
     def equal(self, u, v):
         return self.reduce(u) == self.reduce(v)

@@ -299,11 +299,20 @@ class LinearMap:
         return hash(tuple(sorted(self.mapping.items(), key=lambda p: ordkey(p[0]))))
 
     def check(self) -> Report:
-        """Linearity: exhaustive on finite sources, sampled otherwise."""
+        """Images in a finite target, then linearity: exhaustive on finite
+        sources, sampled otherwise."""
         M, N, f = self.source, self.target, self.fn
         rep = Report(f"linear {self.name}")
+
+        def codomain(xs):
+            if N.is_finite:
+                targets = set(N.elements())
+                w = next((x for x in xs if f(x) not in targets), None)
+                rep.add("codomain", w is None, w)
+
         if M.is_finite:
             els = M.elements()
+            codomain(els)
             rep.add("zero", f(M.zero) == N.zero, M.zero)
             w = next(
                 ((x, y) for x in els for y in els if f(M.add(x, y)) != N.add(f(x), f(y))),
@@ -322,8 +331,9 @@ class LinearMap:
         else:
             rng = random.Random(0)
             rep.sampled = True
-            rep.add("zero", f(M.zero) == N.zero, M.zero)
             pairs = [(M.sample(rng), M.sample(rng)) for _ in range(SAMPLES)]
+            codomain(x for pair in pairs for x in pair)
+            rep.add("zero", f(M.zero) == N.zero, M.zero)
             w = next(((x, y) for x, y in pairs if f(M.add(x, y)) != N.add(f(x), f(y))), None)
             rep.add("additive", w is None, w)
             scal = M.base.sample_elements(rng, SAMPLES)

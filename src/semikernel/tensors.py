@@ -146,6 +146,7 @@ class SaturationTensor(TensorProduct):
         self.pure_gens = list(itertools.product(*self.gen_tags))
         self.index = {g: i for i, g in enumerate(self.pure_gens)}
         self.n = len(self.pure_gens)
+        self._act_pieces = {}
         relations = self._relations()
         self.pres = MonoidPresentation(self.n, relations, budget=self.budget)
         self._raw_relations = relations
@@ -231,17 +232,14 @@ class SaturationTensor(TensorProduct):
 
     def _build_result(self, quotient, name, left_action, right_action):
         classes, steps, parent = quotient
-        # Row a of the addition table, folded along the spanning tree: with
-        # b reached as p + e_g, nf(a + b) is the g-step from nf(a + p).  The
-        # forms are convergent, so this is exact and rewrites nothing.
-        tree = parent[1:]
-        add_table = {}
-        for i, a in enumerate(classes):
-            row = [i]
-            for p, g in tree:
-                row.append(steps[row[p]][g])
-            for b, j in zip(classes, row):
-                add_table[(a, b)] = classes[j]
+        # The addition table on indices into classes, folded along the
+        # spanning tree one row at a time: with b reached as p + e_g, the row
+        # of b maps each a to the g-step from nf(a + p).  The forms are
+        # convergent, so this is exact and rewrites nothing.
+        step_by_gen = list(zip(*steps))  # step_by_gen[g][i]: the g-step from class i
+        rows = [list(range(len(classes)))]
+        for p, g in parent[1:]:
+            rows.append(list(map(step_by_gen[g].__getitem__, rows[p])))
         r_ring, r_fn = right_action if right_action is not None else (self.over, None)
         l_ring, l_fn = left_action if left_action is not None else (self.over, None)
         gen_nfs = [classes[j] for j in steps[0]]
@@ -252,11 +250,11 @@ class SaturationTensor(TensorProduct):
                 for s in r_ring.elements
             }
             atom = PresentedTableAtom(
-                r_ring, classes, add_table, action, gen_nfs, self._raw_relations
+                r_ring, classes, rows, action, gen_nfs, self._raw_relations
             )
         else:
             atom = PresentedTableAtom(
-                r_ring, classes, add_table, None, gen_nfs, self._raw_relations
+                r_ring, classes, rows, None, gen_nfs, self._raw_relations
             )
 
         def act_l(s, x):
@@ -272,28 +270,36 @@ class SaturationTensor(TensorProduct):
         self.right_ring = r_ring
 
     def _act_slot(self, vec, s, slot, custom_fn):
-        """Action applied in one tensor slot of every generator of a class vector."""
-        k = len(self.factors)
-        slot = slot % k
+        """Action applied in one tensor slot of every generator of a class vector.
+
+        The action on a pure generator is worked out once per scalar, slot
+        and action, as sparse (index, multiplicity) pairs, and then reused.
+        """
+        slot = slot % len(self.factors)
+        pieces = self._act_pieces.setdefault((s, slot, custom_fn), {})
         out = [0] * self.n
         for idx, mult in enumerate(vec):
             if not mult:
                 continue
-            tags = self.pure_gens[idx]
-            m = self.gen_elems[slot][tags[slot]]
-            fac = self.factors[slot]
-            if custom_fn is not None:
-                acted = custom_fn(m, s) if slot == k - 1 else custom_fn(s, m)
-            else:
-                acted = fac.act(m, s) if slot == k - 1 else fac.act_left(s, m)
-            dec = fac.decompose(acted)
-            slots = [
-                dec if j == slot else {tags[j]: 1} for j in range(k)
-            ]
-            piece = self._vec(slots)
-            for i, c in enumerate(piece):
+            piece = pieces.get(idx)
+            if piece is None:
+                piece = pieces[idx] = self._act_gen(idx, s, slot, custom_fn)
+            for i, c in piece:
                 out[i] += c * mult
-        return self.pres.reduce(tuple(out))
+        return self.pres.reduce(out)
+
+    def _act_gen(self, idx, s, slot, custom_fn):
+        k = len(self.factors)
+        tags = self.pure_gens[idx]
+        m = self.gen_elems[slot][tags[slot]]
+        fac = self.factors[slot]
+        if custom_fn is not None:
+            acted = custom_fn(m, s) if slot == k - 1 else custom_fn(s, m)
+        else:
+            acted = fac.act(m, s) if slot == k - 1 else fac.act_left(s, m)
+        dec = fac.decompose(acted)
+        piece = self._vec([dec if j == slot else {tags[j]: 1} for j in range(k)])
+        return [(i, c) for i, c in enumerate(piece) if c]
 
     # interface ---------------------------------------------------------------
 

@@ -37,23 +37,43 @@ def elem_from_json(x):
         return tuple(elem_from_json(v) for v in x)
     if isinstance(x, str) and _FRACTION.match(x):
         p, q = x.split("/")
+        if int(q) == 0:
+            raise FormatError(f"element {x!r}: zero denominator")
         return Fraction(int(p), int(q))
+    if not isinstance(x, (int, str)):
+        raise FormatError(f"element {x!r}: not an integer, a string or a list")
     return x
+
+
+_JSON_TYPES = {list: "a list", int: "an integer", str: "a string"}
+
+
+def _field(spec, key, kind, where):
+    """spec[key], which must have the JSON type kind; a KeyError if absent."""
+    value = spec[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FormatError(f"{where}: field {key!r} must be {_JSON_TYPES[kind]}, not {json.dumps(value)}")
+    return value
 
 
 def _table_to_rows(elements, table):
     return [[elem_to_json(table[(a, b)]) for b in elements] for a in elements]
 
 
-def _rows_to_table(elements, rows, what):
+def _rows_to_table(elements, rows, what, columns=None):
+    """{(a, b): entry} from one row per element a, one entry per column b
+    (the elements again unless columns are given)."""
+    columns = elements if columns is None else columns
     if len(rows) != len(elements):
         raise FormatError(f"{what}: expected {len(elements)} rows")
     out = {}
     for i, a in enumerate(elements):
         row = rows[i]
-        if len(row) != len(elements):
+        if not isinstance(row, list):
+            raise FormatError(f"{what}: row {i} is not a list")
+        if len(row) != len(columns):
             raise FormatError(f"{what}: row {i} has {len(row)} entries")
-        for j, b in enumerate(elements):
+        for j, b in enumerate(columns):
             out[(a, b)] = elem_from_json(row[j])
     return out
 
@@ -164,9 +184,9 @@ def parse_semiring(spec, where="semiring"):
         params = {k: v for k, v in spec.items() if k in ("n", "k")}
         return builtin_semiring(spec["builtin"], **params)
     try:
-        els = [elem_from_json(e) for e in spec["elements"]]
-        add = _rows_to_table(els, spec["add"], f"{where}.add")
-        mul = _rows_to_table(els, spec["mul"], f"{where}.mul")
+        els = [elem_from_json(e) for e in _field(spec, "elements", list, where)]
+        add = _rows_to_table(els, _field(spec, "add", list, where), f"{where}.add")
+        mul = _rows_to_table(els, _field(spec, "mul", list, where), f"{where}.mul")
         return semiring_from_tables(
             spec.get("name", where),
             els,
@@ -180,45 +200,46 @@ def parse_semiring(spec, where="semiring"):
 
 
 def parse_atom(spec, base, where="atom"):
+    if not isinstance(spec, dict):
+        raise FormatError(f"{where}: an atom must be an object, not {json.dumps(spec)}")
     kind = spec.get("kind")
     if kind == "NAT":
         return NatAtom(base)
     if kind == "CYCLIC":
-        return CyclicAtom(base, spec["n"])
+        return CyclicAtom(base, _field(spec, "n", int, where))
     if kind == "BOOL":
         return BoolAtom(base)
     if kind == "QMODZ":
         return QmodzAtom(base)
     if kind == "FREE":
-        basis = spec.get("basis")
-        if basis is None:
-            basis = list(range(spec["rank"]))
+        if spec.get("basis") is not None:
+            basis = _field(spec, "basis", list, where)
+        else:
+            basis = list(range(_field(spec, "rank", int, where)))
         return FreeAtom(base, [elem_from_json(b) for b in basis])
     if kind == "TABLE":
-        els = [elem_from_json(e) for e in spec["elements"]]
-        add = _rows_to_table(els, spec["add"], f"{where}.add")
+        els = [elem_from_json(e) for e in _field(spec, "elements", list, where)]
+        add = _rows_to_table(els, _field(spec, "add", list, where), f"{where}.add")
         action = None
         if "action" in spec:
-            sels = [elem_from_json(s) for s in spec["scalars"]]
-            action = {}
-            for i, e in enumerate(els):
-                row = spec["action"][i]
-                for j, s in enumerate(sels):
-                    action[(e, s)] = elem_from_json(row[j])
+            sels = [elem_from_json(s) for s in _field(spec, "scalars", list, where)]
+            rows = _field(spec, "action", list, where)
+            action = _rows_to_table(els, rows, f"{where}.action", columns=sels)
         return TableAtom(base, els, add, action)
     raise FormatError(f"{where}: unknown atom kind {kind!r}")
 
 
 def parse_semimodule(spec, base, where="semimodule"):
     atoms = [
-        parse_atom(a, base, f"{where}.atoms[{i}]") for i, a in enumerate(spec["atoms"])
+        parse_atom(a, base, f"{where}.atoms[{i}]")
+        for i, a in enumerate(_field(spec, "atoms", list, where))
     ]
     return Semimodule(base, atoms, name=spec.get("name", where))
 
 
 def parse_coring(spec, env, where="coring"):
     if "gallery" in spec:
-        gname = spec["gallery"]
+        gname = _field(spec, "gallery", str, where)
         if gname not in GALLERY_NAMES:
             raise FormatError(f"{where}: unknown gallery coring {gname!r}")
         return gallery_coring(gname)
@@ -227,12 +248,15 @@ def parse_coring(spec, env, where="coring"):
     if not carrier.is_finite:
         raise FormatError(f"{where}: explicit tables need a finite carrier")
     delta = {}
-    for entry in spec["delta"]:
-        c = elem_from_json(entry[0])
-        delta[c] = fs_make(
-            [((elem_from_json(a), elem_from_json(b)), m) for a, b, m in entry[1]]
+    for c, terms in _pairs(spec, "delta", where):
+        if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 3 and isinstance(t[2], int) for t in terms
+        ):
+            raise FormatError(f"{where}: delta of {json.dumps(c)} must be a list of [a, b, mult] triples")
+        delta[elem_from_json(c)] = fs_make(
+            [((elem_from_json(a), elem_from_json(b)), m) for a, b, m in terms]
         )
-    eps = {elem_from_json(c): elem_from_json(v) for c, v in spec["epsilon"]}
+    eps = {elem_from_json(c): elem_from_json(v) for c, v in _pairs(spec, "epsilon", where)}
     els = set(carrier.elements())
     for c in els:
         if c not in delta:
@@ -242,12 +266,22 @@ def parse_coring(spec, env, where="coring"):
     return Semicoring(base, carrier, delta, eps, name=spec.get("name", where))
 
 
+def _pairs(spec, key, where):
+    """spec[key] as a list of two-entry lists."""
+    items = _field(spec, key, list, where)
+    if not all(isinstance(p, list) and len(p) == 2 for p in items):
+        raise FormatError(f"{where}: field {key!r} must be a list of pairs")
+    return items
+
+
 def _resolve_semiring(ref, env, where):
     if isinstance(ref, str):
         v = env.get(ref)
         if not isinstance(v, Semiring):
             raise FormatError(f"{where}: dangling semiring reference {ref!r}")
         return v
+    if not isinstance(ref, dict):
+        raise FormatError(f"{where}: a semiring must be a name or an object, not {json.dumps(ref)}")
     return parse_semiring(ref, where)
 
 
@@ -257,6 +291,8 @@ def _resolve_module(ref, env, base, where):
         if not isinstance(v, Semimodule):
             raise FormatError(f"{where}: dangling module reference {ref!r}")
         return v
+    if not isinstance(ref, dict):
+        raise FormatError(f"{where}: a module must be a name or an object, not {json.dumps(ref)}")
     return parse_semimodule(ref, base, where)
 
 
@@ -276,7 +312,7 @@ def _parse_declaration(decl, env, where):
     if kind == "map":
         src = _resolve_module(decl["source"], env, None, where)
         tgt = _resolve_module(decl["target"], env, None, where)
-        pairs = {elem_from_json(a): elem_from_json(b) for a, b in decl["pairs"]}
+        pairs = {elem_from_json(a): elem_from_json(b) for a, b in _pairs(decl, "pairs", where)}
         missing = [x for x in src.elements() if x not in pairs]
         if missing:
             raise FormatError(f"{where}: map table missing {missing[0]}")
@@ -286,7 +322,7 @@ def _parse_declaration(decl, env, where):
     if kind == "pairing":
         from .pairings import canonical_dual_pairing
 
-        coring = env.get(decl["dual_of"])
+        coring = env.get(_field(decl, "dual_of", str, where))
         if not isinstance(coring, Semicoring):
             raise FormatError(f"{where}: dangling coring reference")
         return canonical_dual_pairing(coring)

@@ -312,6 +312,10 @@ BAD_INPUTS = {
     ),
     "command-not-an-object": _doc_case({"commands": [5]}, "commands"),
     "commands-not-a-list": _doc_case({"commands": {"cmd": "gallery"}}, "commands"),
+    "atoms-not-a-list": _doc_case({"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=5)]}, "'atoms'"),
+    "cyclic-n-not-an-integer": _doc_case(
+        {"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=[{"kind": "CYCLIC", "n": "4"}])]}, "'n'"
+    ),
 }
 
 
@@ -376,3 +380,35 @@ def test_readme_example_runs(tmp_path):
         r = run_cli([verb, str(p)], timeout=120)
         assert r.returncode == 0, (verb, r.stdout, r.stderr)
         assert "| pass" in r.stdout
+
+
+def test_map_with_an_image_outside_its_target_fails(tmp_path):
+    # f sends [[1]] to [[7]], which is not an element of FREE(1) over BOOL
+    decls = INPUT_DECLS[:4] + [dict(INPUT_DECLS[4], pairs=[[[[0]], [[0]]], [[[1]], [[7]]]])]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"declarations": decls, "commands": []}))
+    r = run_cli(["--format", "jsonl", "validate", str(p), "--target", "f"])
+    assert r.returncode == 1, (r.stdout, r.stderr)
+    rec = json.loads(r.stdout.splitlines()[0])
+    assert rec["verdict"] == "fail"
+    assert rec["witness"] == "('codomain', ((1,),))"
+
+
+def test_saturation_tensor_over_budget_exits_2(tmp_path):
+    # FREE(2) (x) CYCLIC(6) over ZMOD(6) is not free, so it takes the saturation route
+    doc = {
+        "declarations": [
+            {"kind": "semiring", "name": "Z6", "builtin": "ZMOD", "n": 6},
+            {"kind": "semimodule", "name": "F", "base": "Z6", "atoms": [{"kind": "FREE", "rank": 2}]},
+            {"kind": "semimodule", "name": "C", "base": "Z6", "atoms": [{"kind": "CYCLIC", "n": 6}]},
+        ],
+        "commands": [{"cmd": "tensor", "left": "F", "right": "C"}],
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--budget", "50", "--format", "jsonl", "report", str(p)], timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stdout.splitlines()[0])["verdict"] == "undecided"
+    r = run_cli(["--format", "jsonl", "report", str(p)], timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(json.loads(r.stdout.splitlines()[0])["detail"])["cardinality"] == 36
