@@ -249,6 +249,8 @@ class TableAtom(Atom):
                 raise FormatError("TABLE without action table needs base NAT")
             self._action = None
         else:
+            if base.elements is None:
+                raise FormatError("TABLE action table needs a finite base")
             for a in ordered:
                 for s in base.elements:
                     if (a, s) not in action:

@@ -18,7 +18,7 @@ from .semimodules import (
     module_congruence_closure,
     quotient_by_congruence,
     span,
-    table_module,
+    sub_table,
 )
 from .structured import (
     StructuredMap,
@@ -285,15 +285,7 @@ def comodule_equalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomod
     sub = span(M.carrier, eq_els)
     if sub.elements != frozenset(eq_els):
         raise FormatError("equalizer subset is not a submodule")  # cannot happen
-    E = table_module(
-        C.base,
-        sorted(eq_els, key=ordkey),
-        {(a, b): M.carrier.add(a, b) for a in eq_els for b in eq_els},
-        None
-        if C.base.elements is None
-        else {(a, s): M.carrier.act(a, s) for a in eq_els for s in C.base.elements},
-        name=f"Eq({f.name},{g.name})",
-    )
+    E = sub_table(M.carrier, eq_els, name=f"Eq({f.name},{g.name})")
     iota = LinearMap(E, M.carrier, lambda x: x[0], name="eq-incl")
     if certificate is not None and not certificate.get("mono_flat_on_family", False):
         raise CertificateError(

@@ -29,6 +29,7 @@ class Semimodule:
         self._act_right = act_right
         self._act_left = act_left
         self._elements = None
+        self._indexed = None
 
     @property
     def is_finite(self):
@@ -38,10 +39,19 @@ class Semimodule:
         if not self.is_finite:
             return None
         if self._elements is None:
-            pools = [a.elements() for a in self.atoms]
-            self._elements = [tuple(t) for t in itertools.product(*pools)] if pools else [()]
-            self._elements.sort(key=ordkey)
+            # each atom lists its elements in ordkey order, so their product
+            # comes in ordkey (lexicographic) order; no atoms give [()]
+            self._elements = list(itertools.product(*(a.elements() for a in self.atoms)))
         return self._elements
+
+    def indexed(self):
+        """The finite carrier on integer positions (see Indexed), built once;
+        None if the carrier is infinite."""
+        if not self.is_finite:
+            return None
+        if self._indexed is None:
+            self._indexed = Indexed(self)
+        return self._indexed
 
     def add(self, x, y):
         return tuple(a.add(u, v) for a, u, v in zip(self.atoms, x, y))
@@ -126,6 +136,31 @@ class Semimodule:
     def __repr__(self):
         size = len(self.elements()) if self.is_finite else "effective"
         return f"<Semimodule {self.name} over {self.base.name} ({size})>"
+
+
+class Indexed:
+    """A finite semimodule on the positions of its elements.
+
+    `elements` is M.elements() (ordkey order) and `index` maps each element
+    to its position.  add[i][j] is the position of elements[i] + elements[j]
+    and act[i][k] that of elements[i] acted on by base.elements[k]; the act
+    rows are empty over an infinite base.  A sum or action outside the
+    carrier raises FormatError.
+    """
+
+    def __init__(self, M):
+        self.elements = els = M.elements()
+        self.index = index = {e: i for i, e in enumerate(els)}
+
+        def pos(v, x, op, y):
+            i = index.get(v)
+            if i is None:
+                raise FormatError(f"{M.name}: {x!r} {op} {y!r} = {v!r} is not an element of the carrier")
+            return i
+
+        self.add = [[pos(M.add(x, y), x, "+", y) for y in els] for x in els]
+        scalars = M.base.elements or ()
+        self.act = [[pos(M.act(x, s), x, "*", s) for s in scalars] for x in els]
 
 
 def same_carrier(M, N):
@@ -216,19 +251,27 @@ def retable_module(M, new_base, action_raw, name=None):
     return table_module(new_base, raws, add, action_raw, name=name or M.name)
 
 
-def subcarrier_module(M, raw_elements, base=None, name="sub"):
-    """A table module on a subset of a single-table carrier, elements shared."""
+def sub_table(M, members, name, raw=lambda m: m):
+    """The submodule of a finite M on the given members, as a table module
+    on the raw elements raw(m): by default M's own, so that the table's
+    elements wrap them in a 1-tuple.  Sums and actions are read from
+    M.indexed(); one outside the members raises the table's FormatError."""
+    ix = M.indexed()
+    pos = sorted(ix.index[m] for m in members)
+    local = {p: k for k, p in enumerate(pos)}
+    rows = [[local.get(ix.add[a][b], -1) for b in pos] for a in pos]
+    els, scalars = [raw(e) for e in ix.elements], M.base.elements
+    action = None if scalars is None else {
+        (els[a], s): els[j] for a in pos for s, j in zip(scalars, ix.act[a])
+    }
+    return table_module(M.base, [els[p] for p in pos], rows, action, name=name)
+
+
+def subcarrier_module(M, raw_elements, name="sub"):
+    """A table module on a subset of a single-atom carrier, elements shared."""
     if len(M.atoms) != 1:
         raise FormatError("subcarrier needs a single-atom carrier")
-    ta = M.atoms[0]
-    base = base or M.base
-    raws = sorted_elems(raw_elements)
-    add = {(a, b): M.add((a,), (b,))[0] for a in raws for b in raws}
-    if base.elements is not None:
-        action = {(a, s): M.act((a,), s)[0] for a in raws for s in base.elements}
-    else:
-        action = None
-    return table_module(base, raws, add, action, name=name)
+    return sub_table(M, [(r,) for r in raw_elements], name, raw=lambda m: m[0])
 
 
 def direct_sum(mods, name=None):
@@ -370,9 +413,6 @@ class Subsemimodule:
     elements: frozenset
     generators: tuple = ()
 
-    def sorted_elements(self):
-        return sorted_elems(self.elements)
-
     def __repr__(self):
         return f"<Sub {len(self.elements)} of {self.ambient.name}>"
 
@@ -427,30 +467,6 @@ def is_subtractive(L: Subsemimodule) -> bool:
     return subtractive_closure(L).elements == L.elements
 
 
-def _closure_tables(M):
-    """Sum and action tables of a finite M on indices into M.elements().
-
-    sums[x][y] has bit add(x, y) and bit add(y, x) set; acts[x] has the bit
-    of act(x, s) set for every scalar s (0 when the base is not finite).
-    """
-    els = M.elements()
-    index = {e: i for i, e in enumerate(els)}
-
-    def bit(v, what):
-        i = index.get(v)
-        if i is None:
-            raise FormatError(f"{M.name}: {what} = {v!r} is not an element of the carrier")
-        return 1 << i
-
-    add = [[bit(M.add(x, y), f"{x!r} + {y!r}") for y in els] for x in els]
-    sums = [[a | b for a, b in zip(row, col)] for row, col in zip(add, zip(*add))]
-    acts = [0] * len(els)
-    for i, x in enumerate(els):
-        for s in M.base.elements or ():
-            acts[i] |= bit(M.act(x, s), f"{x!r} * {s!r}")
-    return sums, acts
-
-
 def _members(mask):
     out = []
     while mask:
@@ -463,17 +479,20 @@ def _members(mask):
 def enumerate_submodules(M, cap=4096):
     """All subsemimodules of a finite module, walking the submodule lattice.
 
-    Elements are indexed by their position in M.elements() (the ordkey
-    order) and a submodule is an int bitmask.  Each lattice edge L -> L + e
-    is one frontier-only closure of L | e: a popped element x is added to
-    every member in both orders and acted on by every scalar, through
-    tables built once (|M|² adds, |M|·|S| actions).  L is closed already,
-    so the edge costs |span(L + e) \\ L| · |span(L + e)| table lookups.
-    Raises UnsupportedError once more than cap submodules turn up.  The
-    result is sorted by (size, member indices), i.e. (size, ordkey order).
+    Elements are the positions of M.indexed() (the ordkey order) and a
+    submodule is an int bitmask.  Each lattice edge L -> L + e is one
+    frontier-only closure of L | e: a popped element x is added to every
+    member in both orders and acted on by every scalar, through bit tables
+    read off the indexed rows: sums[x][y] has the bits of x + y and y + x,
+    acts[x] those of every x * s.  L is closed already, so the edge costs
+    |span(L + e) \\ L| · |span(L + e)| table lookups.  Raises
+    UnsupportedError once more than cap submodules turn up.  The result is
+    sorted by (size, member indices), i.e. (size, ordkey order).
     """
-    els = M.elements()
-    sums, acts = _closure_tables(M)
+    ix = M.indexed()
+    els = ix.elements
+    sums = [[1 << a | 1 << b for a, b in zip(row, col)] for row, col in zip(ix.add, zip(*ix.add))]
+    acts = [sum(1 << j for j in set(row)) for row in ix.act]
 
     def close(mask, members, e):
         mask |= 1 << e
@@ -491,7 +510,7 @@ def enumerate_submodules(M, cap=4096):
                 frontier.append(y)
         return mask
 
-    zero = close(0, [], els.index(M.zero))
+    zero = close(0, [], ix.index[M.zero])
     seen = {zero}
     stack = [zero]
     while stack:
@@ -520,141 +539,129 @@ class Congruence:
     ambient: Semimodule
     kind: str  # modL | bracketL | custom
     witness: object  # the subsemimodule L when applicable
-    classes: list  # list of frozensets
+    classes: list  # list of frozensets, ordered by their least element
     class_of: dict
 
-    def rep(self, x):
-        return min(self.class_of[x], key=ordkey)
+
+def _generated(M, kind, witness, pairs):
+    """The smallest module congruence on a finite M containing the given
+    pairs of positions of M.indexed().
+
+    Integer union-find (Tarjan 1975) whose root is the least position of its
+    class: each union of a with b queues (a + c, b + c) for every c and
+    (a * s, b * s) for every scalar s, so the relation the unions generate is
+    closed under both.
+    """
+    ix = M.indexed()
+    parent = list(range(len(ix.elements)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    todo = list(pairs)
+    while todo:
+        a, b = todo.pop()
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            todo.extend(zip(ix.add[a], ix.add[b]))
+            todo.extend(zip(ix.act[a], ix.act[b]))
+    groups = {}  # keyed by root, the least position, met first in position order
+    for i, e in enumerate(ix.elements):
+        groups.setdefault(find(i), []).append(e)
+    classes = [frozenset(g) for g in groups.values()]
+    class_of = {e: c for c in classes for e in c}
+    return Congruence(M, kind, witness, classes, class_of)
 
 
-def _partition_from_relation(M, related):
-    els = M.elements()
-    class_of = {}
-    classes = []
-    for x in els:
-        if x in class_of:
-            continue
-        cls = frozenset(y for y in els if related(x, y))
-        fs = cls
-        classes.append(fs)
-        for y in fs:
-            class_of[y] = fs
-    classes.sort(key=lambda c: ordkey(min(c, key=ordkey)))
-    return classes, class_of
+def _mod_pairs(L):
+    """(m, m + l) for every m of the ambient and l of L."""
+    ix = L.ambient.indexed()
+    ls = [ix.index[l] for l in L.elements]
+    return ((m, row[l]) for m, row in enumerate(ix.add) for l in ls)
 
 
 def congruence_mod(L: Subsemimodule) -> Congruence:
-    """m1 ~ m2 iff m1 + l1 = m2 + l2 for some l1, l2 in L (already transitive)."""
-    M = L.ambient
-    shifted = {m: frozenset(M.add(m, l) for l in L.elements) for m in M.elements()}
-
-    def related(x, y):
-        return bool(shifted[x] & shifted[y])
-
-    classes, class_of = _partition_from_relation(M, related)
-    return Congruence(M, "modL", L, classes, class_of)
+    """m1 ~ m2 iff m1 + l1 = m2 + l2 for some l1, l2 in L: generated by the
+    pairs (m, m + l)."""
+    return _generated(L.ambient, "modL", L, _mod_pairs(L))
 
 
 def congruence_bracket(L: Subsemimodule) -> Congruence:
     """m1 ~ m2 iff m1 + l1 + m' = m2 + l2 + m' for some l1, l2 in L, m' in M.
 
-    The slack m' is shared between the two sides.
+    The slack m' is shared between the two sides.  Generated by the pairs of
+    congruence_mod(L) and every x, y with x + m' = y + m' for some m'.
     """
-    M = L.ambient
-    els = M.elements()
-    plusL = {m: frozenset(M.add(m, l) for l in L.elements) for m in els}
+    ix = L.ambient.indexed()
 
-    def related(x, y):
-        return any(plusL[M.add(x, mp)] & plusL[M.add(y, mp)] for mp in els)
+    def cancel_pairs():
+        for c in range(len(ix.elements)):
+            first = {}  # position of a sum x + c -> the first such x
+            for x, row in enumerate(ix.add):
+                yield first.setdefault(row[c], x), x
 
-    classes, class_of = _partition_from_relation(M, related)
-    return Congruence(M, "bracketL", L, classes, class_of)
+    return _generated(L.ambient, "bracketL", L, itertools.chain(_mod_pairs(L), cancel_pairs()))
 
 
 def module_congruence_closure(M, pairs):
-    """Smallest module congruence containing the given element pairs.
+    """Smallest module congruence containing the given element pairs."""
+    index = M.indexed().index
+    return _generated(M, "custom", None, [(index[a], index[b]) for a, b in pairs])
 
-    Fixpoint of union-find closure under addition and scalar action.
-    """
-    els = M.elements()
-    parent = {e: e for e in els}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if ordkey(ry) < ordkey(rx):
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
-    for a, b in pairs:
-        union(a, b)
-    scalars = M.base.elements
-    changed = True
-    while changed:
-        changed = False
-        reps = {}
-        for e in els:
-            reps.setdefault(find(e), []).append(e)
-        for group in reps.values():
-            a = group[0]
-            for b in group[1:]:
-                for c in els:
-                    if union(M.add(a, c), M.add(b, c)):
-                        changed = True
-                if scalars is not None:
-                    for s in scalars:
-                        if union(M.act(a, s), M.act(b, s)):
-                            changed = True
-    groups = {}
-    for e in els:
-        groups.setdefault(find(e), []).append(e)
-    classes = [frozenset(g) for g in groups.values()]
-    classes.sort(key=lambda c: ordkey(min(c, key=ordkey)))
-    class_of = {e: c for c in classes for e in c}
-    return Congruence(M, "custom", None, classes, class_of)
+def _class_ids(c: Congruence):
+    """Each position's class number in c.classes, and each class's least position."""
+    index = c.ambient.indexed().index
+    cid = [0] * len(index)
+    for k, cls in enumerate(c.classes):
+        for e in cls:
+            cid[index[e]] = k
+    return cid, [min(index[e] for e in cls) for cls in c.classes]
 
 
 def congruence_is_compatible(c: Congruence):
     """Check +/action compatibility; returns (ok, witness)."""
     M = c.ambient
-    els = M.elements()
-    scalars = M.base.elements if M.base.elements is not None else range(0, 6)
+    ix = M.indexed()
+    els = ix.elements
+    cid, _ = _class_ids(c)
+    scalars = M.base.elements
     for cls in c.classes:
-        members = sorted_elems(cls)
-        a = members[0]
-        for b in members[1:]:
-            for x in els:
-                if c.class_of[M.add(a, x)] is not c.class_of[M.add(b, x)]:
-                    return False, (a, b, x)
-            for s in scalars:
-                if c.class_of[M.act(a, s)] is not c.class_of[M.act(b, s)]:
-                    return False, (a, b, s)
+        a, *rest = sorted(ix.index[e] for e in cls)
+        for b in rest:
+            for x, (u, v) in enumerate(zip(ix.add[a], ix.add[b])):
+                if cid[u] != cid[v]:
+                    return False, (els[a], els[b], els[x])
+            if scalars is None:  # element-level, over the first naturals
+                acts = ((s, ix.index[M.act(els[a], s)], ix.index[M.act(els[b], s)]) for s in range(0, 6))
+            else:
+                acts = zip(scalars, ix.act[a], ix.act[b])
+            for s, u, v in acts:
+                if cid[u] != cid[v]:
+                    return False, (els[a], els[b], s)
     return True, None
 
 
 def quotient_by_congruence(M, c: Congruence):
-    """Quotient module plus the (surjective) projection."""
+    """Quotient module plus the (surjective) projection; each class is
+    represented by its least element."""
     if c.kind == "custom":
         ok, w = congruence_is_compatible(c)
         if not ok:
             raise FormatError(f"congruence not compatible, witness {w}")
-    reps = [min(cls, key=ordkey) for cls in c.classes]
-    rep_of = {e: min(cls, key=ordkey) for cls in c.classes for e in cls}
-    add_table = {(a, b): rep_of[M.add(a, b)] for a in reps for b in reps}
-    if M.base.elements is not None:
-        action = {(a, s): rep_of[M.act(a, s)] for a in reps for s in M.base.elements}
-    else:
-        action = None
-    Q = table_module(M.base, reps, add_table, action, name=f"{M.name}/~")
-    pi = LinearMap(M, Q, lambda x: (rep_of[x],), name="pi")
+    ix = M.indexed()
+    els = ix.elements
+    cid, reps = _class_ids(c)
+    rows = [[cid[ix.add[r][q]] for q in reps] for r in reps]
+    scalars = M.base.elements
+    action = None if scalars is None else {
+        (els[r], s): els[reps[cid[j]]] for r in reps for s, j in zip(scalars, ix.act[r])
+    }
+    Q = table_module(M.base, [els[r] for r in reps], rows, action, name=f"{M.name}/~")
+    pi = LinearMap(M, Q, lambda x: (els[reps[cid[ix.index[x]]]],), name="pi")
     return Q, pi
 
 
@@ -884,17 +891,7 @@ def exactness_check(seq, mode="exact"):
 def short_exact_sequence(L: Subsemimodule):
     """0 -> closure(L) -> M -> M/L -> 0 as a map list."""
     M = L.ambient
-    Lbar = subtractive_closure(L)
-    Lmod = table_module(
-        M.base,
-        Lbar.sorted_elements(),
-        {(a, b): M.add(a, b) for a in Lbar.elements for b in Lbar.elements},
-        None
-        if M.base.elements is None
-        else {(a, s): M.act(a, s) for a in Lbar.elements for s in M.base.elements},
-        name="Lbar",
-    )
-    # Lmod elements are the ambient elements wrapped in a 1-tuple
+    Lmod = sub_table(M, subtractive_closure(L).elements, name="Lbar")
     iota = LinearMap(Lmod, M, lambda x: x[0], name="iota")
     Q, pi = quotient_by_sub(M, L)
     Z0 = zero_module(M.base)
@@ -1229,23 +1226,15 @@ def enumerate_modules(S, max_size):
 
 
 def _module_iso_key(M):
-    els = M.elements()
-    n = len(els)
-    idx = {e: i for i, e in enumerate(els)}
-    zero_i = idx[M.zero]
-    others = [i for i in range(n) if i != zero_i]
+    ix = M.indexed()
+    zero_i = ix.index[M.zero]
+    others = [i for i in range(len(ix.elements)) if i != zero_i]
     best = None
     for perm in itertools.permutations(others):
-        p = {zero_i: 0}
-        p.update({o: k + 1 for k, o in enumerate(perm)})
-        add = tuple(
-            tuple(p[idx[M.add(els[a], els[b])]] for b in sorted(p, key=p.get))
-            for a in sorted(p, key=p.get)
-        )
-        act = tuple(
-            tuple(p[idx[M.act(els[a], s)]] for s in M.base.elements)
-            for a in sorted(p, key=p.get)
-        )
+        order = (zero_i, *perm)  # order[k] is the position relabelled k
+        p = {o: k for k, o in enumerate(order)}
+        add = tuple(tuple(p[ix.add[a][b]] for b in order) for a in order)
+        act = tuple(tuple(p[j] for j in ix.act[a]) for a in order)
         key = (add, act)
         if best is None or key < best:
             best = key

@@ -183,12 +183,15 @@ def parse_semiring(spec, where="semiring"):
     if "builtin" in spec:
         params = {k: v for k, v in spec.items() if k in ("n", "k")}
         return builtin_semiring(spec["builtin"], **params)
+    name = spec.get("name", where)
+    if not isinstance(name, str) or name == "NAT":  # atoms tell NAT apart by its name
+        raise FormatError(f"{where}: a semiring from tables needs a string name other than NAT")
     try:
         els = [elem_from_json(e) for e in _field(spec, "elements", list, where)]
         add = _rows_to_table(els, _field(spec, "add", list, where), f"{where}.add")
         mul = _rows_to_table(els, _field(spec, "mul", list, where), f"{where}.mul")
         return semiring_from_tables(
-            spec.get("name", where),
+            name,
             els,
             add,
             mul,
@@ -247,18 +250,24 @@ def parse_coring(spec, env, where="coring"):
     carrier = _resolve_module(spec["carrier"], env, base, where)
     if not carrier.is_finite:
         raise FormatError(f"{where}: explicit tables need a finite carrier")
+    els = set(carrier.elements())
     delta = {}
     for c, terms in _pairs(spec, "delta", where):
         if not isinstance(terms, list) or not all(
-            isinstance(t, list) and len(t) == 3 and isinstance(t[2], int) for t in terms
+            isinstance(t, list) and len(t) == 3 and isinstance(t[2], int) and t[2] >= 0 for t in terms
         ):
             raise FormatError(f"{where}: delta of {json.dumps(c)} must be a list of [a, b, mult] triples")
-        delta[elem_from_json(c)] = fs_make(
-            [((elem_from_json(a), elem_from_json(b)), m) for a, b, m in terms]
-        )
+        key = elem_from_json(c)
+        delta[key] = fs_make([((elem_from_json(a), elem_from_json(b)), m) for a, b, m in terms])
+        outside = next((x for (a, b), _ in delta[key] for x in (a, b) if x not in els), None)
+        if outside is not None:
+            raise FormatError(f"{where}: delta of {json.dumps(c)} names {outside}, not a carrier element")
     eps = {elem_from_json(c): elem_from_json(v) for c, v in _pairs(spec, "epsilon", where)}
-    els = set(carrier.elements())
-    for c in els:
+    if base.elements is not None:
+        outside = next((v for v in eps.values() if v not in base.elements), None)
+        if outside is not None:
+            raise FormatError(f"{where}: epsilon value {outside} is not an element of {base.name}")
+    for c in carrier.elements():  # in element order, so the first one missing is reported
         if c not in delta:
             raise FormatError(f"{where}: delta missing entry for {c}")
         if c not in eps:
@@ -293,6 +302,8 @@ def _resolve_module(ref, env, base, where):
         return v
     if not isinstance(ref, dict):
         raise FormatError(f"{where}: a module must be a name or an object, not {json.dumps(ref)}")
+    if base is None:  # a map's source or target written out carries its own base
+        base = _resolve_semiring(ref["base"], env, where)
     return parse_semimodule(ref, base, where)
 
 
@@ -312,6 +323,8 @@ def _parse_declaration(decl, env, where):
     if kind == "map":
         src = _resolve_module(decl["source"], env, None, where)
         tgt = _resolve_module(decl["target"], env, None, where)
+        if not src.is_finite:
+            raise FormatError(f"{where}: a map table needs a finite source")
         pairs = {elem_from_json(a): elem_from_json(b) for a, b in _pairs(decl, "pairs", where)}
         missing = [x for x in src.elements() if x not in pairs]
         if missing:

@@ -276,6 +276,12 @@ def _doc_case(doc, name):
     return (["report", "{doc}"], doc, name)
 
 
+def _coring(delta, epsilon):
+    """An explicit coring on BOOL over B (declared as INPUT_DECLS[0])."""
+    carrier = {"base": "B", "atoms": [{"kind": "BOOL"}]}
+    return {"kind": "coring", "name": "C", "base": "B", "carrier": carrier, "delta": delta, "epsilon": epsilon}
+
+
 BAD_INPUTS = {
     # report commands
     "dual-of-a-module": _report_case({"cmd": "dual", "coring": "M"}, "coring"),
@@ -315,6 +321,36 @@ BAD_INPUTS = {
     "atoms-not-a-list": _doc_case({"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=5)]}, "'atoms'"),
     "cyclic-n-not-an-integer": _doc_case(
         {"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=[{"kind": "CYCLIC", "n": "4"}])]}, "'n'"
+    ),
+    # each of these ended in a traceback or hung before the parser checked it
+    "map-with-an-infinite-source": _doc_case(
+        {"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=[{"kind": "NAT"}]),
+                          dict(INPUT_DECLS[4], source="M", target="M", pairs=[])]}, "finite source"
+    ),
+    "action-table-over-nat": _doc_case(
+        {"declarations": [INPUT_DECLS[1], dict(INPUT_DECLS[2], atoms=[
+            {"kind": "TABLE", "elements": [0], "add": [[0]], "scalars": [0], "action": [[0]]}])]}, "finite base"
+    ),
+    "delta-names-no-element": _doc_case(
+        {"declarations": INPUT_DECLS[:1] + [_coring([[[0], []], [[1], [[[7], [1], 1]]]], [[[0], 0], [[1], 1]])]},
+        "not a carrier element",
+    ),
+    "epsilon-outside-the-base": _doc_case(
+        {"declarations": INPUT_DECLS[:1] + [_coring([[[0], []], [[1], [[[1], [1], 1]]]], [[[0], 0], [[1], 5]])]},
+        "epsilon",
+    ),
+    "negative-multiplicity": _doc_case(
+        {"declarations": INPUT_DECLS[:1] + [_coring([[[0], []], [[1], [[[1], [1], -1]]]], [[[0], 0], [[1], 1]])]},
+        "delta",
+    ),
+    "table-semiring-named-nat": _doc_case(
+        {"declarations": [{"kind": "semiring", "name": "NAT", "elements": [0, 1], "add": [[0, 1], [1, 1]],
+                           "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}]}, "other than NAT"
+    ),
+    "semiring-name-not-a-string": _doc_case(
+        {"declarations": [{"kind": "semimodule", "name": "M", "atoms": [], "base": {
+            "name": [1], "elements": [0, 1], "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}}]},
+        "string name",
     ),
 }
 

@@ -42,7 +42,7 @@ from semikernel.semimodules import (
     table_module,
     zero_module,
 )
-from semikernel.semirings import bool_semiring, nat, tropcap, zmod
+from semikernel.semirings import bool_semiring, nat, natcap, tropcap, zmod
 from semikernel.util import ordkey, sorted_elems
 
 B = bool_semiring()
@@ -454,6 +454,20 @@ def test_enumerate_submodules_cap_boundary():
     assert len(enumerate_submodules(B3, cap=61)) == 61
     with pytest.raises(UnsupportedError):
         enumerate_submodules(B3, cap=60)
+
+
+def test_elements_come_in_ordkey_order():
+    from semikernel.tensors import tensor
+
+    frees = [free_semimodule(S, n) for S in (B, Z2, zmod(3), natcap(3), tropcap(2)) for n in (1, 2)]
+    C3 = table_module(N, range(3), {(i, j): min(i + j, 2) for i in range(3) for j in range(3)})
+    table_cyclic, _, _ = direct_sum([C3, cyclic_module(N, 4)])
+    free_bool_table, _, _ = direct_sum([free_semimodule(B, 2), bool_module(B), enumerate_modules(B, 3)[-1]])
+    B2 = free_semimodule(B, 2)
+    tensors = [tensor(M, Nn, force_saturation=True).result for M, Nn in ((B2, B2), (B2, bool_module(B)))]
+    mods = frees + enumerate_modules(B, 3) + enumerate_modules(zmod(3), 3) + [table_cyclic, free_bool_table]
+    for M in mods + tensors:
+        assert M.elements() == sorted_elems(M.elements()), M.name
 
 
 def test_enumerate_submodules_rejects_escaping_action():

@@ -5,7 +5,7 @@ import pytest
 from semikernel.errors import FormatError
 from semikernel.gallery import gallery_coring
 from semikernel.semicorings import check_semicoring
-from semikernel.semimodules import cyclic_module, free_semimodule, semiring_module
+from semikernel.semimodules import cyclic_module, free_semimodule, identity_map, semiring_module
 from semikernel.semirings import bool_semiring, nat, zmod
 from semikernel.textio import (
     elem_from_json,
@@ -146,3 +146,20 @@ def test_explicit_coring_needs_finite_carrier():
     with pytest.raises(FormatError) as e:
         parse_coring(body, {})
     assert "finite carrier" in str(e.value)
+
+
+def test_written_out_map_parses():
+    # a map's source and target written out in full carry their own base
+    f = identity_map(free_semimodule(bool_semiring(), 1))
+    g = parse_document(json.dumps({"declarations": [{**to_jsonable(f), "name": "f"}]})).env["f"]
+    assert g.check().ok and g.mapping == f.mapping
+
+
+def test_coring_reports_its_first_missing_entry():
+    # string elements hash differently in each process; the message must not
+    table = {"kind": "TABLE", "elements": ["a", "b", "c"],
+             "add": [["a", "b", "c"], ["b", "b", "c"], ["c", "c", "c"]],
+             "scalars": [0, 1], "action": [["a", "a"], ["a", "b"], ["a", "c"]]}
+    body = {"base": {"builtin": "BOOL"}, "carrier": {"atoms": [table]}, "delta": [], "epsilon": []}
+    with pytest.raises(FormatError, match=r"delta missing entry for \('a',\)"):
+        parse_coring(body, {})
