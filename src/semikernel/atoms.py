@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FormatError, UnsupportedError
+from .errors import FormatError, UnsupportedError, negative_count
 from .util import sorted_elems
 
 
@@ -24,6 +24,8 @@ class Atom:
 
     def times_int(self, a, k):
         """k-fold sum by binary doubling."""
+        if k < 0:
+            raise negative_count(k)
         acc = self.zero
         base = a
         while k:
@@ -77,6 +79,8 @@ class NatAtom(Atom):
         return a * s
 
     def times_int(self, a, k):
+        if k < 0:
+            raise negative_count(k)
         return a * k
 
     def gens(self):
@@ -184,6 +188,8 @@ class QmodzAtom(Atom):
         return c - int(c)
 
     def times_int(self, a, k):
+        if k < 0:
+            raise negative_count(k)
         return self.act(a, k)
 
     def solve_mult(self, hi, lo):

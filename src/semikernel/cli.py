@@ -15,15 +15,10 @@ import time
 from typing import NamedTuple
 
 from .errors import FormatError, KernelError, UndecidedError
-from .gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
 from .presentations import Budget
-from .semicorings import Semicoring, StructuredSemicoring, check_semicoring
-from .semicorings import coideal_check, dual_semiring
 from .semimodules import MODES, LinearMap, Semimodule, check_semimodule_axioms
 from .semimodules import exactness_check, span
 from .semirings import Semiring, check_semiring_axioms
-from .structured import rule_tensor
-from .tensors import FreeTensor, tensor
 from .textio import Document, RunReport, elem_from_json, elem_to_json, parse_document
 
 REQUIRED = object()
@@ -52,8 +47,15 @@ class Context(NamedTuple):
     budget: Budget
 
 
+def _is_coring(d):
+    # the layers above semimodules load only in the verbs that need them
+    from .semicorings import Semicoring, StructuredSemicoring
+
+    return isinstance(d, (Semicoring, StructuredSemicoring))
+
+
 def _is_pairing(d):
-    from .pairings import MeasuringPairing  # only the verbs that need it load it
+    from .pairings import MeasuringPairing
 
     return isinstance(d, MeasuringPairing)
 
@@ -69,7 +71,7 @@ KINDS = {
 DECLS = {
     "decl": ("declaration", lambda d: d is not None),
     "module": ("semimodule", lambda d: isinstance(d, Semimodule)),
-    "coring": ("semicoring", lambda d: isinstance(d, (Semicoring, StructuredSemicoring))),
+    "coring": ("semicoring", _is_coring),
     "pairing": ("measuring pairing", _is_pairing),
     "map": ("linear map", lambda d: isinstance(d, LinearMap)),
 }
@@ -115,10 +117,12 @@ def _validate(name, v):
         return check_semiring_axioms(v)
     if isinstance(v, Semimodule):
         return check_semimodule_axioms(v)
-    if isinstance(v, (Semicoring, StructuredSemicoring)):
-        return check_semicoring(v)
     if isinstance(v, LinearMap):
         return v.check()
+    if _is_coring(v):
+        from .semicorings import check_semicoring
+
+        return check_semicoring(v)
     if _is_pairing(v):
         return v.verify()
     raise FormatError(f"{name}: nothing to validate")
@@ -130,6 +134,9 @@ def cmd_validate(ctx, target):
 
 
 def cmd_tensor(ctx, left, right):
+    from .structured import rule_tensor
+    from .tensors import FreeTensor, tensor
+
     M, N, budget = left.value, right.value, ctx.budget
 
     def run():
@@ -160,11 +167,15 @@ def cmd_tensor(ctx, left, right):
 
 
 def cmd_dual(ctx, coring, side):
+    from .semicorings import dual_semiring
+
     D, ms = _timed(lambda: dual_semiring(coring.value, side))
     yield _record("dual", coring.name, "pass", ms, {"cardinality": len(D.homs), "side": side})
 
 
 def cmd_coideal(ctx, coring, generators):
+    from .semicorings import coideal_check
+
     C = coring.value
     K = span(C.carrier, generators)
     info, ms = _timed(lambda: coideal_check(C, K))
@@ -189,6 +200,9 @@ def cmd_exact(ctx, maps, mode):
 
 
 def cmd_gallery(ctx, skip_mutations):
+    from .gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
+    from .semicorings import check_semicoring
+
     for name in GALLERY_NAMES:
         yield _checked("gallery", name, lambda name=name: check_semicoring(gallery_coring(name)))
     if not skip_mutations:

@@ -27,3 +27,8 @@ class CertificateError(KernelError):
 
 class InternalInvariantError(KernelError):
     """Bug trap: a well-definedness check that should hold by construction failed."""
+
+
+def negative_count(k):
+    """The error of a k-fold sum x + ... + x asked for with k < 0."""
+    return InternalInvariantError(f"times_int: negative count k = {k}")

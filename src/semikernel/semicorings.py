@@ -653,17 +653,22 @@ def dual_semiring(C, side="left", max_size=64):
     for f in kept:
         keys[tuple(scalar_of(SM, f(c)) for c in els)] = f
     eval_of = {k: dict(zip(els, k)) for k in keys}
+    # a key lists f's values by carrier position, so the convolution reads the action
+    # off position rows: act[i][s] is c_i * (s-th scalar), or s * c_i on the right side
+    ix = car.indexed()
+    scalar = {a: s for s, a in enumerate(A.elements)}
+    act = ix.act if side != "right" else [[ix.index[car.act_left(a, c)] for a in A.elements] for c in els]
+    delta = [[(ix.index[c1], ix.index[c2], mult) for (c1, c2), mult in C.delta[c]] for c in els]
 
-    def term(fv, gv, c1, c2):
+    def term(fk, gk, i1, i2):
         if side == "left":
-            return gv[car.act(c1, fv[c2])]
+            return gk[act[i1][scalar[fk[i2]]]]
         if side == "right":
-            return fv[car.act_left(gv[c1], c2)]
-        return A.mul(gv[c1], fv[c2])
+            return fk[act[i2][scalar[gk[i1]]]]
+        return A.mul(gk[i1], fk[i2])
 
     def conv(fk, gk, c):
-        fv, gv = eval_of[fk], eval_of[gk]
-        return fs_eval(A, ((term(fv, gv, c1, c2), mult) for (c1, c2), mult in C.delta[c]))
+        return fs_eval(A, ((term(fk, gk, i1, i2), mult) for i1, i2, mult in delta[c]))
 
     add_table = {}
     mul_table = {}
@@ -674,7 +679,7 @@ def dual_semiring(C, side="left", max_size=64):
             if sk not in keys:
                 raise FormatError("dual hom set not closed under addition")
             add_table[(fk, gk)] = sk
-            pk = tuple(conv(fk, gk, c) for c in els)
+            pk = tuple(conv(fk, gk, c) for c in range(len(els)))
             if pk not in keys:
                 raise FormatError("dual hom set not closed under convolution")
             mul_table[(fk, gk)] = pk

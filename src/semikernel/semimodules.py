@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
-from .errors import FormatError, UnsupportedError
+from .errors import FormatError, UnsupportedError, negative_count
 from .util import Report, ordkey, sorted_elems
 
 SAMPLES = 64  # sample size of the checks on effective carriers
@@ -69,6 +69,8 @@ class Semimodule:
         return tuple(a.act_left(s, u) for a, u in zip(self.atoms, x))
 
     def times_int(self, x, k):
+        if k < 0:  # the zero module has no atom to refuse it
+            raise negative_count(k)
         return tuple(a.times_int(u, k) for a, u in zip(self.atoms, x))
 
     def sample(self, rng):

@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
 
-from .errors import FormatError, UnsupportedError
+from .errors import FormatError, UnsupportedError, negative_count
 from .util import Report, ordkey, sorted_elems
 
 SAMPLE_BUDGET = 10_000
@@ -58,10 +58,11 @@ class Semiring:
         self._sample = sample
         if self.one == self.zero:
             raise FormatError(f"{name}: 1 = 0 is not allowed")
-        self.axiom_report = check_semiring_axioms(self)
+        drawn = _drawn(self)  # one sample for both checks
+        self.axiom_report = _axioms(self, drawn)
         if not self.axiom_report.ok:
             raise FormatError(f"{name}: semiring axioms fail: {self.axiom_report.first_witness()}")
-        self.flags = structural_predicates(self)
+        self.flags = _predicates(drawn)
 
     @property
     def is_finite(self):
@@ -69,6 +70,8 @@ class Semiring:
 
     def times_int(self, x, k):
         """k-fold sum x + ... + x computed in the semiring (k a non-negative int)."""
+        if k < 0:
+            raise negative_count(k)
         acc = self.zero
         for _ in range(k):
             acc = self.add(acc, x)
@@ -98,61 +101,81 @@ def _triples(S):
     return [tuple(S.sample_elements(rng, 3)) for _ in range(SAMPLE_BUDGET)], True
 
 
+def _pairs(triples):
+    """The pairs the axiom checks scan, in the iteration order of their set."""
+    return {(a, b) for a, b, _ in triples} | {(b, c) for _, b, c in triples}
+
+
+def _drawn(S):
+    """The operands of both checks, drawn once.  A finite S of at most
+    SAMPLE_BUDGET pairs is checked on positions in S.elements: add/mul tables
+    take one S.add and S.mul call per pair, the axiom pairs keep the order of
+    their element set, and back maps a witness to elements.  NAT and larger
+    carriers (a ZMOD(n) costs no n² table) keep the element operations."""
+    triples, sampled = _triples(S)
+    d = SimpleNamespace(triples=triples, sampled=sampled, pairs=None, add=S.add, mul=S.mul,
+                        zero=S.zero, one=S.one, back=lambda w: w, key=ordkey)
+    els = S.elements
+    if els is None or len(els) ** 2 > SAMPLE_BUDGET:
+        return d
+    index = {e: i for i, e in enumerate(els)}
+    add = [[index[S.add(a, b)] for b in els] for a in els]  # S is closed (see check_semiring_axioms)
+    mul = [[index[S.mul(a, b)] for b in els] for a in els]
+    d.pairs = [(index[a], index[b]) for a, b in _pairs(triples)]
+    for i, (a, b, c) in enumerate(triples):  # in place, so one list of triples is alive
+        triples[i] = (index[a], index[b], index[c])
+    d.add, d.mul = lambda a, b: add[a][b], lambda a, b: mul[a][b]
+    d.zero, d.one, d.back = index[S.zero], index[S.one], lambda w: tuple(els[i] for i in w)
+    d.key = None  # positions sort as their elements: S.elements is in ordkey order
+    return d
+
+
 def check_semiring_axioms(S) -> Report:
     """Verify the semiring axioms, reporting a witness triple on each failure.
 
     Non-closed tables are a format error, not an axiom failure; closure is
     checked by the table constructor before this runs.
     """
-    rep = Report(f"semiring {S.name}")
-    triples, sampled = _triples(S)
-    rep.sampled = sampled
-    pairs = {(a, b) for a, b, _ in triples} | {(b, c) for _, b, c in triples}
+    return _axioms(S, _drawn(S))
 
-    w = next(((a, b) for a, b in pairs if S.add(a, b) != S.add(b, a)), None)
-    rep.add("add-commutative", w is None, w)
-    w = next(((a,) for a, _ in pairs if S.add(a, S.zero) != a), None)
-    rep.add("add-identity", w is None, w)
-    w = next((t for t in triples if S.add(S.add(t[0], t[1]), t[2]) != S.add(t[0], S.add(t[1], t[2]))), None)
-    rep.add("add-associative", w is None, w)
-    w = next((t for t in triples if S.mul(S.mul(t[0], t[1]), t[2]) != S.mul(t[0], S.mul(t[1], t[2]))), None)
-    rep.add("mul-associative", w is None, w)
-    w = next(((a,) for a, _ in pairs if S.mul(a, S.one) != a or S.mul(S.one, a) != a), None)
-    rep.add("mul-identity", w is None, w)
-    w = next((t for t in triples if S.mul(t[0], S.add(t[1], t[2])) != S.add(S.mul(t[0], t[1]), S.mul(t[0], t[2]))), None)
-    rep.add("left-distributive", w is None, w)
-    w = next((t for t in triples if S.mul(S.add(t[0], t[1]), t[2]) != S.add(S.mul(t[0], t[2]), S.mul(t[1], t[2]))), None)
-    rep.add("right-distributive", w is None, w)
-    w = next(
-        ((a, S.zero) for a, _ in pairs if S.mul(a, S.zero) != S.zero or S.mul(S.zero, a) != S.zero),
-        None,
-    )
-    rep.add("absorption", w is None, w)
+
+def _axioms(S, d):
+    rep = Report(f"semiring {S.name}")
+    rep.sampled = d.sampled
+    triples, add, mul, zero, one = d.triples, d.add, d.mul, d.zero, d.one
+    pairs = _pairs(triples) if d.pairs is None else d.pairs
+
+    def check(name, w):
+        rep.add(name, w is None, w and d.back(w))
+
+    check("add-commutative", next(((a, b) for a, b in pairs if add(a, b) != add(b, a)), None))
+    check("add-identity", next(((a,) for a, _ in pairs if add(a, zero) != a), None))
+    check("add-associative", next((t for t in triples if add(add(t[0], t[1]), t[2]) != add(t[0], add(t[1], t[2]))), None))
+    check("mul-associative", next((t for t in triples if mul(mul(t[0], t[1]), t[2]) != mul(t[0], mul(t[1], t[2]))), None))
+    check("mul-identity", next(((a,) for a, _ in pairs if mul(a, one) != a or mul(one, a) != a), None))
+    check("left-distributive", next((t for t in triples if mul(t[0], add(t[1], t[2])) != add(mul(t[0], t[1]), mul(t[0], t[2]))), None))
+    check("right-distributive", next((t for t in triples if mul(add(t[0], t[1]), t[2]) != add(mul(t[0], t[2]), mul(t[1], t[2]))), None))
+    w = next(((a,) for a, _ in pairs if mul(a, zero) != zero or mul(zero, a) != zero), None)
+    rep.add("absorption", w is None, w and d.back(w) + (S.zero,))
     rep.add("one-neq-zero", S.one != S.zero, (S.one, S.zero))
     return rep
 
 
 def structural_predicates(S) -> dict:
     """commutative / cancellative / additively_idempotent flags with witnesses."""
-    triples, sampled = _triples(S)
-    pairs = sorted({(a, b) for a, b, _ in triples}, key=ordkey)
-    out = {"sampled": sampled}
+    return _predicates(_drawn(S))
 
-    w = next((p for p in pairs if S.mul(p[0], p[1]) != S.mul(p[1], p[0])), None)
-    out["commutative"] = w is None
-    out["commutative_witness"] = w
 
-    w = None
-    for a, b, c in triples:
-        if S.add(a, b) == S.add(a, c) and b != c:
-            w = (a, b, c)
-            break
-    out["cancellative"] = w is None
-    out["cancellative_witness"] = w
-
-    w = next(((a,) for a, _ in pairs if S.add(a, a) != a), None)
-    out["additively_idempotent"] = w is None
-    out["additively_idempotent_witness"] = w
+def _predicates(d):
+    pairs = sorted({(a, b) for a, b, _ in d.triples}, key=d.key)
+    add, mul = d.add, d.mul
+    out = {"sampled": d.sampled}
+    for flag, w in (
+        ("commutative", next((p for p in pairs if mul(p[0], p[1]) != mul(p[1], p[0])), None)),
+        ("cancellative", next((t for t in d.triples if add(t[0], t[1]) == add(t[0], t[2]) and t[1] != t[2]), None)),
+        ("additively_idempotent", next(((a,) for a, _ in pairs if add(a, a) != a), None)),
+    ):
+        out[flag], out[flag + "_witness"] = w is None, w and d.back(w)
     return out
 
 

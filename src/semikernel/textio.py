@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
 from .errors import FormatError
-from .gallery import GALLERY_NAMES, gallery_coring
-from .semicorings import Semicoring
 from .semimodules import LinearMap, Semimodule
 from .semirings import Semiring, builtin_semiring, semiring_from_tables
 from .util import fs_make
@@ -114,6 +112,9 @@ def to_jsonable(value):
                 for x in value.source.elements()
             ],
         }
+    from .semicorings import Semicoring  # loaded only for a coring or a tensor
+    from .tensors import TensorProduct
+
     if isinstance(value, Semicoring):
         els = value.carrier.elements()
         return {
@@ -132,8 +133,6 @@ def to_jsonable(value):
             ],
             "epsilon": [[elem_to_json(c), elem_to_json(value.eps[c])] for c in els],
         }
-    from .tensors import TensorProduct
-
     if isinstance(value, TensorProduct):
         body = to_jsonable(value.result)
         pools = [f.elements() for f in value.factors]
@@ -241,7 +240,11 @@ def parse_semimodule(spec, base, where="semimodule"):
 
 
 def parse_coring(spec, env, where="coring"):
+    from .semicorings import Semicoring
+
     if "gallery" in spec:
+        from .gallery import GALLERY_NAMES, gallery_coring
+
         gname = _field(spec, "gallery", str, where)
         if gname not in GALLERY_NAMES:
             raise FormatError(f"{where}: unknown gallery coring {gname!r}")
@@ -334,6 +337,7 @@ def _parse_declaration(decl, env, where):
         return parse_coring(decl, env, where)
     if kind == "pairing":
         from .pairings import canonical_dual_pairing
+        from .semicorings import Semicoring
 
         coring = env.get(_field(decl, "dual_of", str, where))
         if not isinstance(coring, Semicoring):

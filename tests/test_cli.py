@@ -448,3 +448,27 @@ def test_saturation_tensor_over_budget_exits_2(tmp_path):
     r = run_cli(["--format", "jsonl", "report", str(p)], timeout=120)
     assert r.returncode == 0, r.stderr
     assert json.loads(json.loads(r.stdout.splitlines()[0])["detail"])["cardinality"] == 36
+
+
+LAYERS_ABOVE_SEMIMODULES = ("semicorings", "gallery", "structured", "tensors", "semicomodules", "pairings")
+LOADED = """
+import json, sys
+from semikernel import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("semikernel."))]))
+"""
+
+
+def loaded_layers(tmp_path, declarations):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"declarations": declarations}))
+    r = subprocess.run([sys.executable, "-c", LOADED, "validate", str(p)], capture_output=True, text=True)
+    code, modules = json.loads(r.stdout.splitlines()[-1])
+    assert code == 0, r.stderr
+    return {m.split(".", 1)[1] for m in modules}
+
+
+def test_validate_loads_only_the_layers_it_needs(tmp_path):
+    loaded = loaded_layers(tmp_path, DOC["declarations"][1:3])  # C4 over NAT
+    assert not loaded & set(LAYERS_ABOVE_SEMIMODULES)
+    assert "semicorings" in loaded_layers(tmp_path, DOC["declarations"][4:5])  # a gallery coring

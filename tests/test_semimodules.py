@@ -511,3 +511,35 @@ def test_table_atom_rejects_bad_tables(edit, message):
     edit(table)
     with pytest.raises(FormatError, match=message):
         TableAtom(N, range(3), table)
+
+
+def test_negative_counts_raise_at_once():
+    import signal
+
+    from semikernel.atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
+    from semikernel.errors import InternalInvariantError
+
+    def hung(signum, frame):
+        raise AssertionError("times_int(x, -1) did not return at once")
+
+    atoms = [
+        (FreeAtom(B, [0, 1]), (1, 0)),
+        (NatAtom(N), 3),
+        (CyclicAtom(N, 4), 1),
+        (BoolAtom(B), 1),
+        (QmodzAtom(N), QmodzAtom(N).zero),
+        (TableAtom(N, [0, 1], {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)}), 1),
+    ]
+    cases = [(a.times_int, x) for a, x in atoms]
+    cases += [(free_semimodule(B, 2).times_int, ((1, 0),)), (zero_module(B).times_int, ())]
+    cases += [(S.times_int, S.one) for S in (zmod(3), B, N)]
+    old = signal.signal(signal.SIGALRM, hung)
+    try:
+        for times_int, x in cases:
+            signal.setitimer(signal.ITIMER_REAL, 5)
+            with pytest.raises(InternalInvariantError, match="k = -1"):
+                times_int(x, -1)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
