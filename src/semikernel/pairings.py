@@ -1,6 +1,7 @@
 """Measuring pairings, the alpha condition, induced actions and rational parts."""
 from __future__ import annotations
 
+import itertools
 
 from .errors import CertificateError, FormatError, InternalInvariantError, UnsupportedError
 from .semicomodules import Semicomodule, check_comodule, lift_coaction
@@ -19,7 +20,7 @@ from .semimodules import (
 )
 from .semirings import semiring_from_tables
 from .tensors import tensor
-from .util import Report, fs_eval, fs_make, sorted_elems
+from .util import Report, fs_eval, fs_make, sorted_elems, unpreserved
 
 
 class MeasuringPairing:
@@ -52,26 +53,20 @@ class MeasuringPairing:
         car = C.carrier
         els = car.elements()
         aels = self.asemiring.elements
-        w = next(
-            (
-                (a, x, y)
-                for a in aels
-                for x in els
-                for y in els
-                if self.ev[(a, car.add(x, y))] != A.add(self.ev[(a, x)], self.ev[(a, y)])
-            ),
-            None,
-        )
+
+        def kappa_values(op, top, pairs, scalar=False):
+            """The first a, in order, whose kappa(a) does not carry op to top."""
+            for a in aels:
+                w = unpreserved(lambda c: self.ev[(a, c)], op, top, pairs, scalar)
+                if w is not None:
+                    return (a, *w)
+            return None
+
+        w = kappa_values(car.add, A.add, list(itertools.product(els, els)))
         rep.add("kappa-values-additive", w is None, w)
-        w = next(
-            (
-                (a, x, s)
-                for a in aels
-                for x in els
-                for s in A.elements
-                if self.ev[(a, car.act_left(s, x))] != A.mul(s, self.ev[(a, x)])
-            ),
-            None,
+        acts = list(itertools.product(els, A.elements))
+        w = kappa_values(
+            lambda x, s: car.act_left(s, x), lambda v, s: A.mul(s, v), acts, scalar=True
         )
         rep.add("kappa-values-left-linear", w is None, w)
         w = next(

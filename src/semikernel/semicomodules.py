@@ -6,6 +6,7 @@ structured lane mirrors every check symbolically for infinite carriers.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .atoms import CyclicAtom, QmodzAtom
@@ -28,7 +29,7 @@ from .structured import (
     structured_mono_flat_probe,
 )
 from .tensors import tensor, tensor_multi
-from .util import Report, fs_eval, fs_make, ordkey
+from .util import Report, fs_eval, fs_make, ordkey, unpreserved
 
 
 class Semicomodule:
@@ -81,25 +82,10 @@ def check_comodule(M) -> Report:
     T = M.mc()
     rho = {m: M.rho_norm(m) for m in els}
 
-    w = next(
-        (
-            (x, y)
-            for x in els
-            for y in els
-            if rho[car.add(x, y)] != T.result.add(rho[x], rho[y])
-        ),
-        None,
-    )
+    w = unpreserved(rho.__getitem__, car.add, T.result.add, itertools.product(els, els))
     rep.add("coaction-additive", w is None, w)
-    w = next(
-        (
-            (x, s)
-            for x in els
-            for s in C.base.elements
-            if rho[car.act(x, s)] != T.result.act(rho[x], s)
-        ),
-        None,
-    )
+    acts = itertools.product(els, C.base.elements)
+    w = unpreserved(rho.__getitem__, car.act, T.result.act, acts, scalar=True)
     rep.add("coaction-linear", w is None, w)
 
     # counit triangle doubles as the splitting retraction for the coaction
@@ -112,20 +98,13 @@ def check_comodule(M) -> Report:
     rep.add("counit-law", w is None, w)
     rep.add("coaction-splits", w is None, w)
 
-    from .semicorings import _lazy_ops
-
     T3 = tensor_multi([car, C.carrier, C.carrier], over=C.base, lazy=True)
-    zero, vadd, vtimes, pure3, nf = _lazy_ops(T3)
     w = None
     for m in els:
-        lhs = zero
-        rhs = zero
-        for (m1, c1), mult in M.coaction[m]:
-            for (m11, c11), mult2 in M.coaction[m1]:
-                lhs = vadd(lhs, vtimes(pure3(m11, c11, c1), mult * mult2))
-            for (c11, c12), mult2 in C.delta[c1]:
-                rhs = vadd(rhs, vtimes(pure3(m1, c11, c12), mult * mult2))
-        if nf(lhs) != nf(rhs):
+        rm = M.coaction[m]
+        lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rm for (m11, c11), n in M.coaction[m1]]
+        rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rm for (c11, c12), n in C.delta[c1]]
+        if T3.push(lhs) != T3.push(rhs):
             w = m
             break
     rep.add("coassociative", w is None, w)
@@ -230,20 +209,12 @@ def comodule_coequalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicom
     cong = module_congruence_closure(N.carrier, pairs)
     Q, pi = quotient_by_congruence(N.carrier, cong)
     TQ = tensor(Q, C.carrier, over=C.base)
-    coaction = {}
-    for cls in cong.classes:
-        members = sorted(cls, key=ordkey)
-        q = pi(members[0])
-        pushes = set()
-        formal = None
-        for n in members:
-            terms = [((pi(n1), c1), mult) for (n1, c1), mult in N.coaction[n]]
-            pushes.add(TQ.push(terms))
-            if formal is None:
-                formal = fs_make(terms)
-        if len(pushes) != 1:
-            raise FormatError(f"induced coaction not well defined at {q}")
-        coaction[q] = formal
+    classes = (sorted(cls, key=ordkey) for cls in cong.classes)
+
+    def fail(q):
+        return FormatError(f"induced coaction not well defined at {q}")
+
+    coaction = {q: formal for q, _, formal in TQ.descend(classes, N.coaction, (pi, None), fail)}
     out = Semicomodule(C, Q, coaction, name=f"Coeq({f.name},{g.name})")
     rep = check_comodule(out)
     if not rep.ok:
@@ -340,13 +311,13 @@ def lift_coaction(E, C, incl, T):
 
 
 def verify_equalizer_universal(f, g, M, N, eq, iota, candidates):
+    eq_index = {iota(e): e for e in eq.carrier.elements()}
     for T in candidates:
         for h in colinear_maps(T, M):
             if any(f(h(t)) != g(h(t)) for t in T.carrier.elements()):
                 continue
             lift = {}
             ok = True
-            eq_index = {iota(e): e for e in eq.carrier.elements()}
             for t in T.carrier.elements():
                 v = h(t)
                 if v not in eq_index:

@@ -35,7 +35,7 @@ from .structured import (
     structured_map_tensor,
 )
 from .tensors import SaturationTensor, tensor, tensor_multi
-from .util import Report, fs_eval, fs_make, ordkey
+from .util import Report, fs_eval, fs_make, ordkey, unpreserved
 
 
 class Semicoring:
@@ -140,53 +140,23 @@ def check_semicoring(C) -> Report:
     els = car.elements()
     T2 = C.cc()
     dm = {c: C.delta_norm(c) for c in els}
-
-    w = next(
-        (
-            (x, y)
-            for x in els
-            for y in els
-            if dm[car.add(x, y)] != T2.result.add(dm[x], dm[y])
-        ),
-        None,
-    )
+    pairs = list(itertools.product(els, els))
+    acts = list(itertools.product(els, C.base.elements))
+    w = unpreserved(dm.__getitem__, car.add, T2.result.add, pairs)
     rep.add("comult-additive", w is None, w)
-    scalars = C.base.elements
-    w = next(
-        (
-            (x, s)
-            for x in els
-            for s in scalars
-            if dm[car.act(x, s)] != T2.result.act(dm[x], s)
-        ),
-        None,
-    )
+    w = unpreserved(dm.__getitem__, car.act, T2.result.act, acts, scalar=True)
     rep.add("comult-right-linear", w is None, w)
-    w = next(
-        (
-            (x, s)
-            for x in els
-            for s in scalars
-            if dm[car.act_left(s, x)] != T2.result.act_left(s, dm[x])
-        ),
-        None,
+    w = unpreserved(
+        dm.__getitem__,
+        lambda x, s: car.act_left(s, x),
+        lambda d, s: T2.result.act_left(s, d),
+        acts,
+        scalar=True,
     )
     rep.add("comult-left-linear", w is None, w)
-
-    w = next(
-        (
-            (x, y)
-            for x in els
-            for y in els
-            if C.eps[car.add(x, y)] != C.base.add(C.eps[x], C.eps[y])
-        ),
-        None,
-    )
+    w = unpreserved(C.eps.__getitem__, car.add, C.base.add, pairs)
     rep.add("counit-additive", w is None, w)
-    w = next(
-        ((x, s) for x in els for s in scalars if C.eps[car.act(x, s)] != C.base.mul(C.eps[x], s)),
-        None,
-    )
+    w = unpreserved(C.eps.__getitem__, car.act, C.base.mul, acts, scalar=True)
     rep.add("counit-right-linear", w is None, w)
 
     # counit triangles, evaluated directly in the carrier
@@ -204,43 +174,16 @@ def check_semicoring(C) -> Report:
 
     check_els, exhaustive = _coassoc_elements(C)
     T3 = C.ccc()
-    zero, vadd, vtimes, pure3, nf = _lazy_ops(T3)
     w = None
     for c in check_els:
-        lhs = zero
-        rhs = zero
-        for (c1, c2), mult in C.delta[c]:
-            for (c11, c12), mult2 in C.delta[c1]:
-                lhs = vadd(lhs, vtimes(pure3(c11, c12, c2), mult * mult2))
-            for (c21, c22), mult2 in C.delta[c2]:
-                rhs = vadd(rhs, vtimes(pure3(c1, c21, c22), mult * mult2))
-        if nf(lhs) != nf(rhs):
+        dc = C.delta[c]
+        lhs = [((c11, c12, c2), m * n) for (c1, c2), m in dc for (c11, c12), n in C.delta[c1]]
+        rhs = [((c1, c21, c22), m * n) for (c1, c2), m in dc for (c21, c22), n in C.delta[c2]]
+        if T3.push(lhs) != T3.push(rhs):
             w = (c, "coassociativity")
             break
     rep.add("coassociative" + ("" if exhaustive else "-on-generators"), w is None, w)
     return rep
-
-
-def _lazy_ops(T):
-    """Uniform raw accumulation over lazy saturation or free triple tensors."""
-    from .tensors import FreeTensor
-
-    if isinstance(T, FreeTensor):
-        return (
-            T.result.zero,
-            T.result.add,
-            T.result.times_int,
-            T.pure,
-            lambda x: x,
-        )
-    zero = T.zero_vec()
-    return (
-        zero,
-        lambda u, v: tuple(a + b for a, b in zip(u, v)),
-        lambda u, k: tuple(a * k for a in u),
-        T.raw_pure,
-        T.nf,
-    )
 
 
 def _check_semicoring_structured(C) -> Report:
@@ -629,21 +572,20 @@ def dual_semiring(C, side="left", max_size=64):
     homs = hom_enumerate(car, SM)
     # keep two-sided linear functionals only (gallery actions are symmetric,
     # but the Sweedler examples genuinely need the filter)
-    kept = []
-    for f in homs:
-        if side in ("left", "two") and any(
-            scalar_of(SM, f(car.act_left(a, c))) != A.mul(a, scalar_of(SM, f(c)))
-            for a in A.elements
-            for c in car.elements()
-        ):
-            continue
-        if side in ("right", "two") and any(
-            scalar_of(SM, f(car.act(c, a))) != A.mul(scalar_of(SM, f(c)), a)
-            for a in A.elements
-            for c in car.elements()
-        ):
-            continue
-        kept.append(f)
+    acts = [(c, a) for a in A.elements for c in car.elements()]
+
+    def linear(f, op, top):
+        return unpreserved(lambda c: scalar_of(SM, f(c)), op, top, acts, scalar=True) is None
+
+    def left(f):
+        return linear(f, lambda c, a: car.act_left(a, c), lambda v, a: A.mul(a, v))
+
+    kept = [
+        f
+        for f in homs
+        if (side not in ("left", "two") or left(f))
+        and (side not in ("right", "two") or linear(f, car.act, A.mul))
+    ]
     if len(kept) > max_size:
         raise UnsupportedError(
             f"dual hom set has {len(kept)} elements, above the cap {max_size}"
@@ -726,28 +668,24 @@ def quotient_semicoring(C, K: Subsemimodule):
     chk = coideal_check(C, K)
     if chk["is_coideal"] is not True:
         raise FormatError(f"K is not a coideal: {chk}")
-    car = C.carrier
-    Q, pi = quotient_by_congruence(car, congruence_mod(K))
-    # push the comultiplication through pi (x) pi and verify independence of
-    # representatives
+    cong = congruence_mod(K)
+    Q, pi = quotient_by_congruence(C.carrier, cong)
+    # push the comultiplication through pi (x) pi and the counit along pi;
+    # neither may depend on the representative
     TQ = tensor(Q, Q, over=C.base)
     delta_q = {}
     eps_q = {}
-    for cls_rep in Q.elements():
-        members = [c for c in car.elements() if pi(c) == cls_rep]
-        pushes = set()
-        vals = set()
-        formal = None
-        for c in members:
-            terms = [((pi(c1), pi(c2)), mult) for (c1, c2), mult in C.delta[c]]
-            pushes.add(TQ.push(terms))
-            vals.add(C.eps[c])
-            if formal is None:
-                formal = fs_make(terms)
-        if len(pushes) != 1 or len(vals) != 1:
-            raise FormatError(f"quotient structure not well defined at {cls_rep}")
-        delta_q[cls_rep] = formal
-        eps_q[cls_rep] = vals.pop()
+
+    def fail(q):
+        return FormatError(f"quotient structure not well defined at {q}")
+
+    classes = (sorted(cls, key=ordkey) for cls in cong.classes)
+    for q, members, formal in TQ.descend(classes, C.delta, (pi, pi), fail):
+        vals = {C.eps[c] for c in members}
+        if len(vals) != 1:
+            raise fail(q)
+        delta_q[q] = formal
+        eps_q[q] = vals.pop()
     Cq = Semicoring(C.base, Q, delta_q, eps_q, name=f"{C.name}/K")
     rep = check_semicoring(Cq)
     if not rep.ok:

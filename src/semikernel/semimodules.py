@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
 from .errors import FormatError, UnsupportedError, negative_count
-from .util import Report, ordkey, sorted_elems
+from .util import Report, ordkey, sorted_elems, unpreserved
 
 SAMPLES = 64  # sample size of the checks on effective carriers
 
@@ -348,45 +348,29 @@ class LinearMap:
         sources, sampled otherwise."""
         M, N, f = self.source, self.target, self.fn
         rep = Report(f"linear {self.name}")
-
-        def codomain(xs):
-            if N.is_finite:
-                targets = set(N.elements())
-                w = next((x for x in xs if f(x) not in targets), None)
-                rep.add("codomain", w is None, w)
-
         if M.is_finite:
-            els = M.elements()
-            codomain(els)
-            rep.add("zero", f(M.zero) == N.zero, M.zero)
-            w = next(
-                ((x, y) for x in els for y in els if f(M.add(x, y)) != N.add(f(x), f(y))),
-                None,
-            )
-            rep.add("additive", w is None, w)
+            xs = M.elements()
+            pairs = ((x, y) for x in xs for y in xs)
             scalars = M.base.elements
             if scalars is None:
                 scalars = range(0, 8)
                 rep.sampled = True
-            w = next(
-                ((x, s) for x in els for s in scalars if f(M.act(x, s)) != N.act(f(x), s)),
-                None,
-            )
-            rep.add("action", w is None, w)
+            actions = ((x, s) for x in xs for s in scalars)
         else:
             rng = random.Random(0)
             rep.sampled = True
             pairs = [(M.sample(rng), M.sample(rng)) for _ in range(SAMPLES)]
-            codomain(x for pair in pairs for x in pair)
-            rep.add("zero", f(M.zero) == N.zero, M.zero)
-            w = next(((x, y) for x, y in pairs if f(M.add(x, y)) != N.add(f(x), f(y))), None)
-            rep.add("additive", w is None, w)
-            scal = M.base.sample_elements(rng, SAMPLES)
-            w = next(
-                ((x, s) for (x, _), s in zip(pairs, scal) if f(M.act(x, s)) != N.act(f(x), s)),
-                None,
-            )
-            rep.add("action", w is None, w)
+            xs = [x for pair in pairs for x in pair]
+            actions = zip((x for x, _ in pairs), M.base.sample_elements(rng, SAMPLES))
+        if N.is_finite:
+            targets = set(N.elements())
+            w = next((x for x in xs if f(x) not in targets), None)
+            rep.add("codomain", w is None, w)
+        rep.add("zero", f(M.zero) == N.zero, M.zero)
+        w = unpreserved(f, M.add, N.add, pairs)
+        rep.add("additive", w is None, w)
+        w = unpreserved(f, M.act, N.act, actions, scalar=True)
+        rep.add("action", w is None, w)
         return rep
 
     def compose(self, other):
@@ -1113,7 +1097,8 @@ def find_isomorphism(M, N):
 
 @lru_cache(maxsize=None)
 def _commutative_monoids(size):
-    """Canonical add tables (dicts) of commutative monoids on {0..size-1}, 0 = identity."""
+    """Canonical add tables of commutative monoids on {0..size-1}, 0 = identity,
+    packed as tuples of rows (table[i][j] is i + j), in sorted order."""
     if size == 1:
         return [((0,),)]  # packed: table[i][j] row-major for i,j >= 0
     idx = list(range(size))
@@ -1156,7 +1141,6 @@ def _commutative_monoids(size):
         i, j = cells[pos]
         for v in idx:
             tab[(i, j)] = v
-            # partial associativity prune on filled triples
             fill(pos + 1, tab)
         del tab[(i, j)]
 

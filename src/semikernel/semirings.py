@@ -7,7 +7,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from .errors import FormatError, UnsupportedError, negative_count
-from .util import Report, ordkey, sorted_elems
+from .util import Report, ordkey, sorted_elems, unpreserved
 
 SAMPLE_BUDGET = 10_000
 
@@ -316,25 +316,10 @@ class SemiringMorphism:
             raise UnsupportedError("morphism check needs a finite source")
         rep.add("zero", f(S.zero) == T.zero)
         rep.add("one", f(S.one) == T.one)
-        w = next(
-            (
-                (a, b)
-                for a in S.elements
-                for b in S.elements
-                if f(S.add(a, b)) != T.add(f(a), f(b))
-            ),
-            None,
-        )
+        pairs = [(a, b) for a in S.elements for b in S.elements]
+        w = unpreserved(f, S.add, T.add, pairs)
         rep.add("additive", w is None, w)
-        w = next(
-            (
-                (a, b)
-                for a in S.elements
-                for b in S.elements
-                if f(S.mul(a, b)) != T.mul(f(a), f(b))
-            ),
-            None,
-        )
+        w = unpreserved(f, S.mul, T.mul, pairs)
         rep.add("multiplicative", w is None, w)
         return rep
 

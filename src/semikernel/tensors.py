@@ -31,7 +31,12 @@ from .semimodules import (
     scalar_to,
     subtractive_closure,
 )
-from .util import fs_eval
+from .util import fs_eval, fs_make
+
+
+def _through(maps, terms):
+    """Terms [((m_1..m_k), mult)] with maps[i] applied in slot i (None: identity)."""
+    return ((tuple(m if f is None else f(m) for f, m in zip(maps, ms)), k) for ms, k in terms)
 
 
 class TensorProduct:
@@ -55,9 +60,25 @@ class TensorProduct:
         maps holds one callable per slot, None in a slot meaning identity.
         """
         if maps is not None:
-            maps = [(lambda m: m) if f is None else f for f in maps]
-            terms = ((tuple(f(m) for f, m in zip(maps, ms)), mult) for ms, mult in terms)
+            terms = _through(maps, terms)
+        if self.result is None:  # a lazy SaturationTensor has no module to fold in
+            return self._push_raw(terms)
         return fs_eval(self.result, ((self.pure(*ms), mult) for ms, mult in terms))
+
+    def descend(self, classes, structure, maps, fail):
+        """Push a structure down a quotient, one class at a time.
+
+        structure sends each element to a formal sum [((m_1..m_k), mult)]
+        and maps[0] is the projection pi.  For each class (its members in
+        order) every member's sum goes through maps and is pushed; all must
+        agree, or fail(q) is raised with q = pi(first member).  Yields
+        (q, members, the first member's mapped sum as a formal sum).
+        """
+        for members in classes:
+            q = maps[0](members[0])
+            if len({self.push(structure[x], maps) for x in members}) != 1:
+                raise fail(q)
+            yield q, members, fs_make(_through(maps, structure[members[0]]))
 
     def map_of(self, maps, target, check=True):
         """The induced map on tensors from per-slot linear maps.
@@ -165,6 +186,15 @@ class SaturationTensor(TensorProduct):
 
     def nf(self, vec):
         return self.pres.reduce(vec)
+
+    def _push_raw(self, terms):
+        """push on a lazy tensor: the terms' raw vectors are summed and
+        reduced once, to the element a built result would hold."""
+        acc = [0] * self.n
+        for ms, k in terms:
+            for i, c in enumerate(self.raw_pure(*ms)):
+                acc[i] += c * k
+        return (self.nf(acc),)
 
     # presentation assembly ------------------------------------------------
 

@@ -49,6 +49,15 @@ def fs_eval(M, pairs):
     return acc
 
 
+def unpreserved(f, op, top, pairs, scalar=False):
+    """The first (a, b) of pairs, in the order given, with f(op(a, b)) !=
+    top(f(a), f(b)), or != top(f(a), b) when b is a scalar acting on a (None
+    if f preserves op on every pair): the law "f is a homomorphism" as a scan."""
+    if scalar:
+        return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), b)), None)
+    return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), f(b))), None)
+
+
 @dataclass
 class Check:
     name: str

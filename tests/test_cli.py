@@ -472,3 +472,24 @@ def test_validate_loads_only_the_layers_it_needs(tmp_path):
     loaded = loaded_layers(tmp_path, DOC["declarations"][1:3])  # C4 over NAT
     assert not loaded & set(LAYERS_ABOVE_SEMIMODULES)
     assert "semicorings" in loaded_layers(tmp_path, DOC["declarations"][4:5])  # a gallery coring
+
+
+def test_validate_of_a_semiring_draws_no_second_sample(tmp_path, monkeypatch, capsys):
+    """A builtin semiring checked its axioms on construction; validate reports
+    that check instead of drawing the same seeded sample again."""
+    from semikernel import cli, semirings
+
+    p = tmp_path / "doc.json"
+    decls = QZ_DOC["declarations"][::2]  # N0 and C4
+    p.write_text(json.dumps({"declarations": decls, "commands": []}))
+    semirings.nat()  # constructed (and checked) before validate runs
+    drawn, calls = semirings._drawn, []
+    monkeypatch.setattr(semirings, "_drawn", lambda S: calls.append(S.name) or drawn(S))
+    assert cli.main(["--format", "jsonl", "validate", str(p)]) == 0
+    assert calls == []
+    monkeypatch.undo()
+    got = {r["subject"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    want = cli._checked("validate", "N0", lambda: semirings.check_semiring_axioms(semirings.nat()))
+    got["N0"].pop("elapsed_ms")
+    want.pop("elapsed_ms")
+    assert got["N0"] == want
