@@ -5,10 +5,11 @@ TABLE, FREE) expose full element lists; NAT and QMODZ are effective, with
 exact integers and reduced fractions in [0,1) as canonical forms.  Each atom
 provides a generating set with a complete additive (Cayley-style)
 presentation, which is what the tensor saturation consumes.  TABLE atoms
-hold their addition on integer indices: one row of positions per element.
+hold their addition and action on integer indices: rows of positions.
 """
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 
 from .errors import FormatError, UnsupportedError, negative_count
@@ -16,6 +17,7 @@ from .util import sorted_elems
 
 
 class Atom:
+    __slots__ = ("base",)  # atoms are many and small: no per-instance __dict__
     kind = "?"
     finite = True
 
@@ -60,6 +62,7 @@ class Atom:
 
 
 class NatAtom(Atom):
+    __slots__ = ()
     kind = "NAT"
     finite = False
     zero = 0
@@ -97,6 +100,7 @@ class NatAtom(Atom):
 
 
 class CyclicAtom(Atom):
+    __slots__ = ("n",)
     kind = "CYCLIC"
     zero = 0
 
@@ -137,6 +141,7 @@ class CyclicAtom(Atom):
 
 
 class BoolAtom(Atom):
+    __slots__ = ()
     kind = "BOOL"
     zero = 0
 
@@ -167,6 +172,7 @@ class BoolAtom(Atom):
 class QmodzAtom(Atom):
     """Q/Z with exact reduced fractions in [0,1); not finitely generated."""
 
+    __slots__ = ()
     kind = "QMODZ"
     finite = False
     zero = Fraction(0)
@@ -206,13 +212,34 @@ class QmodzAtom(Atom):
 _ABSENT = object()  # never an element
 
 
-class TableAtom(Atom):
-    """Finite commutative monoid with an explicit scalar action, on indices.
+_SHORT_ROWS = {}  # one shared copy of each short row, up to a cap
 
-    The carrier is a list of elements, `index` maps each element to its
-    position, and row i of the addition holds, for every position j, the
-    position of carrier[i] + carrier[j]; `add` looks up two positions and
-    returns the carrier's element.  `elements()` is in ordkey order.
+
+def compact(row, n):
+    """A row of positions in range(n), stored compactly: bytes while every
+    position fits in a byte, an unsigned int array otherwise; a compact row
+    is returned as it is.  Rows of at most 16 positions repeat across small
+    tables, so each is kept once."""
+    if n > 256:
+        return row if isinstance(row, array) else array("I", row)
+    row = bytes(row)
+    if len(row) <= 16 and len(_SHORT_ROWS) < 1 << 16:
+        return _SHORT_ROWS.setdefault(row, row)
+    return row
+
+
+class TableAtom(Atom):
+    """Finite commutative monoid with an explicit scalar action, on positions.
+
+    The carrier is a tuple of elements, `index` maps each element to its
+    position (kept only once add or act is called on elements), row i of
+    the addition holds, for every position j, the position of carrier[i] +
+    carrier[j], and row i of the action the position of carrier[i] * s for
+    each s of base.elements; `add` and `act` look up positions and return
+    the carrier's element.  Rows are compact (see `compact`) and the atom
+    keeps no table it was given.  `elements()` is in ordkey order; a
+    carrier given in another order is kept as given next to its
+    ordkey-ordered copy.
 
     The addition comes in one of two forms, converted to rows once:
 
@@ -226,82 +253,90 @@ class TableAtom(Atom):
       that there is one row of n positions in range(n) per element.
 
     The zero is the first left identity in ordkey order.  The action is a
-    dict (element, base element) -> element for finite bases, or None over
-    NAT (iterated addition).
+    dict (element, base element) -> element, checked pair by pair in ordkey
+    order, or rows of positions in carrier order, for finite bases; None
+    over NAT (iterated addition).
     """
 
+    __slots__ = ("zero", "_carrier", "_elements", "_rows", "_act", "_index")
     kind = "TABLE"
 
     def __init__(self, base, elements, add_table, action=None):
         self.base = base
         if isinstance(add_table, dict):
-            carrier = ordered = sorted_elems(elements)
+            carrier = ordered = tuple(sorted_elems(elements))
         else:
-            carrier = list(elements)
-            ordered = sorted_elems(carrier)
-        self.index = {e: i for i, e in enumerate(carrier)}
-        if len(self.index) != len(carrier):
+            carrier = tuple(elements)
+            ordered = tuple(sorted_elems(carrier))
+            if ordered == carrier:
+                ordered = carrier
+        self._index = index = {e: i for i, e in enumerate(carrier)}
+        if len(index) != len(carrier):
             raise FormatError("TABLE elements repeat")
         self._carrier = carrier
-        self._elements = tuple(ordered)
-        self._rows = self._rows_of(add_table)
-        identity = list(range(len(carrier)))
-        zeros = (z for z in ordered if self._rows[self.index[z]] == identity)
+        self._elements = ordered
+        self._rows = self._rows_of(add_table, carrier, "add")
+        # with every pair present, any further entry has a key outside the carrier
+        if isinstance(add_table, dict) and len(add_table) != len(carrier) ** 2:
+            raise FormatError("TABLE add not closed")
+        identity = compact(range(len(carrier)), len(carrier))
+        zeros = (z for z in ordered if self._rows[index[z]] == identity)
         self.zero = next(zeros, _ABSENT)
         if self.zero is _ABSENT:
             raise FormatError("TABLE has no additive identity")
         if action is None:
             if base.name != "NAT":
                 raise FormatError("TABLE without action table needs base NAT")
-            self._action = None
+            self._act = None
         else:
             if base.elements is None:
                 raise FormatError("TABLE action table needs a finite base")
-            for a in ordered:
-                for s in base.elements:
-                    if (a, s) not in action:
-                        raise FormatError(f"TABLE action missing ({a},{s})")
-                    if action[(a, s)] not in self.index:
-                        raise FormatError("TABLE action not closed")
-            self._action = action
+            self._act = self._rows_of(action, base.elements, "action")
+        self._index = None  # rebuilt on demand: a table searched on positions never needs it
 
-    def _rows_of(self, add_table):
-        """The addition as checked rows of positions (see the class docstring)."""
-        carrier, index = self._carrier, self.index
-        n = len(carrier)
-        if not isinstance(add_table, dict):
-            if len(add_table) != n or any(
-                len(row) != n or min(row) < 0 or max(row) >= n for row in add_table
-            ):
-                raise FormatError("TABLE add not closed")
-            return add_table
-        rows = []
-        for a in carrier:
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self._carrier)}
+        return self._index
+
+    def _rows_of(self, table, columns, what):
+        """Checked rows of positions, one per carrier element, over the
+        given columns (see the class docstring); `what` names the table."""
+        index, n = self._index, len(self._carrier)
+        if not isinstance(table, dict):
+            try:  # a compact row holds no negative position
+                rows = tuple(compact(row, n) for row in table)
+            except (ValueError, OverflowError):
+                rows = ()
+            if len(rows) != n or any(len(row) != len(columns) or max(row, default=0) >= n for row in rows):
+                raise FormatError(f"TABLE {what} not closed")
+            return rows
+        rows = [None] * n
+        for a in self._elements:
             row = []
-            for b in carrier:
-                j = index.get(add_table.get((a, b), _ABSENT))
+            for c in columns:
+                j = index.get(table.get((a, c), _ABSENT))
                 if j is None:
-                    if (a, b) not in add_table:
-                        raise FormatError(f"TABLE add missing ({a},{b})")
-                    raise FormatError("TABLE add not closed")
+                    if (a, c) not in table:
+                        raise FormatError(f"TABLE {what} missing ({a},{c})")
+                    raise FormatError(f"TABLE {what} not closed")
                 row.append(j)
-            rows.append(row)
-        # with every pair present, any further entry has a key outside the carrier
-        if len(add_table) != n * n:
-            raise FormatError("TABLE add not closed")
-        return rows
+            rows[index[a]] = compact(row, n)
+        return tuple(rows)
 
     def elements(self):
         return list(self._elements)
 
     def add(self, a, b):
-        index = self.index
+        index = self._index or self.index  # the property only while unbuilt: add is hot
         return self._carrier[self._rows[index[a]][index[b]]]
 
     def act(self, a, s):
-        if self._action is None:
+        if self._act is None:
             return self.times_int(a, s)
-        return self._action[(a, s)]
+        index = self._index or self.index
+        return self._carrier[self._act[index[a]][self.base.index[s]]]
 
     def gens(self):
         return [(a, a) for a in self._elements if a != self.zero]
@@ -332,6 +367,7 @@ class PresentedTableAtom(TableAtom):
     classes in the order the quotient walk found them.
     """
 
+    __slots__ = ("_gen_nfs", "_relations")
     kind = "TABLE"
 
     def __init__(self, base, elements, add_table, action, gen_nfs, relations):
@@ -360,6 +396,7 @@ class PresentedTableAtom(TableAtom):
 class FreeAtom(Atom):
     """Free module on a finite basis over a finite semiring: coefficient tuples."""
 
+    __slots__ = ("basis", "zero")
     kind = "FREE"
 
     def __init__(self, base, basis):

@@ -289,14 +289,14 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
             rho[m] = found
     E = subcarrier_module(M_A, [m[0] for m in rho], name=f"Rat({M.name})")
     incl = LinearMap(E, M_A, lambda x: x, name="rat-incl")
-    lift, _ = lift_coaction(E, P.coring, incl, T)
+    lift, _, TE = lift_coaction(E, P.coring, incl, T)
     coaction = lift(
         rho.__getitem__,
         lambda e: InternalInvariantError(
             f"coaction of {e} not uniquely liftable to the rational part"
         ),
     )
-    com = Semicomodule(P.coring, E, coaction, name=f"Rat({M.name})")
+    com = Semicomodule(P.coring, E, coaction, name=f"Rat({M.name})", mc=TE)
     chk = check_comodule(com)
     if not chk.ok:
         raise InternalInvariantError(f"rational part fails comodule axioms: {chk.first_witness()}")
@@ -579,12 +579,12 @@ def finiteness_closure(P: MeasuringPairing, M: Semicomodule, F):
     N = span(MA, [(f,) for f in F])
     E = subcarrier_module(MA_A, [n[0] for n in N.elements], name="N")
     incl = LinearMap(E, car, lambda x: x[0], name="incl")
-    lift, _ = lift_coaction(E, P.coring, incl, M.mc())
+    lift, _, TE = lift_coaction(E, P.coring, incl, M.mc())
     coaction = lift(
         lambda e: M.rho_norm(e[0]),
         lambda e: CertificateError(f"coaction of {e} does not restrict uniquely"),
     )
-    out = Semicomodule(P.coring, E, coaction, name="N")
+    out = Semicomodule(P.coring, E, coaction, name="N", mc=TE)
     chk = check_comodule(out)
     if not chk.ok:
         raise InternalInvariantError(f"closure fails comodule axioms: {chk.first_witness()}")

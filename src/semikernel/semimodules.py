@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
+from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
 from .errors import FormatError, UnsupportedError, negative_count
 from .util import Report, ordkey, sorted_elems, unpreserved
 
@@ -20,6 +20,9 @@ class Semimodule:
     coordinate per atom.  Right action by default; bimodule actions may be
     overridden (tensor carriers need genuinely two-sided structure).
     """
+
+    # attributes set after construction (basis, hom_keys, ...) go to __dict__
+    __slots__ = ("base", "atoms", "name", "zero", "_act_right", "_act_left", "_elements", "_indexed", "__dict__")
 
     def __init__(self, base, atoms, name="M", act_right=None, act_left=None):
         self.base = base
@@ -117,21 +120,6 @@ class Semimodule:
                 )
         return rels
 
-    def cyclic_constraint(self, x):
-        """Minimal (i, p) with (i+p)x = ix, or None if the orbit is infinite."""
-        seen = {}
-        cur = self.zero
-        k = 0
-        while True:
-            if cur in seen:
-                i = seen[cur]
-                return (i, k - i)
-            seen[cur] = k
-            cur = self.add(cur, x)
-            k += 1
-            if k > 10_000:
-                return None
-
     def describe(self):
         return {"base": self.base.name, "atoms": [a.describe() for a in self.atoms]}
 
@@ -143,16 +131,35 @@ class Semimodule:
 class Indexed:
     """A finite semimodule on the positions of its elements.
 
-    `elements` is M.elements() (ordkey order) and `index` maps each element
-    to its position.  add[i][j] is the position of elements[i] + elements[j]
-    and act[i][k] that of elements[i] acted on by base.elements[k]; the act
-    rows are empty over an infinite base.  A sum or action outside the
-    carrier raises FormatError.
+    `elements` is M.elements() (ordkey order), `index` maps each element to
+    its position (built on first use) and `zero` is the position of M.zero.
+    add[i][j] is the position of elements[i] + elements[j] and act[i][k]
+    that of elements[i] acted on by base.elements[k]; the act rows are empty
+    over an infinite base.  Rows are compact (atoms.compact).  A single
+    table atom whose carrier is in ordkey order already holds these rows,
+    and they are shared; otherwise they are computed, and a sum or action
+    outside the carrier raises FormatError.
     """
+
+    __slots__ = ("elements", "zero", "add", "act", "_index")
 
     def __init__(self, M):
         self.elements = els = M.elements()
-        self.index = index = {e: i for i, e in enumerate(els)}
+        n = len(els)
+        atom = M.atoms[0] if len(M.atoms) == 1 else None
+        if (
+            isinstance(atom, TableAtom)
+            and atom._carrier is atom._elements
+            and atom.base is M.base
+            and M._act_right is None
+        ):
+            self._index = None
+            self.zero = atom._carrier.index(atom.zero)
+            self.add = atom._rows
+            self.act = atom._act if atom._act is not None else (b"",) * n
+            return
+        self._index = index = {e: i for i, e in enumerate(els)}
+        self.zero = index[M.zero]
 
         def pos(v, x, op, y):
             i = index.get(v)
@@ -160,9 +167,15 @@ class Indexed:
                 raise FormatError(f"{M.name}: {x!r} {op} {y!r} = {v!r} is not an element of the carrier")
             return i
 
-        self.add = [[pos(M.add(x, y), x, "+", y) for y in els] for x in els]
+        self.add = tuple(compact([pos(M.add(x, y), x, "+", y) for y in els], n) for x in els)
         scalars = M.base.elements or ()
-        self.act = [[pos(M.act(x, s), x, "*", s) for s in scalars] for x in els]
+        self.act = tuple(compact([pos(M.act(x, s), x, "*", s) for s in scalars], n) for x in els)
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        return self._index
 
 
 def same_carrier(M, N):
@@ -262,11 +275,8 @@ def sub_table(M, members, name, raw=lambda m: m):
     pos = sorted(ix.index[m] for m in members)
     local = {p: k for k, p in enumerate(pos)}
     rows = [[local.get(ix.add[a][b], -1) for b in pos] for a in pos]
-    els, scalars = [raw(e) for e in ix.elements], M.base.elements
-    action = None if scalars is None else {
-        (els[a], s): els[j] for a in pos for s, j in zip(scalars, ix.act[a])
-    }
-    return table_module(M.base, [els[p] for p in pos], rows, action, name=name)
+    action = None if M.base.elements is None else [[local.get(j, -1) for j in ix.act[a]] for a in pos]
+    return table_module(M.base, [raw(ix.elements[p]) for p in pos], rows, action, name=name)
 
 
 def subcarrier_module(M, raw_elements, name="sub"):
@@ -393,7 +403,7 @@ def zero_map(M, N):
 
 # ---------------------------------------------------------------- subobjects
 
-@dataclass
+@dataclass(slots=True)
 class Subsemimodule:
     ambient: Semimodule
     elements: frozenset
@@ -496,7 +506,7 @@ def enumerate_submodules(M, cap=4096):
                 frontier.append(y)
         return mask
 
-    zero = close(0, [], ix.index[M.zero])
+    zero = close(0, [], ix.zero)
     seen = {zero}
     stack = [zero]
     while stack:
@@ -642,10 +652,7 @@ def quotient_by_congruence(M, c: Congruence):
     els = ix.elements
     cid, reps = _class_ids(c)
     rows = [[cid[ix.add[r][q]] for q in reps] for r in reps]
-    scalars = M.base.elements
-    action = None if scalars is None else {
-        (els[r], s): els[reps[cid[j]]] for r in reps for s, j in zip(scalars, ix.act[r])
-    }
+    action = None if M.base.elements is None else [[cid[j] for j in ix.act[r]] for r in reps]
     Q = table_module(M.base, [els[r] for r in reps], rows, action, name=f"{M.name}/~")
     pi = LinearMap(M, Q, lambda x: (els[reps[cid[ix.index[x]]]],), name="pi")
     return Q, pi
@@ -886,132 +893,179 @@ def short_exact_sequence(L: Subsemimodule):
 
 # ---------------------------------------------------------------- hom sets
 
-def _constrained_images(N, constraints):
-    """Target elements t with hi*t = lo*t for every (hi, lo) constraint."""
+def _constrained_images(N, hi, lo):
+    """Elements t of N with hi*t = lo*t, atom by atom, in ordkey order."""
     per_atom = []
     for a in N.atoms:
-        cands = None
         if a.finite:
-            cands = a.elements()
-            for hi, lo in constraints:
-                cands = [t for t in cands if a.times_int(t, hi) == a.times_int(t, lo)]
+            cands = [t for t in a.elements() if a.times_int(t, hi) == a.times_int(t, lo)]
         else:
-            for hi, lo in constraints:
-                sol = a.solve_mult(hi, lo)
-                if sol is not None:
-                    cands = sol if cands is None else [t for t in cands if t in set(sol)]
+            cands = a.solve_mult(hi, lo)
             if cands is None:
-                raise UnsupportedError(
-                    f"hom target atom {a.kind} admits infinitely many images"
-                )
+                raise UnsupportedError(f"hom target atom {a.kind} admits infinitely many images")
         per_atom.append(cands)
-    return [tuple(t) for t in itertools.product(*per_atom)] if per_atom else [()]
+    return list(itertools.product(*per_atom))
 
 
-def _additive_span(M, gens):
-    cur = {M.zero}
-    changed = True
-    while changed:
-        changed = False
-        for x in list(cur):
-            for g in gens:
-                y = M.add(x, g)
-                if y not in cur:
-                    cur.add(y)
-                    changed = True
-    return cur
+def _greedy_positions(ix):
+    """Additive generating set of an indexed carrier, as positions: each
+    position, in order, that the sums of the ones before it do not reach.
+    Hom extension walks sums of generators only, so the scalar action is
+    not used."""
+    reached = {ix.zero}
+    gens = []
+    for e in range(len(ix.elements)):
+        if e not in reached:
+            gens.append(e)
+            frontier = list(reached)
+            while frontier:
+                row = ix.add[frontier.pop()]
+                for g in gens:
+                    y = row[g]
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+    return gens
 
 
 def _greedy_gens(M):
-    """Additive generating set: hom extension walks sums of generators only,
-    so the span here must not use the scalar action."""
-    els = M.elements()
-    cur = {M.zero}
-    gens = []
-    for e in els:
-        if e not in cur:
-            gens.append(e)
-            cur = _additive_span(M, gens)
-    return gens
+    """Additive generating set of a finite M, in element order."""
+    ix = M.indexed()
+    return [ix.elements[g] for g in _greedy_positions(ix)]
+
+
+def _times(add, zero, t, k):
+    """k * t on positions by binary doubling, as Atom.times_int folds it."""
+    acc = zero
+    while k:
+        if k & 1:
+            acc = add[acc][t]
+        t = add[t][t]
+        k >>= 1
+    return acc
 
 
 def hom_enumerate(M, N, as_maps=True):
     """All linear maps M -> N for finite M; N finite or with solvable atoms.
 
-    Candidates are generator-image tuples pruned by each generator's cyclic
-    constraint, then verified exhaustively for additivity and action.  For a
-    free source every basis-image assignment extends uniquely, so no
-    verification is needed at all.
+    Generators are the greedy ones of M.indexed(), in element order, and
+    their images are pruned by each generator's cyclic constraint: with
+    (i + p)g = ig, an image t needs (i + p)t = it.  Every other element's
+    image is folded along the step x -> x + g that first reached it, walking
+    from zero, and a candidate is kept if it is additive and preserves the
+    action.  For a free source every basis-image assignment extends
+    uniquely, so no verification is needed at all.  A finite N is searched
+    on positions (_hom_positions), an infinite one on elements.  The maps
+    come in the ordkey order of their images on M.elements(), named h0, h1,
+    ... in that order.
     """
     if not M.is_finite:
         raise UnsupportedError("hom enumeration needs a finite source")
-    if (
-        len(M.atoms) == 1
-        and isinstance(M.atoms[0], FreeAtom)
-        and M._act_right is None
-        and N.is_finite
-    ):
-        return _hom_from_free(M, N, as_maps)
-    gens = _greedy_gens(M)
-    cand_sets = []
+    mels = M.elements()
+    if N.is_finite:
+        nels = N.elements()
+        graphs = [dict(zip(mels, map(nels.__getitem__, f))) for f in _hom_positions(M, N)]
+    else:
+        graphs = [dict(zip(mels, f)) for f in _hom_elements(M, N)]
+    if not as_maps:
+        return graphs
+    return [LinearMap(M, N, m.__getitem__, name=f"h{i}") for i, m in enumerate(graphs)]
+
+
+def _generator_walk(mx):
+    """For the greedy generators gens of an indexed carrier: each one's
+    cyclic constraint (i + p, i), with (i + p)g = ig, and the steps
+    (y, x, k) with y = x + gens[k] that first reach each non-zero position,
+    breadth first from zero, so every x comes before the steps from it."""
+    add, zero = mx.add, mx.zero
+    gens = _greedy_positions(mx)
+    constraints = []
     for g in gens:
-        ip = M.cyclic_constraint(g)
-        constraints = [] if ip is None else [(ip[0] + ip[1], ip[0])]
-        cand_sets.append(_constrained_images(N, constraints))
-    els = M.elements()
-    # expressions of each element as sums of generators, found by BFS
-    expr = {M.zero: ()}
-    frontier = [M.zero]
+        seen, cur = {}, zero
+        while cur not in seen:
+            seen[cur] = len(seen)
+            cur = add[cur][g]
+        constraints.append((len(seen), seen[cur]))
+    steps = []
+    reached, frontier = {zero}, [zero]
     while frontier:
         nxt = []
         for x in frontier:
-            for i, g in enumerate(gens):
-                y = M.add(x, g)
-                if y not in expr:
-                    expr[y] = expr[x] + (i,)
+            for k, g in enumerate(gens):
+                y = add[x][g]
+                if y not in reached:
+                    reached.add(y)
+                    steps.append((y, x, k))
                     nxt.append(y)
         frontier = nxt
-    scalars = M.base.elements  # None over NAT: additivity implies NAT-linearity
+    return constraints, steps
+
+
+def _hom_positions(M, N):
+    """Hom(M, N) for finite M and N as tuples of N-positions, one per
+    position of M, sorted: N.elements() is in ordkey order, so this is the
+    ordkey order of the images.  Sums and actions are read off the rows of
+    M.indexed() and N.indexed(); a free source folds the sum of basis image
+    * coordinate over its non-zero coordinates, in order."""
+    mx, nx = M.indexed(), N.indexed()
+    madd, nadd, nact, nzero = mx.add, nx.add, nx.act, nx.zero
+    S = M.base
+    out = []
+    if len(M.atoms) == 1 and isinstance(M.atoms[0], FreeAtom) and M._act_right is None:
+        terms = [[(i, S.index[c]) for i, c in enumerate(x[0]) if c != S.zero] for x in mx.elements]
+        for images in itertools.product(range(len(nx.elements)), repeat=len(M.atoms[0].basis)):
+            f = []
+            for t in terms:
+                acc = nzero
+                for i, k in t:
+                    acc = nadd[acc][nact[images[i]][k]]
+                f.append(acc)
+            out.append(tuple(f))
+        out.sort()
+        return out
+    constraints, steps = _generator_walk(mx)
+    cands = [
+        [t for t in range(len(nx.elements)) if _times(nadd, nzero, t, hi) == _times(nadd, nzero, t, lo)]
+        for hi, lo in constraints
+    ]
+    # over NAT additivity implies linearity; otherwise act columns are base.elements
+    acts = [] if S.elements is None else list(enumerate(mx.act))
+    f = [nzero] * len(mx.elements)
+    for images in itertools.product(*cands):
+        for y, x, k in steps:
+            f[y] = nadd[f[x]][images[k]]
+        get = f.__getitem__  # f[x + y] == f[x] + f[y], then f[x * s] == f[x] * s, a row at a time
+        if any(list(map(get, row)) != list(map(nadd[f[x]].__getitem__, f)) for x, row in enumerate(madd)):
+            continue
+        if any(list(map(get, row)) != list(nact[f[x]]) for x, row in acts):
+            continue
+        out.append(tuple(f))
+    out.sort()
+    return out
+
+
+def _hom_elements(M, N):
+    """Hom(M, N) for an infinite N with solvable atoms, as tuples of
+    N-elements, one per position of M.  Each candidate list is in ordkey
+    order, so the product already comes in the ordkey order of the images:
+    two additive maps first differ at a generator, since every element
+    before it is a sum of earlier ones."""
+    mx = M.indexed()
+    n = len(mx.elements)
+    constraints, steps = _generator_walk(mx)
+    cand_sets = [_constrained_images(N, hi, lo) for hi, lo in constraints]
+    scalars = M.base.elements or ()  # none over NAT: additivity implies NAT-linearity
     out = []
     for images in itertools.product(*cand_sets):
-        f = {M.zero: N.zero}
-        for x in els:
-            val = N.zero
-            for i in expr[x]:
-                val = N.add(val, images[i])
-            f[x] = val
-        if any(f[M.add(x, y)] != N.add(f[x], f[y]) for x in els for y in els):
+        f = [N.zero] * n
+        for y, x, k in steps:
+            f[y] = N.add(f[x], images[k])
+        if any(f[mx.add[x][y]] != N.add(f[x], f[y]) for x in range(n) for y in range(n)):
             continue
-        if scalars is not None and any(
-            f[M.act(x, s)] != N.act(f[x], s) for x in els for s in scalars
-        ):
+        if any(f[row[k]] != N.act(f[x], s) for x, row in enumerate(mx.act) for k, s in enumerate(scalars)):
             continue
-        out.append(dict(f))
-    out.sort(key=lambda m: tuple(ordkey(m[x]) for x in els))
-    if not as_maps:
-        return out
-    return [LinearMap(M, N, m.__getitem__, name=f"h{i}") for i, m in enumerate(out)]
-
-
-def _hom_from_free(M, N, as_maps):
-    rank = len(M.atoms[0].basis)
-    S = M.base
-    tels = N.elements()
-    els = M.elements()
-    out = []
-    for images in itertools.product(tels, repeat=rank):
-        f = {}
-        for x in els:
-            acc = N.zero
-            for i, c in enumerate(x[0]):
-                if c != S.zero:
-                    acc = N.add(acc, N.act(images[i], c))
-            f[x] = acc
-        out.append(f)
-    out.sort(key=lambda m: tuple(ordkey(m[x]) for x in els))
-    if not as_maps:
-        return out
-    return [LinearMap(M, N, m.__getitem__, name=f"h{i}") for i, m in enumerate(out)]
+        out.append(tuple(f))
+    return out
 
 
 def hom_module(M, N):
@@ -1196,11 +1250,8 @@ def enumerate_modules(S, max_size):
                         break
                 if not ok:
                     continue
-                add_table = {(i, j): table[i][j] for i in range(size) for j in range(size)}
-                action = {(i, s): phi[s][i] for i in range(size) for s in sels}
-                out.append(
-                    table_module(S, range(size), add_table, action, name=f"M{size}#{len(out)}")
-                )
+                action = [[phi[s][i] for s in sels] for i in range(size)]
+                out.append(table_module(S, range(size), table, action, name=f"M{size}#{len(out)}"))
     seen = set()
     uniq = []
     for M in out:
@@ -1213,7 +1264,7 @@ def enumerate_modules(S, max_size):
 
 def _module_iso_key(M):
     ix = M.indexed()
-    zero_i = ix.index[M.zero]
+    zero_i = ix.zero
     others = [i for i in range(len(ix.elements)) if i != zero_i]
     best = None
     for perm in itertools.permutations(others):

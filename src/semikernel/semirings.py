@@ -51,6 +51,8 @@ class Semiring:
     def __init__(self, name, elements, add, mul, zero, one, sample=None):
         self.name = name
         self.elements = tuple(sorted_elems(elements)) if elements is not None else None
+        # element -> position in elements: the column of a scalar in action rows
+        self.index = None if elements is None else {s: k for k, s in enumerate(self.elements)}
         self.add = add
         self.mul = mul
         self.zero = zero

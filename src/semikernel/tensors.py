@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .atoms import FreeAtom, PresentedTableAtom
+from .atoms import FreeAtom, PresentedTableAtom, compact
 from .errors import FormatError, InternalInvariantError, UnsupportedError
 from .presentations import Budget, MonoidPresentation
 from .semimodules import (
@@ -267,25 +267,26 @@ class SaturationTensor(TensorProduct):
         # of b maps each a to the g-step from nf(a + p).  The forms are
         # convergent, so this is exact and rewrites nothing.
         step_by_gen = list(zip(*steps))  # step_by_gen[g][i]: the g-step from class i
-        rows = [list(range(len(classes)))]
-        for p, g in parent[1:]:
-            rows.append(list(map(step_by_gen[g].__getitem__, rows[p])))
+        n = len(classes)
+        if n <= 256:  # bytes rows: one translate through each g-step table
+            tables = [bytes(step) + bytes(256 - n) for step in step_by_gen]
+            rows = [bytes(range(n))]
+            for p, g in parent[1:]:
+                rows.append(rows[p].translate(tables[g]))
+        else:
+            rows = [list(range(n))]
+            for p, g in parent[1:]:
+                rows.append(list(map(step_by_gen[g].__getitem__, rows[p])))
+            for i, row in enumerate(rows):  # compact in place: one list at a time beside the arrays
+                rows[i] = compact(row, n)
         r_ring, r_fn = right_action if right_action is not None else (self.over, None)
         l_ring, l_fn = left_action if left_action is not None else (self.over, None)
         gen_nfs = [classes[j] for j in steps[0]]
+        action = None
         if r_ring.elements is not None:
-            action = {
-                (x, s): self._act_slot(x, s, -1, r_fn)
-                for x in classes
-                for s in r_ring.elements
-            }
-            atom = PresentedTableAtom(
-                r_ring, classes, rows, action, gen_nfs, self._raw_relations
-            )
-        else:
-            atom = PresentedTableAtom(
-                r_ring, classes, rows, None, gen_nfs, self._raw_relations
-            )
+            pos = {x: i for i, x in enumerate(classes)}
+            action = [[pos[self._act_slot(x, s, -1, r_fn)] for s in r_ring.elements] for x in classes]
+        atom = PresentedTableAtom(r_ring, classes, rows, action, gen_nfs, self._raw_relations)
 
         def act_l(s, x):
             return (self._act_slot(x[0], s, 0, l_fn),)

@@ -166,7 +166,7 @@ def _atom_to_jsonable(a):
             "elements": [elem_to_json(e) for e in els],
             "add": _table_to_rows(els, {(x, y): a.add(x, y) for x in els for y in els}),
         }
-        if a._action is not None:
+        if a._act is not None:
             sels = list(a.base.elements)
             out["scalars"] = [elem_to_json(s) for s in sels]
             out["action"] = [

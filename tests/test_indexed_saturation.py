@@ -7,8 +7,10 @@ kept here as references.  The sparse rules must apply the same rule at
 every step, so normal forms, completed rule sets and spent budget units all
 agree; the indexed tables must agree with the dicts they were built from.
 """
+import gc
 import itertools
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from semikernel.atoms import TableAtom
 from semikernel.errors import FormatError, UndecidedError
 from semikernel.presentations import Budget, MonoidPresentation
-from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule, table_module
+from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule, hom_enumerate, table_module
 from semikernel.semirings import bool_semiring, nat, zmod
 from semikernel.tensors import SaturationTensor
 from semikernel.util import sorted_elems
@@ -292,8 +294,33 @@ def test_enumerated_modules_keep_their_tables():
             atom = M.atoms[0]
             els = atom.elements()
             table = {(a, b): atom.add(a, b) for a in els for b in els}
-            assert TableAtom(S, list(reversed(els)), table, atom._action).elements() == els
+            assert TableAtom(S, list(reversed(els)), table, {(a, s): atom.act(a, s) for a in els for s in S.elements}).elements() == els
             assert dense_table_zero(els, table) == atom.zero
+
+
+class _Table(dict):
+    """A dict that a weak reference can watch."""
+
+
+def test_dict_built_tables_keep_only_positions():
+    """A table module built from dicts keeps neither dict, also after a hom
+    search, and its indexed carrier shares the atom's rows."""
+    for M in enumerate_modules(B, 4):
+        atom = M.atoms[0]
+        els = atom.elements()
+        add = _Table({(a, b): atom.add(a, b) for a in els for b in els})
+        act = _Table({(a, s): atom.act(a, s) for a in els for s in B.elements})
+        watch = [weakref.ref(add), weakref.ref(act)]
+        T = table_module(B, els, add, act)
+        del add, act
+        assert len(hom_enumerate(T, T)) == len(hom_enumerate(M, M))
+        gc.collect()
+        assert [w() for w in watch] == [None, None]
+        ix, ta = T.indexed(), T.atoms[0]
+        assert ix.add is ta._rows and ix.act is ta._act
+        assert [T.add(x, y) for x in ix.elements for y in ix.elements] == [
+            ix.elements[j] for row in ix.add for j in row
+        ]
 
 
 def test_skew_table_keeps_its_zero():

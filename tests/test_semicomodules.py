@@ -205,7 +205,7 @@ def test_lift_coaction_reports_the_first_collision():
     incl = LinearMap(E, C8, lambda x: x[0], name="incl")
     T = tensor(C8, C4)
     coring = SimpleNamespace(carrier=C4, base=Nat)
-    lift, collision = lift_coaction(E, coring, incl, T)
+    lift, collision, _ = lift_coaction(E, coring, incl, T)
     TE = tensor(E, C4)
     FI = TE.map_of([incl, identity_map(C4)], T)
     seen, repeats = set(), []
@@ -217,7 +217,7 @@ def test_lift_coaction_reports_the_first_collision():
     with pytest.raises(CertificateError, match=r"^no lift at \(\(0,\),\)$"):
         lift(lambda e: T.result.zero, lambda e: CertificateError(f"no lift at {e}"))
     # an injective inclusion has no collision and lifts every target
-    lift, collision = lift_coaction(C8, coring, identity_map(C8), T)
+    lift, collision, _ = lift_coaction(C8, coring, identity_map(C8), T)
     assert collision is None
     lifted = lift(lambda m: T.pure(m, (1,)), lambda e: CertificateError(str(e)))
     assert all(T.push(lifted[m]) == T.pure(m, (1,)) for m in C8.elements())
