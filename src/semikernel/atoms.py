@@ -212,34 +212,27 @@ class QmodzAtom(Atom):
 _ABSENT = object()  # never an element
 
 
-_SHORT_ROWS = {}  # one shared copy of each short row, up to a cap
-
-
 def compact(row, n):
     """A row of positions in range(n), stored compactly: bytes while every
     position fits in a byte, an unsigned int array otherwise; a compact row
-    is returned as it is.  Rows of at most 16 positions repeat across small
-    tables, so each is kept once."""
+    is returned as it is."""
     if n > 256:
         return row if isinstance(row, array) else array("I", row)
-    row = bytes(row)
-    if len(row) <= 16 and len(_SHORT_ROWS) < 1 << 16:
-        return _SHORT_ROWS.setdefault(row, row)
-    return row
+    return bytes(row)
 
 
 class TableAtom(Atom):
     """Finite commutative monoid with an explicit scalar action, on positions.
 
     The carrier is a tuple of elements, `index` maps each element to its
-    position (kept only once add or act is called on elements), row i of
-    the addition holds, for every position j, the position of carrier[i] +
-    carrier[j], and row i of the action the position of carrier[i] * s for
-    each s of base.elements; `add` and `act` look up positions and return
-    the carrier's element.  Rows are compact (see `compact`) and the atom
-    keeps no table it was given.  `elements()` is in ordkey order; a
-    carrier given in another order is kept as given next to its
-    ordkey-ordered copy.
+    position (built on first use: most tables are searched on positions
+    only), row i of the addition holds, for every position j, the position
+    of carrier[i] + carrier[j], and row i of the action the position of
+    carrier[i] * s for each s of base.elements; `add` and `act` look up
+    positions and return the carrier's element.  Rows are compact (see
+    `compact`) and the atom keeps no table it was given.  `elements()` is in
+    ordkey order; a carrier given in another order is kept as given next to
+    its ordkey-ordered copy.
 
     The addition comes in one of two forms, converted to rows once:
 
@@ -258,7 +251,7 @@ class TableAtom(Atom):
     over NAT (iterated addition).
     """
 
-    __slots__ = ("zero", "_carrier", "_elements", "_rows", "_act", "_index")
+    __slots__ = ("zero", "index", "_carrier", "_elements", "_rows", "_act")
     kind = "TABLE"
 
     def __init__(self, base, elements, add_table, action=None):
@@ -270,12 +263,12 @@ class TableAtom(Atom):
             ordered = tuple(sorted_elems(carrier))
             if ordered == carrier:
                 ordered = carrier
-        self._index = index = {e: i for i, e in enumerate(carrier)}
+        index = {e: i for i, e in enumerate(carrier)}
         if len(index) != len(carrier):
             raise FormatError("TABLE elements repeat")
         self._carrier = carrier
         self._elements = ordered
-        self._rows = self._rows_of(add_table, carrier, "add")
+        self._rows = self._rows_of(add_table, index, carrier, "add")
         # with every pair present, any further entry has a key outside the carrier
         if isinstance(add_table, dict) and len(add_table) != len(carrier) ** 2:
             raise FormatError("TABLE add not closed")
@@ -291,19 +284,19 @@ class TableAtom(Atom):
         else:
             if base.elements is None:
                 raise FormatError("TABLE action table needs a finite base")
-            self._act = self._rows_of(action, base.elements, "action")
-        self._index = None  # rebuilt on demand: a table searched on positions never needs it
+            self._act = self._rows_of(action, index, base.elements, "action")
 
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self._carrier)}
-        return self._index
+    def __getattr__(self, name):  # reached only while the `index` slot is unset
+        if name != "index":
+            raise AttributeError(name)
+        self.index = {e: i for i, e in enumerate(self._carrier)}
+        return self.index
 
-    def _rows_of(self, table, columns, what):
+    def _rows_of(self, table, index, columns, what):
         """Checked rows of positions, one per carrier element, over the
-        given columns (see the class docstring); `what` names the table."""
-        index, n = self._index, len(self._carrier)
+        given columns (see the class docstring); `index` maps each carrier
+        element to its position and `what` names the table."""
+        n = len(index)
         if not isinstance(table, dict):
             try:  # a compact row holds no negative position
                 rows = tuple(compact(row, n) for row in table)
@@ -329,14 +322,13 @@ class TableAtom(Atom):
         return list(self._elements)
 
     def add(self, a, b):
-        index = self._index or self.index  # the property only while unbuilt: add is hot
+        index = self.index
         return self._carrier[self._rows[index[a]][index[b]]]
 
     def act(self, a, s):
         if self._act is None:
             return self.times_int(a, s)
-        index = self._index or self.index
-        return self._carrier[self._act[index[a]][self.base.index[s]]]
+        return self._carrier[self._act[self.index[a]][self.base.index[s]]]
 
     def gens(self):
         return [(a, a) for a in self._elements if a != self.zero]

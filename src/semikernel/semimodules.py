@@ -132,16 +132,17 @@ class Indexed:
     """A finite semimodule on the positions of its elements.
 
     `elements` is M.elements() (ordkey order), `index` maps each element to
-    its position (built on first use) and `zero` is the position of M.zero.
-    add[i][j] is the position of elements[i] + elements[j] and act[i][k]
-    that of elements[i] acted on by base.elements[k]; the act rows are empty
-    over an infinite base.  Rows are compact (atoms.compact).  A single
-    table atom whose carrier is in ordkey order already holds these rows,
-    and they are shared; otherwise they are computed, and a sum or action
-    outside the carrier raises FormatError.
+    its position (built on first use when the rows are shared) and `zero` is
+    the position of M.zero.  add[i][j] is the position of elements[i] +
+    elements[j] and act[i][k] that of elements[i] acted on by
+    base.elements[k]; the act rows are empty over an infinite base.  Rows
+    are compact (atoms.compact).  A single table atom whose carrier is in
+    ordkey order already holds these rows, and they are shared; otherwise
+    they are computed, and a sum or action outside the carrier raises
+    FormatError.
     """
 
-    __slots__ = ("elements", "zero", "add", "act", "_index")
+    __slots__ = ("elements", "index", "zero", "add", "act")
 
     def __init__(self, M):
         self.elements = els = M.elements()
@@ -153,12 +154,11 @@ class Indexed:
             and atom.base is M.base
             and M._act_right is None
         ):
-            self._index = None
             self.zero = atom._carrier.index(atom.zero)
             self.add = atom._rows
             self.act = atom._act if atom._act is not None else (b"",) * n
             return
-        self._index = index = {e: i for i, e in enumerate(els)}
+        self.index = index = {e: i for i, e in enumerate(els)}
         self.zero = index[M.zero]
 
         def pos(v, x, op, y):
@@ -171,11 +171,11 @@ class Indexed:
         scalars = M.base.elements or ()
         self.act = tuple(compact([pos(M.act(x, s), x, "*", s) for s in scalars], n) for x in els)
 
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-        return self._index
+    def __getattr__(self, name):  # reached only while the `index` slot is unset
+        if name != "index":
+            raise AttributeError(name)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        return self.index
 
 
 def same_carrier(M, N):

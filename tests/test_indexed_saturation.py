@@ -302,9 +302,19 @@ class _Table(dict):
     """A dict that a weak reference can watch."""
 
 
+def _index_built(obj):
+    """Whether obj's `index` slot is set, read past the __getattr__ that builds it."""
+    try:
+        type(obj).index.__get__(obj)
+    except AttributeError:
+        return False
+    return True
+
+
 def test_dict_built_tables_keep_only_positions():
     """A table module built from dicts keeps neither dict, also after a hom
-    search, and its indexed carrier shares the atom's rows."""
+    search, its indexed carrier shares the atom's rows, and neither builds
+    its element index until an element-level operation needs it."""
     for M in enumerate_modules(B, 4):
         atom = M.atoms[0]
         els = atom.elements()
@@ -318,9 +328,12 @@ def test_dict_built_tables_keep_only_positions():
         assert [w() for w in watch] == [None, None]
         ix, ta = T.indexed(), T.atoms[0]
         assert ix.add is ta._rows and ix.act is ta._act
+        assert not _index_built(ta) and not _index_built(ix)
         assert [T.add(x, y) for x in ix.elements for y in ix.elements] == [
             ix.elements[j] for row in ix.add for j in row
         ]
+        assert ta.index == {e: i for i, e in enumerate(els)}
+        assert ix.index == {x: i for i, x in enumerate(ix.elements)}
 
 
 def test_skew_table_keeps_its_zero():
