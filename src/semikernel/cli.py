@@ -320,14 +320,16 @@ def main(argv=None):
         print(f"input error: {e}", file=sys.stderr)
         return 3
     except UndecidedError as e:
-        print(f"undecided: {e}", file=sys.stderr)
-        return 2
+        code, error = 2, f"undecided: {e}"
     except KernelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    out = report.to_jsonl() if args.format == "jsonl" else report.to_markdown()
-    sys.stdout.write(out)
-    return report.exit_code
+        code, error = 1, f"error: {e}"
+    else:
+        code, error = report.exit_code, None
+    if report.records or error is None:  # the records made before an error still stand
+        sys.stdout.write(report.to_jsonl() if args.format == "jsonl" else report.to_markdown())
+    if error is not None:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -72,13 +72,6 @@ class Semicoring:
         """Delta(c) as an element of the computed C (x) C."""
         return self.cc().push(self.delta[c])
 
-    def delta_map(self):
-        return LinearMap(self.carrier, self.cc().result, self.delta_norm, name="Delta")
-
-    def eps_map(self):
-        SM = semiring_module(self.base)
-        return LinearMap(self.carrier, SM, lambda c: scalar_to(SM, self.eps[c]), name="eps")
-
     def mutate(self, delta=None, eps=None, name=None):
         out = Semicoring(
             self.base,
@@ -598,15 +591,14 @@ def dual_semiring(C, side="left", max_size=64):
     # a key lists f's values by carrier position, so the convolution reads the action
     # off position rows: act[i][s] is c_i * (s-th scalar), or s * c_i on the right side
     ix = car.indexed()
-    scalar = {a: s for s, a in enumerate(A.elements)}
     act = ix.act if side != "right" else [[ix.index[car.act_left(a, c)] for a in A.elements] for c in els]
     delta = [[(ix.index[c1], ix.index[c2], mult) for (c1, c2), mult in C.delta[c]] for c in els]
 
     def term(fk, gk, i1, i2):
         if side == "left":
-            return gk[act[i1][scalar[fk[i2]]]]
+            return gk[act[i1][A.index[fk[i2]]]]
         if side == "right":
-            return fk[act[i2][scalar[gk[i1]]]]
+            return fk[act[i2][A.index[gk[i1]]]]
         return A.mul(gk[i1], fk[i2])
 
     def conv(fk, gk, c):

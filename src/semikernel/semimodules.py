@@ -10,26 +10,25 @@ from functools import lru_cache
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
 from .errors import FormatError, UnsupportedError, negative_count
-from .util import Report, ordkey, sorted_elems, unpreserved
+from .util import Report, sorted_elems, unpreserved
 
 SAMPLES = 64  # sample size of the checks on effective carriers
 
 
 class Semimodule:
     """Direct sum of atoms over a base semiring; elements are tuples, one
-    coordinate per atom.  Right action by default; bimodule actions may be
-    overridden (tensor carriers need genuinely two-sided structure).
+    coordinate per atom.  The right action is the atoms'; a left action may
+    be given (tensor carriers need genuinely two-sided structure).
     """
 
     # attributes set after construction (basis, hom_keys, ...) go to __dict__
-    __slots__ = ("base", "atoms", "name", "zero", "_act_right", "_act_left", "_elements", "_indexed", "__dict__")
+    __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "__dict__")
 
-    def __init__(self, base, atoms, name="M", act_right=None, act_left=None):
+    def __init__(self, base, atoms, name="M", act_left=None):
         self.base = base
         self.atoms = tuple(atoms)
         self.name = name
         self.zero = tuple(a.zero for a in self.atoms)
-        self._act_right = act_right
         self._act_left = act_left
         self._elements = None
         self._indexed = None
@@ -60,15 +59,11 @@ class Semimodule:
         return tuple(a.add(u, v) for a, u, v in zip(self.atoms, x, y))
 
     def act(self, x, s):
-        if self._act_right is not None:
-            return self._act_right(x, s)
         return tuple(a.act(u, s) for a, u in zip(self.atoms, x))
 
     def act_left(self, s, x):
         if self._act_left is not None:
             return self._act_left(s, x)
-        if self._act_right is not None:
-            return self._act_right(x, s)
         return tuple(a.act_left(s, u) for a, u in zip(self.atoms, x))
 
     def times_int(self, x, k):
@@ -120,9 +115,6 @@ class Semimodule:
                 )
         return rels
 
-    def describe(self):
-        return {"base": self.base.name, "atoms": [a.describe() for a in self.atoms]}
-
     def __repr__(self):
         size = len(self.elements()) if self.is_finite else "effective"
         return f"<Semimodule {self.name} over {self.base.name} ({size})>"
@@ -152,7 +144,6 @@ class Indexed:
             isinstance(atom, TableAtom)
             and atom._carrier is atom._elements
             and atom.base is M.base
-            and M._act_right is None
         ):
             self.zero = atom._carrier.index(atom.zero)
             self.add = atom._rows
@@ -348,11 +339,6 @@ class LinearMap:
             return NotImplemented
         return self.mapping == other.mapping
 
-    def __hash__(self):
-        if self.mapping is None:
-            return id(self)
-        return hash(tuple(sorted(self.mapping.items(), key=lambda p: ordkey(p[0]))))
-
     def check(self) -> Report:
         """Images in a finite target, then linearity: exhaustive on finite
         sources, sampled otherwise."""
@@ -382,12 +368,6 @@ class LinearMap:
         w = unpreserved(f, M.act, N.act, actions, scalar=True)
         rep.add("action", w is None, w)
         return rep
-
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and not same_carrier(other.target, self.source):
-            raise FormatError("maps not composable")
-        return LinearMap(other.source, self.target, lambda x: self(other(x)), name=f"{self.name}.{other.name}")
 
     def __repr__(self):
         return f"<LinearMap {self.name}: {self.source.name} -> {self.target.name}>"
@@ -893,20 +873,6 @@ def short_exact_sequence(L: Subsemimodule):
 
 # ---------------------------------------------------------------- hom sets
 
-def _constrained_images(N, hi, lo):
-    """Elements t of N with hi*t = lo*t, atom by atom, in ordkey order."""
-    per_atom = []
-    for a in N.atoms:
-        if a.finite:
-            cands = [t for t in a.elements() if a.times_int(t, hi) == a.times_int(t, lo)]
-        else:
-            cands = a.solve_mult(hi, lo)
-            if cands is None:
-                raise UnsupportedError(f"hom target atom {a.kind} admits infinitely many images")
-        per_atom.append(cands)
-    return list(itertools.product(*per_atom))
-
-
 def _greedy_positions(ix):
     """Additive generating set of an indexed carrier, as positions: each
     position, in order, that the sums of the ones before it do not reach.
@@ -954,19 +920,18 @@ def hom_enumerate(M, N, as_maps=True):
     image is folded along the step x -> x + g that first reached it, walking
     from zero, and a candidate is kept if it is additive and preserves the
     action.  For a free source every basis-image assignment extends
-    uniquely, so no verification is needed at all.  A finite N is searched
-    on positions (_hom_positions), an infinite one on elements.  The maps
-    come in the ordkey order of their images on M.elements(), named h0, h1,
-    ... in that order.
+    uniquely, so no verification is needed at all.  The search runs on
+    positions (_hom_positions): into N itself when N is finite, otherwise
+    into the finite image hull of M in N (_image_hull).  The maps come in
+    the ordkey order of their images on M.elements(), named h0, h1, ... in
+    that order.
     """
     if not M.is_finite:
         raise UnsupportedError("hom enumeration needs a finite source")
     mels = M.elements()
-    if N.is_finite:
-        nels = N.elements()
-        graphs = [dict(zip(mels, map(nels.__getitem__, f))) for f in _hom_positions(M, N)]
-    else:
-        graphs = [dict(zip(mels, f)) for f in _hom_elements(M, N)]
+    target = N if N.is_finite else _image_hull(M, N)
+    nels = N.elements() if target is N else [h for (h,) in target.elements()]
+    graphs = [dict(zip(mels, map(nels.__getitem__, f))) for f in _hom_positions(M, target)]
     if not as_maps:
         return graphs
     return [LinearMap(M, N, m.__getitem__, name=f"h{i}") for i, m in enumerate(graphs)]
@@ -1001,6 +966,36 @@ def _generator_walk(mx):
     return constraints, steps
 
 
+def _image_hull(M, N):
+    """For finite M and infinite N (base NAT): the submodule of N that every
+    linear map M -> N lands in, as a table module on N's elements in ordkey
+    order.  Each greedy generator of M, with cyclic constraint (hi, lo),
+    goes to a t with hi*t = lo*t atom by atom (Atom.solve_mult), and every
+    element of M is a sum of generators, so the hull is the closure of those
+    solutions under N.add; over NAT it is also closed under the action.  As
+    every solution set holds its atom's zero, the hull is the product of
+    the atoms' own closures, and its sums are read off theirs."""
+    constraints, _ = _generator_walk(M.indexed())
+    carrier, rows = [()], [[0]]  # the sum of no atoms
+    for a in N.atoms:
+        solutions = [a.solve_mult(hi, lo) for hi, lo in constraints]
+        if None in solutions:
+            raise UnsupportedError(f"hom target atom {a.kind} admits infinitely many images")
+        hull = {a.zero}.union(*solutions)
+        gens, sums = list(hull), list(hull)
+        for x in sums:  # grows while it is walked: the closure under a.add
+            new = {a.add(x, g) for g in gens} - hull
+            hull |= new
+            sums.extend(new)
+        els = sorted_elems(hull)
+        index = {e: i for i, e in enumerate(els)}
+        table = [[index[a.add(x, y)] for y in els] for x in els]
+        n = len(els)
+        carrier = [c + (e,) for c in carrier for e in els]
+        rows = [[p * n + q for p in row for q in arow] for row in rows for arow in table]
+    return table_module(N.base, carrier, rows, name=f"hull({M.name},{N.name})")
+
+
 def _hom_positions(M, N):
     """Hom(M, N) for finite M and N as tuples of N-positions, one per
     position of M, sorted: N.elements() is in ordkey order, so this is the
@@ -1011,7 +1006,7 @@ def _hom_positions(M, N):
     madd, nadd, nact, nzero = mx.add, nx.add, nx.act, nx.zero
     S = M.base
     out = []
-    if len(M.atoms) == 1 and isinstance(M.atoms[0], FreeAtom) and M._act_right is None:
+    if len(M.atoms) == 1 and isinstance(M.atoms[0], FreeAtom):
         terms = [[(i, S.index[c]) for i, c in enumerate(x[0]) if c != S.zero] for x in mx.elements]
         for images in itertools.product(range(len(nx.elements)), repeat=len(M.atoms[0].basis)):
             f = []
@@ -1041,30 +1036,6 @@ def _hom_positions(M, N):
             continue
         out.append(tuple(f))
     out.sort()
-    return out
-
-
-def _hom_elements(M, N):
-    """Hom(M, N) for an infinite N with solvable atoms, as tuples of
-    N-elements, one per position of M.  Each candidate list is in ordkey
-    order, so the product already comes in the ordkey order of the images:
-    two additive maps first differ at a generator, since every element
-    before it is a sum of earlier ones."""
-    mx = M.indexed()
-    n = len(mx.elements)
-    constraints, steps = _generator_walk(mx)
-    cand_sets = [_constrained_images(N, hi, lo) for hi, lo in constraints]
-    scalars = M.base.elements or ()  # none over NAT: additivity implies NAT-linearity
-    out = []
-    for images in itertools.product(*cand_sets):
-        f = [N.zero] * n
-        for y, x, k in steps:
-            f[y] = N.add(f[x], images[k])
-        if any(f[mx.add[x][y]] != N.add(f[x], f[y]) for x in range(n) for y in range(n)):
-            continue
-        if any(f[row[k]] != N.act(f[x], s) for x, row in enumerate(mx.act) for k, s in enumerate(scalars)):
-            continue
-        out.append(tuple(f))
     return out
 
 

@@ -110,8 +110,7 @@ class StructuredMap:
 
     Descriptions: None (zero on that atom), ('gen', image-of-generator) for
     monogenic atoms, ('qmz', {target_atom_index: non-negative multiplier})
-    for Q/Z atoms, ('table', {atom element: full target element}) for finite
-    table/free atoms.
+    for Q/Z atoms.
     """
 
     def __init__(self, source, target, descrs, name="f", check=True):
@@ -153,17 +152,6 @@ class StructuredMap:
                 for j in d[1]:
                     if self.target.atoms[j].kind != "QMODZ":
                         raise FormatError("Q/Z maps additively only into Q/Z atoms")
-            elif tag == "table":
-                if not atom.finite:
-                    raise FormatError("table description needs a finite atom")
-                tab = d[1]
-                els = atom.elements()
-                for a in els:
-                    for b in els:
-                        lhs = tab[atom.add(a, b)]
-                        rhs = self.target.add(tab[a], tab[b])
-                        if lhs != rhs:
-                            raise FormatError(f"table description not additive at ({a},{b})")
             else:
                 raise FormatError(f"unknown description tag {tag}")
 
@@ -172,26 +160,14 @@ class StructuredMap:
         for atom, d, v in zip(self.source.atoms, self.descrs, x):
             if d is None or v == atom.zero:
                 continue
-            tag = d[0]
-            if tag == "gen":
+            if d[0] == "gen":
                 terms.append((d[1], v))
-            elif tag == "qmz":
+            else:  # qmz
                 piece = list(self.target.zero)
                 for j, k in d[1].items():
                     piece[j] = self.target.atoms[j].add(piece[j], _frac(v * k))
                 terms.append((tuple(piece), 1))
-            else:
-                terms.append((d[1][v], 1))
         return fs_eval(self.target, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, StructuredMap):
-            return NotImplemented
-        return (
-            [a.describe() for a in self.source.atoms] == [a.describe() for a in other.source.atoms]
-            and [a.describe() for a in self.target.atoms] == [a.describe() for a in other.target.atoms]
-            and self.descrs == other.descrs
-        )
 
     def compose(self, other):
         """self after other (source of self = target of other)."""
@@ -201,8 +177,6 @@ class StructuredMap:
                 descrs.append(None)
             elif d[0] == "gen":
                 descrs.append(("gen", self(d[1])))
-            elif d[0] == "table":
-                descrs.append(("table", {a: self(v) for a, v in d[1].items()}))
             else:  # qmz through qmz
                 mults = {}
                 for j, k in d[1].items():
@@ -230,8 +204,6 @@ class StructuredMap:
                 for j, k in d2[1].items():
                     mults[j] = mults.get(j, 0) + k
                 descrs.append(("qmz", mults))
-            elif d1[0] == "table" and d2[0] == "table":
-                descrs.append(("table", {a: self.target.add(v, d2[1][a]) for a, v in d1[1].items()}))
             else:
                 raise FormatError("incompatible descriptions")
         return StructuredMap(self.source, self.target, descrs, name=f"{self.name}+{other.name}", check=False)
@@ -272,7 +244,7 @@ def structured_identity(M):
         elif atom.kind == "QMODZ":
             descrs.append(("qmz", {i: 1}))
         else:
-            descrs.append(("table", {a: M.inject(i, a) for a in atom.elements()}))
+            raise UnsupportedError(f"no structured identity on a {atom.kind} atom")
     return StructuredMap(M, M, descrs, name="id", check=False)
 
 
@@ -327,19 +299,6 @@ def structured_map_tensor(f: StructuredMap, g: StructuredMap, Tsrc: RuleTensor, 
                         raise UnsupportedError("unsupported Q/Z tensor partner")
                     mults[tgt_idx] = mults.get(tgt_idx, 0) + k * ov
             descrs.append(("qmz", mults) if mults else None)
-        elif src_atom.finite:
-            tab = {}
-            # finite component: push a representing pure tensor of each element
-            Ma = Semimodule(Tsrc.over, [A], name="a")
-            Mb = Semimodule(Tsrc.over, [B], name="b")
-            Tp = SaturationTensor([Ma, Mb], Tsrc.over)
-            for v in src_atom.elements():
-                terms = (
-                    ((X.inject(i, ma[0]), Z.inject(j, mb[0])), mult)
-                    for (ma, mb), mult in Tp.rep((v,))
-                )
-                tab[v] = Tdst.push(terms, (f, g))
-            descrs.append(("table", tab))
         else:
             raise UnsupportedError("unsupported structured tensor component")
     out = StructuredMap(Tsrc.result, Tdst.result, descrs, name=f"({f.name}x{g.name})", check=False)

@@ -355,17 +355,13 @@ def _is_free_over(m, S):
         len(m.atoms) == 1
         and isinstance(m.atoms[0], FreeAtom)
         and m.atoms[0].base is S
-        and m._act_right is None
         and m._act_left is None
     )
 
 
 def tensor(M, N, over=None, budget=None, force_saturation=False):
     """M (x) N over the base semiring (defaults to M's base)."""
-    over = over or M.base
-    if not force_saturation and over.is_finite and _is_free_over(M, over) and _is_free_over(N, over):
-        return FreeTensor([M, N], over)
-    return SaturationTensor([M, N], over, budget=budget)
+    return tensor_multi([M, N], over, budget, force_saturation)
 
 
 def tensor_multi(mods, over=None, budget=None, force_saturation=False, lazy=False):

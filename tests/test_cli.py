@@ -430,6 +430,24 @@ def test_map_with_an_image_outside_its_target_fails(tmp_path):
     assert rec["witness"] == "('codomain', ((1,),))"
 
 
+def test_report_keeps_the_records_before_an_error(tmp_path):
+    doc = {
+        "declarations": [
+            {"kind": "semiring", "name": "N0", "builtin": "NAT"},
+            {"kind": "semimodule", "name": "QZ", "base": "N0", "atoms": [{"kind": "QMODZ"}]},
+            {"kind": "semimodule", "name": "C4", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 4}]},
+        ],
+        # Q/Z (x) Q/Z has no tensor rule: an UnsupportedError after the first record
+        "commands": [{"cmd": "tensor", "left": "QZ", "right": "C4"}, {"cmd": "tensor", "left": "QZ", "right": "QZ"}],
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--format", "jsonl", "report", str(p)], timeout=120)
+    assert r.returncode == 1, (r.stdout, r.stderr)
+    assert [(rec["subject"], rec["verdict"]) for rec in _records(r.stdout)] == [("QZ(x)C4", "pass")]
+    assert r.stderr == "error: no tensor rule for atom pair QMODZ (x) QMODZ\n"
+
+
 def test_saturation_tensor_over_budget_exits_2(tmp_path):
     # FREE(2) (x) CYCLIC(6) over ZMOD(6) is not free, so it takes the saturation route
     doc = {

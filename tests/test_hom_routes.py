@@ -1,7 +1,8 @@
 """Cross-route oracle for hom enumeration.
 
-`hom_enumerate` searches a finite target on the integer positions of
-`Semimodule.indexed()`.  The reference below is the element-level search:
+`hom_enumerate` searches a finite target, or the finite image hull of an
+infinite one, on the integer positions of `Semimodule.indexed()`.  The
+reference below is the element-level search:
 greedy additive generators, candidate images pruned by each generator's
 cyclic constraint, images folded along each element's generator expression
 with `N.add`, an exhaustive additivity and action filter, a free source's
@@ -14,7 +15,9 @@ import itertools
 import pytest
 
 from semikernel.semimodules import (
+    bool_module,
     cyclic_module,
+    direct_sum,
     enumerate_modules,
     free_semimodule,
     hom_enumerate,
@@ -139,14 +142,32 @@ def _pairs():
             yield from ((free_semimodule(S, rank), Y) for Y in targets)
     over_nat = [cyclic_module(N, 4), cyclic_module(N, 6), _skew_table()]
     yield from itertools.product(over_nat, over_nat)
-    # infinite target: the element route
+    # infinite target: the image hull
     yield from ((X, qmodz_module(N)) for X in over_nat)
 
 
 PAIRS = list(_pairs())
 
 
-@pytest.mark.parametrize("M, N", PAIRS, ids=[f"{M.name}->{N.name}#{i}" for i, (M, N) in enumerate(PAIRS)])
+def _sum(*mods):
+    return direct_sum(list(mods))[0]
+
+
+# infinite targets that mix Q/Z, NAT and finite atoms
+MIXED = list(
+    itertools.product(
+        [cyclic_module(N, 4), cyclic_module(N, 6), _skew_table(), _sum(bool_module(N), cyclic_module(N, 4))],
+        [
+            _sum(qmodz_module(N), qmodz_module(N)),
+            _sum(qmodz_module(N), bool_module(N)),
+            _sum(free_semimodule(N, 1), qmodz_module(N), cyclic_module(N, 6)),
+        ],
+    )
+)
+ALL = PAIRS + MIXED
+
+
+@pytest.mark.parametrize("M, N", ALL, ids=[f"{M.name}->{N.name}#{i}" for i, (M, N) in enumerate(ALL)])
 def test_hom_enumerate_matches_the_element_route(M, N):
     ref = ref_hom(M, N)
     maps = hom_enumerate(M, N)
@@ -160,3 +181,5 @@ def test_the_oracle_pairs_are_not_vacuous():
     assert sum(counts) == 849 and sum(c > 1 for c in counts) > len(PAIRS) // 2
     # C4 and C6 have 4 and 6 maps into Q/Z, the skew table only the zero map
     assert counts[-3:] == [4, 6, 1]
+    # e.g. C4 -> Q/Z(+)Q/Z has 4 * 4 maps; B(+)C4 -> Q/Z(+)B only those of C4 -> Q/Z
+    assert [len(ref_hom(M, N)) for M, N in MIXED] == [16, 4, 8, 36, 6, 36, 1, 2, 1, 16, 8, 8]

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from semikernel.errors import CertificateError, FormatError
-from semikernel.gallery import gallery_coring
+from semikernel.gallery import gallery_coring, mutation_corpus
 from semikernel.pairings import (
     alpha_check,
     canonical_dual_pairing,
@@ -121,6 +121,34 @@ def test_equalizer_with_flat_coring():
     assert ok, w
     full, _ = comodule_equalizer(f, f, CC, CC)
     assert len(full.carrier.elements()) == len(CC.carrier.elements())
+
+
+def test_universal_properties_fail_for_the_wrong_pair():
+    # the (co)equalizer of (h0, h2) has 2 elements; checked against (h0, h0),
+    # which every endomorphism equalizes, h2 neither factors through pi nor
+    # lifts through iota
+    CC = coring_as_comodule(GL)
+    h0, h2 = colinear_maps(CC, CC)[:2]
+    coeq, pi = comodule_coequalizer(h0, h2, CC, CC)
+    eq, iota = comodule_equalizer(h0, h2, CC, CC)
+    assert len(coeq.carrier.elements()) == len(eq.carrier.elements()) == 2
+    expected = (False, ("h2", "(grouplike_bool_2,Delta)"))
+    assert verify_coequalizer_universal(h0, h0, CC, CC, coeq, pi, [CC]) == expected
+    assert verify_equalizer_universal(h0, h0, CC, CC, eq, iota, [CC]) == expected
+
+
+def test_coring_mutants_fail_coassociativity_as_comodules():
+    # the words corings are left out: their triple tensors take seconds
+    failing = []
+    for label, C in mutation_corpus():
+        if label.startswith("words"):
+            continue
+        rep = check_comodule(coring_as_comodule(C))
+        coassociative = next(c for c in rep.checks if c.name == "coassociative")
+        if not coassociative.ok:
+            assert coassociative.witness in C.carrier.elements(), label
+            failing.append(label)
+    assert len(failing) == 14
 
 
 def test_equalizer_refuses_failed_certificate():

@@ -13,6 +13,7 @@ from semikernel.semirings import (
     SemiringMorphism,
     bool_semiring,
     semiring_from_tables,
+    tropcap,
     zmod,
 )
 from semikernel.semicorings import (
@@ -117,6 +118,15 @@ def test_sweedler_identity_and_general():
     SW2 = sweedler_semicoring(phi2)
     assert len(SW2.carrier.elements()) == 16
     assert check_semicoring(SW2).ok
+
+
+def test_sweedler_over_a_non_free_extension():
+    # TROPCAP(1) has 3 elements, so it is not free over BOOL and A (x)_B A is
+    # built on A as a (B, B)-bisemimodule
+    phi = SemiringMorphism(B, tropcap(1), {0: "oo", 1: 0}.__getitem__)
+    SW = sweedler_semicoring(phi)
+    assert len(SW.carrier.elements()) == 6
+    assert check_semicoring(SW).ok
 
 
 def _product_bool():

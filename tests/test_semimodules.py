@@ -422,7 +422,7 @@ def _skew_table():
 
 
 def _oracle_carriers():
-    from semikernel.tensors import tensor
+    from semikernel.tensors import SaturationTensor
 
     mods = [free_semimodule(B, n) for n in (1, 2, 3)]
     mods += [free_semimodule(Z2, 2), free_semimodule(zmod(3), 2)]
@@ -431,8 +431,7 @@ def _oracle_carriers():
     # over NAT: no action table
     mods += [cyclic_module(N, 4), cyclic_module(N, 6), _skew_table()]
     mods += enumerate_modules(B, 4) + enumerate_modules(Z2, 4)
-    T = tensor(free_semimodule(B, 1), free_semimodule(B, 3), force_saturation=True).result
-    mods.append(Semimodule(B, T.atoms, name="B(x)B^3", act_right=lambda x, s: T.act_left(s, x)))
+    mods.append(SaturationTensor([free_semimodule(B, 1), free_semimodule(B, 3)], B, name="B(x)B^3").result)
     return mods
 
 
@@ -471,7 +470,15 @@ def test_elements_come_in_ordkey_order():
 
 
 def test_enumerate_submodules_rejects_escaping_action():
-    bad = Semimodule(B, bool_module(B).atoms, act_right=lambda x, s: (2,))
+    from semikernel.atoms import BoolAtom
+
+    class EscapingBool(BoolAtom):
+        __slots__ = ()
+
+        def act(self, a, s):
+            return 2
+
+    bad = Semimodule(B, [EscapingBool(B)])
     with pytest.raises(FormatError, match=r"\(0,\) \* 0"):
         enumerate_submodules(bad)
 
