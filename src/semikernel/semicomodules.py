@@ -1,23 +1,27 @@
 """Semicomodules: coactions, colinear maps, (co)equalizers and probes.
 
 Coactions are stored as formal sums of (carrier element, coring element)
-pairs, normalized through the computed tensor before equality tests.  The
-structured lane mirrors every check symbolically for infinite carriers.
+pairs, normalized through the computed tensor before equality tests.
+Colinearity squares and the induced maps of (co)equalizers are folded on
+integer positions (Semicomodule.compiled, _Positions).  The structured
+lane mirrors every check symbolically for infinite carriers.
 """
 from __future__ import annotations
 
 import itertools
+import threading
 from fractions import Fraction
 from functools import cached_property
 
-from .atoms import CyclicAtom, QmodzAtom
-from .errors import CertificateError, FormatError, UnsupportedError
+from .atoms import CyclicAtom, QmodzAtom, TableAtom
+from .errors import CertificateError, FormatError, InternalInvariantError, UnsupportedError, negative_count
 from .semimodules import (
     LinearMap,
     Semimodule,
-    _greedy_gens,
+    _greedy_positions,
+    _hom_positions,
+    _times,
     hom_enumerate,
-    identity_map,
     module_congruence_closure,
     quotient_by_congruence,
     span,
@@ -71,6 +75,11 @@ class Semicomodule:
         return rho
 
     @cached_property
+    def compiled(self):
+        """The coaction on positions (_Compiled), built on first use."""
+        return _Compiled(self)
+
+    @cached_property
     def additivity_witness(self):
         """The first (x, y), in element order, with rho(x + y) != rho(x) +
         rho(y) in M (x) C; None when the coaction is additive."""
@@ -79,6 +88,97 @@ class Semicomodule:
 
     def __repr__(self):
         return f"<Semicomodule {self.name} over {self.coring.name}>"
+
+
+class _Memo(dict):
+    """A dict that computes, keeps and returns the value of a missing key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Positions:
+    """A finite module R on integer positions, for folds that must not
+    index all of R: M (x) C can be far too large for R.indexed().
+
+    of(x) is the position of the element x, add[i][j] that of the sum of
+    the elements at i and j, act[i][k] that of the element at i acted on
+    by base.elements[k], and zero that of R.zero.  A single table atom's
+    carrier positions and rows are read as they are (every saturation
+    tensor's result is one), and of(x) is None off the carrier.
+    Otherwise positions are handed out in the order elements are first
+    seen, under a lock so that an element never gets two, and each sum
+    and action is computed once, when a fold first reaches it.
+    """
+
+    __slots__ = ("of", "add", "act", "zero")
+
+    def __init__(self, R):
+        atom = R.atoms[0] if len(R.atoms) == 1 else None
+        if isinstance(atom, TableAtom) and atom.base is R.base:
+            index = atom.index
+            self.of = lambda x: index.get(x[0])
+            self.add, self.act = atom._rows, atom._act
+        else:
+            els, scalars, lock = [], R.base.elements, threading.Lock()
+
+            def new(x):
+                with lock:
+                    i = ids.get(x)
+                    if i is None:
+                        i = ids[x] = len(els)
+                        els.append(x)
+                return i
+
+            ids = _Memo(new)
+            self.of = ids.__getitem__
+            self.add = _Memo(lambda i: _Memo(lambda j: ids[R.add(els[i], els[j])]))
+            self.act = _Memo(lambda i: _Memo(lambda k: ids[R.act(els[i], scalars[k])]))
+        self.zero = self.of(R.zero)
+
+
+class _Compiled:
+    """A finite comodule M's coaction on positions.
+
+    terms[m] is rho(m), for each position m of M.carrier.indexed(), as
+    (M-position, C-position, multiplicity) triples, C-positions being
+    those of coring.carrier.elements().  sums is M (x) C on positions,
+    pure[n][c] the position of n (x) c there and rhobar[m] that of rho(m);
+    both are filled as folds reach them.
+    """
+
+    __slots__ = ("terms", "sums", "pure", "rhobar")
+
+    def __init__(self, M):
+        ix = M.carrier.indexed()
+        cels = M.coring.carrier.elements()
+        cpos = {c: i for i, c in enumerate(cels)}
+        self.terms = [[(ix.index[m1], cpos[c1], k) for (m1, c1), k in M.coaction[m]] for m in ix.elements]
+        k = min((k for terms in self.terms for _, _, k in terms), default=0)
+        if k < 0:
+            raise negative_count(k)
+        T = M.mc()
+        self.sums = sums = _Positions(T.result)
+        self.pure = [_Memo(lambda c, n=n: sums.of(T.pure(n, cels[c]))) for n in ix.elements]
+        self.rhobar = _Memo(lambda m: self.image(self.terms[m], range(len(ix.elements))))
+
+    def image(self, terms, f):
+        """The position of (f (x) C) applied to the (m, c, k) terms, with f
+        a sequence of positions here: the sum of k * pure[f[m]][c], folded
+        in term order from zero."""
+        add, pure, zero = self.sums.add, self.pure, self.sums.zero
+        acc = zero
+        for m, c, k in terms:
+            t = pure[f[m]][c]
+            acc = add[acc][t if k == 1 else _times(add, zero, t, k)]
+        return acc
 
 
 class StructuredSemicomodule:
@@ -160,28 +260,45 @@ def _check_comodule_structured(M) -> Report:
     return rep
 
 
+def _square(M, N, f, on):
+    """Colinearity square (f (x) C) . rho_M = rho_N . f at each position
+    in `on` of M.carrier.indexed(), for f a sequence of positions of
+    N.carrier.indexed(), one per position of M: a fold of N's pure table
+    over M's compiled terms, compared with N's rhobar."""
+    terms, Nc = M.compiled.terms, N.compiled
+    image, rhobar = Nc.image, Nc.rhobar
+    return all(image(terms[m], f) == rhobar[f[m]] for m in on)
+
+
 def comodule_hom_check(f: LinearMap, M: Semicomodule, N: Semicomodule, on=None) -> bool:
     """Colinearity square: (f (x) C) . rho_M = rho_N . f, on the elements
     `on` of M (default: every element)."""
-    TN = N.mc()
-    for m in M.carrier.elements() if on is None else on:
-        if TN.push(M.coaction[m], (f, None)) != N.rho_norm(f(m)):
-            return False
-    return True
+    mx, nindex = M.carrier.indexed(), N.carrier.indexed().index
+    on = range(len(mx.elements)) if on is None else [mx.index[m] for m in on]
+    return _square(M, N, [nindex[f(m)] for m in mx.elements], on)
 
 
 def colinear_maps(M: Semicomodule, N: Semicomodule):
-    """The linear maps M -> N whose colinearity square commutes.
+    """The linear maps M -> N whose colinearity square commutes, in the
+    order and with the names h{i} of hom_enumerate(M.carrier, N.carrier).
 
-    When both coactions are additive, both sides of the square are additive
-    maps for a linear f, so they agree everywhere once they agree on zero
-    and on an additive generating set; the square is then tested there
-    only.  Otherwise it is tested on every element.
+    The square is tested on the position tuples of the hom search, and a
+    LinearMap is built only for a map that passes.  When both coactions
+    are additive, both sides of the square are additive maps for a linear
+    f, so they agree everywhere once they agree on zero and on an additive
+    generating set; the square is then tested there only.  Otherwise it is
+    tested on every element.
     """
-    on = None
+    mx = M.carrier.indexed()
+    on = range(len(mx.elements))
     if M.additivity_witness is None and N.additivity_witness is None:
-        on = [M.carrier.zero, *_greedy_gens(M.carrier)]
-    return [f for f in hom_enumerate(M.carrier, N.carrier) if comodule_hom_check(f, M, N, on)]
+        on = [mx.zero, *_greedy_positions(mx)]
+    nels = N.carrier.elements()
+    return [
+        LinearMap(M.carrier, N.carrier, dict(zip(mx.elements, map(nels.__getitem__, f))).__getitem__, name=f"h{i}")
+        for i, f in enumerate(_hom_positions(M.carrier, N.carrier))
+        if _square(M, N, f, on)
+    ]
 
 
 # ---------------------------------------------------------------- cofree
@@ -256,24 +373,24 @@ def comodule_coequalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicom
 
 
 def verify_coequalizer_universal(f, g, M, N, coeq, pi, candidates):
-    """Universal property against every enumerated colinear competitor."""
+    """Universal property against every enumerated colinear competitor;
+    each factor hbar is built and tested on positions."""
+    nels = N.carrier.elements()
+    qindex = coeq.carrier.indexed().index
+    proj = [qindex[pi(n)] for n in nels]
     for T in candidates:
+        tindex = T.carrier.indexed().index
         for h in colinear_maps(N, T):
             if any(h(f(m)) != h(g(m)) for m in M.carrier.elements()):
                 continue
             # factorization: unique hbar with hbar . pi = h
-            hbar = {}
-            ok = True
-            for n in N.carrier.elements():
-                q = pi(n)
-                if q in hbar and hbar[q] != h(n):
-                    ok = False
-                    break
-                hbar[q] = h(n)
-            if not ok:
-                return False, (h.name, T.name)
-            hb = LinearMap(coeq.carrier, T.carrier, hbar.__getitem__, name="hbar")
-            if not comodule_hom_check(hb, coeq, T):
+            hbar = [None] * len(qindex)
+            for q, n in zip(proj, nels):
+                t = tindex[h(n)]
+                if hbar[q] is not None and hbar[q] != t:
+                    return False, (h.name, T.name)
+                hbar[q] = t
+            if not _square(coeq, T, hbar, range(len(hbar))):
                 return False, (h.name, T.name, "factor not colinear")
     return True, None
 
@@ -320,13 +437,27 @@ def lift_coaction(E, C, incl, T):
     of E to the formal sum of the one preimage of target(e), and raises
     fail(e) at the first e whose target has no preimage or several.  The
     lift runs only when called, so a caller can refuse a collapse first.
+
+    The induced map incl (x) id is kept on positions (_Positions of both
+    tensors) and given the tests of LinearMap.check, in its order, with
+    sums and actions read off rows: images in T, zero, sums and, over a
+    finite base, the action (over NAT the action is iterated addition,
+    which the first three cover).  A failure is a bug trap and raises
+    InternalInvariantError.
     """
     TE = tensor(E, C.carrier, over=C.base)
-    FI = TE.map_of([incl, identity_map(C.carrier)], T)
+    S, R = TE.result, T.result
+    images = [T.push(TE.rep(x), (incl, None)) for x in S.elements()]
+    PE, PT = _Positions(S), _Positions(R)
+    at = {PE.of(x): x for x in S.elements()}  # E (x) C's positions, in element order
+    FI = {p: PT.of(y) for p, y in zip(at, images)}
+    w = _unlinear(S, R, images, at, FI, PE, PT)
+    if w is not None:
+        raise InternalInvariantError(f"tensor map not well defined: ({incl.name}xid): not linear: {w}")
     pre = {}
     collision = None
-    for x in TE.result.elements():
-        y = FI(x)
+    for p, x in at.items():
+        y = FI[p]
         if y in pre and collision is None:
             collision = x
         pre.setdefault(y, []).append(x)
@@ -334,7 +465,7 @@ def lift_coaction(E, C, incl, T):
     def lift(target, fail):
         coaction = {}
         for e in E.elements():
-            cands = pre.get(target(e), ())
+            cands = pre.get(PT.of(target(e)), ())
             if len(cands) != 1:
                 raise fail(e)
             coaction[e] = fs_make(TE.rep(cands[0]))
@@ -343,24 +474,43 @@ def lift_coaction(E, C, incl, T):
     return lift, collision, TE
 
 
+def _unlinear(S, R, images, at, FI, PE, PT):
+    """The first test of LinearMap.check that the map S -> R sending the
+    elements of S, in order, to images fails, as (test, witness); None if
+    it passes all four.  Sums and actions are read on positions: `at`
+    sends S's positions in PE to its elements, and FI each of them to its
+    image's position in PT."""
+    targets = set(R.elements())
+    w = next((x for x, y in zip(at.values(), images) if y not in targets), None)
+    if w is not None:
+        return "codomain", w
+    if FI[PE.zero] != PT.zero:
+        return "zero", S.zero
+    f = FI.__getitem__
+    w = unpreserved(f, lambda p, q: PE.add[p][q], lambda a, b: PT.add[a][b], itertools.product(at, at))
+    if w is not None:
+        return "additive", (at[w[0]], at[w[1]])
+    scalars = S.base.elements or ()
+    acts = itertools.product(at, range(len(scalars)))
+    w = unpreserved(f, lambda p, k: PE.act[p][k], lambda a, k: PT.act[a][k], acts, scalar=True)
+    if w is not None:
+        return "action", (at[w[0]], scalars[w[1]])
+    return None
+
+
 def verify_equalizer_universal(f, g, M, N, eq, iota, candidates):
-    eq_index = {iota(e): e for e in eq.carrier.elements()}
+    """Universal property against every enumerated colinear competitor;
+    each lift is built and tested on positions."""
+    eq_index = {iota(e): i for i, e in enumerate(eq.carrier.elements())}
     for T in candidates:
+        tels = T.carrier.elements()
         for h in colinear_maps(T, M):
-            if any(f(h(t)) != g(h(t)) for t in T.carrier.elements()):
+            if any(f(h(t)) != g(h(t)) for t in tels):
                 continue
-            lift = {}
-            ok = True
-            for t in T.carrier.elements():
-                v = h(t)
-                if v not in eq_index:
-                    ok = False
-                    break
-                lift[t] = eq_index[v]
-            if not ok:
+            lift = [eq_index.get(h(t)) for t in tels]
+            if None in lift:
                 return False, (h.name, T.name)
-            lf = LinearMap(T.carrier, eq.carrier, lift.__getitem__, name="lift")
-            if not comodule_hom_check(lf, T, eq):
+            if not _square(T, eq, lift, range(len(lift))):
                 return False, (h.name, T.name, "lift not colinear")
     return True, None
 

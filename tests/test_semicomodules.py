@@ -1,8 +1,15 @@
+import bisect
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from semikernel.errors import CertificateError, FormatError
+from semikernel.errors import CertificateError, FormatError, InternalInvariantError
 from semikernel.gallery import gallery_coring, mutation_corpus
 from semikernel.pairings import (
     alpha_check,
@@ -15,8 +22,10 @@ from semikernel.pairings import (
 from semikernel.semicorings import basis_elem
 from semikernel.semimodules import (
     LinearMap,
+    _hom_positions,
     cyclic_module,
     free_semimodule,
+    hom_enumerate,
     identity_map,
     semiring_module,
     table_module,
@@ -25,6 +34,7 @@ from semikernel.semimodules import (
 from semikernel.semirings import bool_semiring, nat
 from semikernel.semicomodules import (
     Semicomodule,
+    _Positions,
     check_comodule,
     cofree_adjunction_check,
     cofree_comodule,
@@ -249,3 +259,111 @@ def test_lift_coaction_reports_the_first_collision():
     assert collision is None
     lifted = lift(lambda m: T.pure(m, (1,)), lambda e: CertificateError(str(e)))
     assert all(T.push(lifted[m]) == T.pure(m, (1,)) for m in C8.elements())
+
+
+@pytest.mark.parametrize(
+    "images",
+    [{0: 0, 2: 2, 4: 2, 6: 6}, {0: 2, 2: 4, 4: 6, 6: 0}],
+    ids=["not-additive", "sends-zero-elsewhere"],
+)
+def test_lift_coaction_traps_an_inclusion_that_is_not_linear(images):
+    """2Z/8 in Z/8 over NAT, tensored with Z/4: an inclusion that is not
+    additive, and the shift x -> x + 2, which sends zero to 2, both make the
+    induced map on tensors fail its additivity test, a bug trap."""
+    Nat = nat()
+    C8, C4 = cyclic_module(Nat, 8), cyclic_module(Nat, 4)
+    els = [(0,), (2,), (4,), (6,)]
+    E = table_module(Nat, els, {(a, b): C8.add(a, b) for a in els for b in els})
+    incl = LinearMap(E, C8, lambda x: (images[x[0][0]],), name="incl")
+    coring = SimpleNamespace(carrier=C4, base=Nat)
+    with pytest.raises(InternalInvariantError, match=r"^tensor map not well defined: \(inclxid\): not linear: \('additive'"):
+        lift_coaction(E, coring, incl, tensor(C8, C4))
+
+
+POLY_NAMES = [f"h{i}" for i in (0, 8, 64, 72, 512, 520, 576, 584, 4096, 4104, 4160, 4168, 4608, 4616, 4672, 4680)]
+# VmHWM is the peak RSS of this process image alone; ru_maxrss would also
+# count the test process that the child was forked from
+POLY_SEARCH = """
+import json, re, time
+from pathlib import Path
+from semikernel.gallery import gallery_coring
+from semikernel.semicomodules import colinear_maps, coring_as_comodule
+CC = coring_as_comodule(gallery_coring("poly1_zmod2_3"))
+maps = colinear_maps(CC, CC)
+peak_kib = int(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text()).group(1))
+print(json.dumps({"names": [f.name for f in maps], "cpu_s": time.process_time(), "rss_mib": peak_kib / 1024}))
+"""
+
+
+def test_colinear_search_with_a_large_tensor_stays_small():
+    """poly1_zmod2_3 over itself: 65,536 endomorphisms, and C (x) C has
+    65,536 elements, so the colinearity folds must not index it.  A fresh
+    process finds the 16 colinear ones, named by their rank among all
+    homs, within 5 s of CPU and 114 MiB, the element-level search's cost
+    (2-core x86-64 VM)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", POLY_SEARCH], env=env, capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    assert result["names"] == POLY_NAMES
+    assert result["cpu_s"] <= 5.0 and result["rss_mib"] <= 114, result
+
+
+def test_cofree_colinear_search_builds_one_linear_map_per_survivor(monkeypatch):
+    """End^C(B^2 (x) GL) keeps 256 of the 65,536 homs, and only those 256
+    become LinearMaps.  Reference: the cofree adjunction, f = (phi (x) C) .
+    rho for each of the 256 phi in Hom(B^2 (x) GL, B^2), each named h{i} by
+    its rank i among all homs in the search's order."""
+    X = free_semimodule(B, 2)
+    XC = cofree_comodule(X, GL)
+    built = []
+    init = LinearMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearMap, "__init__", counted)
+    maps = colinear_maps(XC, XC)
+    monkeypatch.undo()
+    assert len(maps) == 256 and built == maps
+
+    ix, T = XC.carrier.indexed(), XC.base_tensor
+    graphs = sorted(
+        tuple(ix.index[T.push(XC.coaction[y], (phi, None))] for y in ix.elements)
+        for phi in hom_enumerate(XC.carrier, X)
+    )
+    every = _hom_positions(XC.carrier, XC.carrier)
+    assert [f.name for f in maps] == [f"h{bisect.bisect_left(every, g)}" for g in graphs]
+    assert [tuple(ix.index[f(y)] for y in ix.elements) for f in maps] == graphs
+
+
+def test_positions_are_handed_out_once_across_threads():
+    """Eight threads ask one fresh _Positions of a free module (which hands
+    out positions as elements are first seen) for the same 256 elements at
+    once, each from another starting point, switching every microsecond:
+    every element gets one position, the same in every thread."""
+    R = free_semimodule(B, 8)
+    els = R.elements()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            P = _Positions(R)
+            barrier = threading.Barrier(8)
+            seen = {}
+
+            def run(k):
+                barrier.wait()
+                seen[k] = {x: P.of(x) for x in els[32 * k:] + els[:32 * k]}
+
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(seen[k] == seen[0] for k in range(8))
+            assert sorted(seen[0].values()) == list(range(len(els)))
+    finally:
+        sys.setswitchinterval(interval)
