@@ -2,9 +2,10 @@
 
 Coactions are stored as formal sums of (carrier element, coring element)
 pairs, normalized through the computed tensor before equality tests.
-Colinearity squares and the induced maps of (co)equalizers are folded on
-integer positions (Semicomodule.compiled, _Positions).  The structured
-lane mirrors every check symbolically for infinite carriers.
+Colinearity squares, including those of the factor and lift maps that the
+(co)equalizer verifiers test, are folded on integer positions
+(Semicomodule.compiled, _Positions).  The structured lane mirrors every
+check symbolically for infinite carriers.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .atoms import CyclicAtom, QmodzAtom, TableAtom
-from .errors import CertificateError, FormatError, InternalInvariantError, UnsupportedError, negative_count
+from .errors import CertificateError, FormatError, UnsupportedError, negative_count
 from .semimodules import (
     LinearMap,
     Semimodule,
@@ -22,6 +23,7 @@ from .semimodules import (
     _hom_positions,
     _times,
     hom_enumerate,
+    identity_map,
     module_congruence_closure,
     quotient_by_congruence,
     span,
@@ -109,25 +111,24 @@ class _Positions:
     index all of R: M (x) C can be far too large for R.indexed().
 
     of(x) is the position of the element x, add[i][j] that of the sum of
-    the elements at i and j, act[i][k] that of the element at i acted on
-    by base.elements[k], and zero that of R.zero.  A single table atom's
-    carrier positions and rows are read as they are (every saturation
-    tensor's result is one), and of(x) is None off the carrier.
+    the elements at i and j, and zero that of R.zero.  A single table
+    atom's carrier positions and rows are read as they are (every
+    saturation tensor's result is one), and of(x) is None off the carrier.
     Otherwise positions are handed out in the order elements are first
-    seen, under a lock so that an element never gets two, and each sum
-    and action is computed once, when a fold first reaches it.
+    seen, under a lock so that an element never gets two, and each sum is
+    computed once, when a fold first reaches it.
     """
 
-    __slots__ = ("of", "add", "act", "zero")
+    __slots__ = ("of", "add", "zero")
 
     def __init__(self, R):
         atom = R.atoms[0] if len(R.atoms) == 1 else None
         if isinstance(atom, TableAtom) and atom.base is R.base:
             index = atom.index
             self.of = lambda x: index.get(x[0])
-            self.add, self.act = atom._rows, atom._act
+            self.add = atom._rows
         else:
-            els, scalars, lock = [], R.base.elements, threading.Lock()
+            els, lock = [], threading.Lock()
 
             def new(x):
                 with lock:
@@ -140,7 +141,6 @@ class _Positions:
             ids = _Memo(new)
             self.of = ids.__getitem__
             self.add = _Memo(lambda i: _Memo(lambda j: ids[R.add(els[i], els[j])]))
-            self.act = _Memo(lambda i: _Memo(lambda k: ids[R.act(els[i], scalars[k])]))
         self.zero = self.of(R.zero)
 
 
@@ -437,27 +437,13 @@ def lift_coaction(E, C, incl, T):
     of E to the formal sum of the one preimage of target(e), and raises
     fail(e) at the first e whose target has no preimage or several.  The
     lift runs only when called, so a caller can refuse a collapse first.
-
-    The induced map incl (x) id is kept on positions (_Positions of both
-    tensors) and given the tests of LinearMap.check, in its order, with
-    sums and actions read off rows: images in T, zero, sums and, over a
-    finite base, the action (over NAT the action is iterated addition,
-    which the first three cover).  A failure is a bug trap and raises
-    InternalInvariantError.
     """
     TE = tensor(E, C.carrier, over=C.base)
-    S, R = TE.result, T.result
-    images = [T.push(TE.rep(x), (incl, None)) for x in S.elements()]
-    PE, PT = _Positions(S), _Positions(R)
-    at = {PE.of(x): x for x in S.elements()}  # E (x) C's positions, in element order
-    FI = {p: PT.of(y) for p, y in zip(at, images)}
-    w = _unlinear(S, R, images, at, FI, PE, PT)
-    if w is not None:
-        raise InternalInvariantError(f"tensor map not well defined: ({incl.name}xid): not linear: {w}")
+    FI = TE.map_of([incl, identity_map(C.carrier)], T)
     pre = {}
     collision = None
-    for p, x in at.items():
-        y = FI[p]
+    for x in TE.result.elements():
+        y = FI(x)
         if y in pre and collision is None:
             collision = x
         pre.setdefault(y, []).append(x)
@@ -465,37 +451,13 @@ def lift_coaction(E, C, incl, T):
     def lift(target, fail):
         coaction = {}
         for e in E.elements():
-            cands = pre.get(PT.of(target(e)), ())
+            cands = pre.get(target(e), ())
             if len(cands) != 1:
                 raise fail(e)
             coaction[e] = fs_make(TE.rep(cands[0]))
         return coaction
 
     return lift, collision, TE
-
-
-def _unlinear(S, R, images, at, FI, PE, PT):
-    """The first test of LinearMap.check that the map S -> R sending the
-    elements of S, in order, to images fails, as (test, witness); None if
-    it passes all four.  Sums and actions are read on positions: `at`
-    sends S's positions in PE to its elements, and FI each of them to its
-    image's position in PT."""
-    targets = set(R.elements())
-    w = next((x for x, y in zip(at.values(), images) if y not in targets), None)
-    if w is not None:
-        return "codomain", w
-    if FI[PE.zero] != PT.zero:
-        return "zero", S.zero
-    f = FI.__getitem__
-    w = unpreserved(f, lambda p, q: PE.add[p][q], lambda a, b: PT.add[a][b], itertools.product(at, at))
-    if w is not None:
-        return "additive", (at[w[0]], at[w[1]])
-    scalars = S.base.elements or ()
-    acts = itertools.product(at, range(len(scalars)))
-    w = unpreserved(f, lambda p, k: PE.act[p][k], lambda a, k: PT.act[a][k], acts, scalar=True)
-    if w is not None:
-        return "action", (at[w[0]], scalars[w[1]])
-    return None
 
 
 def verify_equalizer_universal(f, g, M, N, eq, iota, candidates):
