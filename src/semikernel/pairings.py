@@ -9,6 +9,7 @@ from .semicorings import Semicoring, check_semicoring, dual_semiring
 from .semimodules import (
     LinearMap,
     Subsemimodule,
+    _homs,
     hom_enumerate,
     retable_module,
     scalar_of,
@@ -170,24 +171,14 @@ def alpha_check(P: MeasuringPairing, M_A) -> dict:
             w_inj = (tuples[key], t)
             break
         tuples[key] = t
-    V = P.amodule()
-    homs = hom_enumerate(V, M_A, as_maps=False)
-    ambient_keys = {tuple(h[(a,)] for a in aels) for h in homs}
+    # the elements of P.amodule() are (a,) for a in aels, both in ordkey order
+    _, mels, homs = _homs(P.amodule(), M_A)
+    ambient_keys = {tuple(map(mels.__getitem__, f)) for f in homs}
     img = set(tuples)
     if not img <= ambient_keys:
         raise InternalInvariantError("alpha image escapes the hom set")
     # subtractive: image closed inside the hom monoid under the closure rule
-    w_sub = None
-    for h in ambient_keys:
-        if h in img:
-            continue
-        for l1 in img:
-            shifted = tuple(M_A.add(x, y) for x, y in zip(h, l1))
-            if shifted in img:
-                w_sub = h
-                break
-        if w_sub:
-            break
+    w_sub = next((h for h in ambient_keys if h not in img and any(tuple(map(M_A.add, h, l1)) in img for l1 in img)), None)
     return {
         "injective": w_inj is None,
         "injective_witness": w_inj,
@@ -382,11 +373,12 @@ def dual_of_asemiring(P: MeasuringPairing):
     """The dual module of the pairing semiring, with its right translation
     action (f.a)(b) = f(ab)."""
     A = P.base
-    V = P.amodule()
     SM = semiring_module(A)
-    homs = hom_enumerate(V, SM, as_maps=False)
+    # the elements of P.amodule() are (a,) for a in aels, both in ordkey order
+    _, sels, homs = _homs(P.amodule(), SM)
+    scalars = [scalar_of(SM, x) for x in sels]
     aels = list(P.asemiring.elements)
-    keys = [tuple(scalar_of(SM, h[(a,)]) for a in aels) for h in homs]
+    keys = [tuple(map(scalars.__getitem__, f)) for f in homs]
     key_set = set(keys)
     aidx = {a: i for i, a in enumerate(aels)}
     add_table = {
@@ -439,15 +431,15 @@ def coring_in_dual_check(P: MeasuringPairing) -> Report:
 def end_semiring_iso_check(C: Semicoring) -> Report:
     """The right dual is the endomorphism semiring of the coring as a comodule:
     f -> [c -> sum f(c_1) c_2], inverse g -> eps . g."""
-    from .semicomodules import colinear_maps, coring_as_comodule
+    from .semicomodules import _colinear, coring_as_comodule
 
     rep = Report(f"dual = End of {C.name}")
     D = dual_semiring(C, "right")
     com = coring_as_comodule(C)
-    ends = colinear_maps(com, com)
+    ends = _colinear(com, com)
     rep.add("cardinality", len(ends) == len(D.homs), (len(ends), len(D.homs)))
     els = C.carrier.elements()
-    phis = {k: _phi_tuple(C, k, D) for k in D.semiring.elements}
+    phis = {k: _phi_positions(C, k) for k in D.semiring.elements}
     images = {}
     w = None
     for k in D.semiring.elements:
@@ -457,34 +449,26 @@ def end_semiring_iso_check(C: Semicoring) -> Report:
             break
         images[tup] = k
         # inverse: eps after the endomap returns the functional
-        back = tuple(C.eps[v] for v in tup)
+        back = tuple(C.eps[els[p]] for p in tup)
         if back != k:
             w = k
             break
     rep.add("bijective-with-inverse", w is None, w)
-    end_tuples = {tuple(f(c) for c in els) for f in ends}
-    rep.add("image-is-End", set(images) == end_tuples)
+    rep.add("image-is-End", set(images) == {f for _, f in ends})
     # semiring morphism: convolution goes to composition
-    w = None
-    for k1 in D.semiring.elements:
-        for k2 in D.semiring.elements:
-            f1 = dict(zip(els, phis[k1]))
-            f2 = dict(zip(els, phis[k2]))
-            comp = tuple(f1[f2[c]] for c in els)
-            if comp != phis[D.semiring.mul(k1, k2)]:
-                w = (k1, k2)
-                break
-        if w:
-            break
+    ks, mul = D.semiring.elements, D.semiring.mul
+    w = next(((k1, k2) for k1 in ks for k2 in ks if tuple(map(phis[k1].__getitem__, phis[k2])) != phis[mul(k1, k2)]), None)
     rep.add("multiplicative", w is None, w)
     return rep
 
 
-def _phi_tuple(C, k, D):
+def _phi_positions(C, k):
+    """The endomap c -> sum f(c_1) c_2 of the dual key k (f's values by
+    carrier position), as the carrier position of each image."""
     car = C.carrier
-    fv = D.key_of[k]
+    index = car.indexed().index
     return tuple(
-        fs_eval(car, ((car.act_left(fv[c1], c2), mult) for (c1, c2), mult in C.delta[c]))
+        index[fs_eval(car, ((car.act_left(k[index[c1]], c2), mult) for (c1, c2), mult in C.delta[c]))]
         for c in car.elements()
     )
 

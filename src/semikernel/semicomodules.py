@@ -20,7 +20,9 @@ from .semimodules import (
     LinearMap,
     Semimodule,
     _greedy_positions,
+    _hom_map,
     _hom_positions,
+    _homs,
     _times,
     hom_enumerate,
     identity_map,
@@ -43,9 +45,10 @@ from .util import Report, fs_eval, fs_make, ordkey, unpreserved
 class Semicomodule:
     """Finite right semicomodule: carrier M over A with coaction into M (x) C.
 
-    M (x) C (`mc`, built unless passed in as `mc=`), the lazy
-    M (x) C (x) C (`mcc`), each element's normalized coaction and the
-    additivity witness are computed once, on first use.
+    M (x) C (`mc`, built unless passed in as `mc=`), the lazy M (x) C (x) C
+    (`mcc`), the coaction on positions (`compiled`, which also gives each
+    element's normalized coaction) and the additivity witness are computed
+    once, on first use.
     """
 
     structured = False
@@ -57,7 +60,6 @@ class Semicomodule:
         self.name = name
         self._mc = mc
         self._mcc = None
-        self._rho = {}
 
     def mc(self):
         if self._mc is None:
@@ -71,10 +73,9 @@ class Semicomodule:
         return self._mcc
 
     def rho_norm(self, m):
-        rho = self._rho.get(m)
-        if rho is None:
-            rho = self._rho[m] = self.mc().push(self.coaction[m])
-        return rho
+        """rho(m) normalized in M (x) C: the element at its compiled position."""
+        c = self.compiled
+        return c.sums.element(c.rhobar[self.carrier.indexed().index[m]])
 
     @cached_property
     def compiled(self):
@@ -110,22 +111,23 @@ class _Positions:
     """A finite module R on integer positions, for folds that must not
     index all of R: M (x) C can be far too large for R.indexed().
 
-    of(x) is the position of the element x, add[i][j] that of the sum of
-    the elements at i and j, and zero that of R.zero.  A single table
-    atom's carrier positions and rows are read as they are (every
-    saturation tensor's result is one), and of(x) is None off the carrier.
-    Otherwise positions are handed out in the order elements are first
-    seen, under a lock so that an element never gets two, and each sum is
-    computed once, when a fold first reaches it.
+    of(x) is the position of the element x, element(i) the element at i,
+    add[i][j] the position of the sum of the elements at i and j, and zero
+    that of R.zero.  A single table atom's carrier positions and rows are
+    read as they are (every saturation tensor's result is one), and of(x)
+    is None off the carrier.  Otherwise positions are handed out in the
+    order elements are first seen, under a lock so that an element never
+    gets two, and each sum is computed once, when a fold first reaches it.
     """
 
-    __slots__ = ("of", "add", "zero")
+    __slots__ = ("of", "element", "add", "zero")
 
     def __init__(self, R):
         atom = R.atoms[0] if len(R.atoms) == 1 else None
         if isinstance(atom, TableAtom) and atom.base is R.base:
-            index = atom.index
+            index, carrier = atom.index, atom._carrier
             self.of = lambda x: index.get(x[0])
+            self.element = lambda i: (carrier[i],)
             self.add = atom._rows
         else:
             els, lock = [], threading.Lock()
@@ -140,6 +142,7 @@ class _Positions:
 
             ids = _Memo(new)
             self.of = ids.__getitem__
+            self.element = els.__getitem__
             self.add = _Memo(lambda i: _Memo(lambda j: ids[R.add(els[i], els[j])]))
         self.zero = self.of(R.zero)
 
@@ -270,35 +273,43 @@ def _square(M, N, f, on):
     return all(image(terms[m], f) == rhobar[f[m]] for m in on)
 
 
+def _map_positions(f, M, N):
+    """The map f: M -> N of finite modules as the N-position of f(m), for
+    each element m of M in order."""
+    index = N.indexed().index
+    return [index[f(m)] for m in M.elements()]
+
+
 def comodule_hom_check(f: LinearMap, M: Semicomodule, N: Semicomodule, on=None) -> bool:
     """Colinearity square: (f (x) C) . rho_M = rho_N . f, on the elements
     `on` of M (default: every element)."""
-    mx, nindex = M.carrier.indexed(), N.carrier.indexed().index
+    mx = M.carrier.indexed()
     on = range(len(mx.elements)) if on is None else [mx.index[m] for m in on]
-    return _square(M, N, [nindex[f(m)] for m in mx.elements], on)
+    return _square(M, N, _map_positions(f, M.carrier, N.carrier), on)
 
 
 def colinear_maps(M: Semicomodule, N: Semicomodule):
     """The linear maps M -> N whose colinearity square commutes, in the
-    order and with the names h{i} of hom_enumerate(M.carrier, N.carrier).
+    order and with the names h{i} of hom_enumerate(M.carrier, N.carrier);
+    a LinearMap is built only for a map that passes (_colinear)."""
+    return [_hom_map(M.carrier, N.carrier, N.carrier.elements(), f, i) for i, f in _colinear(M, N)]
 
-    The square is tested on the position tuples of the hom search, and a
-    LinearMap is built only for a map that passes.  When both coactions
-    are additive, both sides of the square are additive maps for a linear
-    f, so they agree everywhere once they agree on zero and on an additive
-    generating set; the square is then tested there only.  Otherwise it is
-    tested on every element.
+
+def _colinear(M: Semicomodule, N: Semicomodule):
+    """(i, f) for each position tuple f of _hom_positions(M.carrier,
+    N.carrier) whose colinearity square commutes, i being its index among
+    all of them.
+
+    When both coactions are additive, both sides of the square are additive
+    maps for a linear f, so they agree everywhere once they agree on zero
+    and on an additive generating set; the square is then tested there
+    only.  Otherwise it is tested on every element.
     """
     mx = M.carrier.indexed()
     on = range(len(mx.elements))
     if M.additivity_witness is None and N.additivity_witness is None:
         on = [mx.zero, *_greedy_positions(mx)]
-    nels = N.carrier.elements()
-    return [
-        LinearMap(M.carrier, N.carrier, dict(zip(mx.elements, map(nels.__getitem__, f))).__getitem__, name=f"h{i}")
-        for i, f in enumerate(_hom_positions(M.carrier, N.carrier))
-        if _square(M, N, f, on)
-    ]
+    return [(i, f) for i, f in enumerate(_hom_positions(M.carrier, N.carrier)) if _square(M, N, f, on)]
 
 
 # ---------------------------------------------------------------- cofree
@@ -330,7 +341,7 @@ def cofree_adjunction_check(Y: Semicomodule, X) -> Report:
     C = Y.coring
     XC = cofree_comodule(X, C)
     colin = colinear_maps(Y, XC)
-    homs = hom_enumerate(Y.carrier, X)
+    _, _, homs = _homs(Y.carrier, X)
     rep.add("hom-count", len(colin) == len(homs), (len(colin), len(homs)))
     T = XC.base_tensor
     # forward: f -> theta . (X (x) eps) . f, then back; must round-trip
@@ -373,25 +384,23 @@ def comodule_coequalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicom
 
 
 def verify_coequalizer_universal(f, g, M, N, coeq, pi, candidates):
-    """Universal property against every enumerated colinear competitor;
-    each factor hbar is built and tested on positions."""
-    nels = N.carrier.elements()
-    qindex = coeq.carrier.indexed().index
-    proj = [qindex[pi(n)] for n in nels]
+    """Universal property against every enumerated colinear competitor, on
+    positions: f, g and pi are read once, and each competitor h (named h{i}
+    as in colinear_maps) and its factor hbar are position lists."""
+    fs, gs = _map_positions(f, M.carrier, N.carrier), _map_positions(g, M.carrier, N.carrier)
+    proj = _map_positions(pi, N.carrier, coeq.carrier)
     for T in candidates:
-        tindex = T.carrier.indexed().index
-        for h in colinear_maps(N, T):
-            if any(h(f(m)) != h(g(m)) for m in M.carrier.elements()):
+        for i, h in _colinear(N, T):
+            if any(h[x] != h[y] for x, y in zip(fs, gs)):
                 continue
             # factorization: unique hbar with hbar . pi = h
-            hbar = [None] * len(qindex)
-            for q, n in zip(proj, nels):
-                t = tindex[h(n)]
+            hbar = [None] * len(coeq.carrier.elements())
+            for q, t in zip(proj, h):
                 if hbar[q] is not None and hbar[q] != t:
-                    return False, (h.name, T.name)
+                    return False, (f"h{i}", T.name)
                 hbar[q] = t
             if not _square(coeq, T, hbar, range(len(hbar))):
-                return False, (h.name, T.name, "factor not colinear")
+                return False, (f"h{i}", T.name, "factor not colinear")
     return True, None
 
 
@@ -461,19 +470,20 @@ def lift_coaction(E, C, incl, T):
 
 
 def verify_equalizer_universal(f, g, M, N, eq, iota, candidates):
-    """Universal property against every enumerated colinear competitor;
-    each lift is built and tested on positions."""
-    eq_index = {iota(e): i for i, e in enumerate(eq.carrier.elements())}
+    """Universal property against every enumerated colinear competitor, on
+    positions: f, g and iota are read once, and each competitor h (named
+    h{i} as in colinear_maps) and its lift are position lists."""
+    fs, gs = _map_positions(f, M.carrier, N.carrier), _map_positions(g, M.carrier, N.carrier)
+    eq_index = {m: e for e, m in enumerate(_map_positions(iota, eq.carrier, M.carrier))}
     for T in candidates:
-        tels = T.carrier.elements()
-        for h in colinear_maps(T, M):
-            if any(f(h(t)) != g(h(t)) for t in tels):
+        for i, h in _colinear(T, M):
+            if any(fs[m] != gs[m] for m in h):
                 continue
-            lift = [eq_index.get(h(t)) for t in tels]
+            lift = [eq_index.get(m) for m in h]
             if None in lift:
-                return False, (h.name, T.name)
+                return False, (f"h{i}", T.name)
             if not _square(T, eq, lift, range(len(lift))):
-                return False, (h.name, T.name, "lift not colinear")
+                return False, (f"h{i}", T.name, "lift not colinear")
     return True, None
 
 

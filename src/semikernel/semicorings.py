@@ -17,8 +17,8 @@ from .semimodules import (
     LinearMap,
     Semimodule,
     Subsemimodule,
+    _homs,
     congruence_mod,
-    hom_enumerate,
     quotient_by_congruence,
     scalar_of,
     scalar_to,
@@ -496,7 +496,6 @@ def trivial_coextension(A, M, name=None):
         delta[x] = fs_make(terms)
         eps[x] = a
     C = Semicoring(A, car, delta, eps, name=name or f"coext({A.name},{M.name})")
-    C.a_inject = inj_a
     C.m_inject = inj_m
     return C
 
@@ -543,12 +542,11 @@ def counterexample_semicoalgebra(n, name=None):
 class DualSemiring:
     """Convolution semiring on a hom set of a finite semicoring."""
 
-    def __init__(self, origin, side, semiring, homs, key_of, eta):
+    def __init__(self, origin, side, semiring, homs, eta):
         self.origin = origin
         self.side = side
         self.semiring = semiring
-        self.homs = homs  # key -> LinearMap
-        self.key_of = key_of  # mapping carrier-functions as value tuples
+        self.homs = homs  # the keys, in ordkey order
         self.eta = eta  # base element -> key
 
     def __repr__(self):
@@ -562,36 +560,32 @@ def dual_semiring(C, side="left", max_size=64):
     A = C.base
     car = C.carrier
     SM = semiring_module(A)
-    homs = hom_enumerate(car, SM)
+    _, sels, homs = _homs(car, SM)
+    scalars = [scalar_of(SM, x) for x in sels]
+    # a key lists a functional's values by carrier position, so linearity and
+    # the convolution read the actions off position rows: ix.act[i][s] is
+    # c_i * (s-th scalar) and left[i][s] is (s-th scalar) * c_i
+    ix = car.indexed()
+    els = ix.elements
+    left = [[ix.index[car.act_left(a, c)] for a in A.elements] for c in els]
+
+    def linear(k, act, mul):
+        return all(k[act[i][s]] == mul(v, a) for i, v in enumerate(k) for s, a in enumerate(A.elements))
+
     # keep two-sided linear functionals only (gallery actions are symmetric,
     # but the Sweedler examples genuinely need the filter)
-    acts = [(c, a) for a in A.elements for c in car.elements()]
-
-    def linear(f, op, top):
-        return unpreserved(lambda c: scalar_of(SM, f(c)), op, top, acts, scalar=True) is None
-
-    def left(f):
-        return linear(f, lambda c, a: car.act_left(a, c), lambda v, a: A.mul(a, v))
-
     kept = [
-        f
-        for f in homs
-        if (side not in ("left", "two") or left(f))
-        and (side not in ("right", "two") or linear(f, car.act, A.mul))
+        k
+        for k in (tuple(map(scalars.__getitem__, f)) for f in homs)
+        if (side not in ("left", "two") or linear(k, left, lambda v, a: A.mul(a, v)))
+        and (side not in ("right", "two") or linear(k, ix.act, A.mul))
     ]
     if len(kept) > max_size:
         raise UnsupportedError(
             f"dual hom set has {len(kept)} elements, above the cap {max_size}"
         )
-    els = car.elements()
-    keys = {}
-    for f in kept:
-        keys[tuple(scalar_of(SM, f(c)) for c in els)] = f
-    eval_of = {k: dict(zip(els, k)) for k in keys}
-    # a key lists f's values by carrier position, so the convolution reads the action
-    # off position rows: act[i][s] is c_i * (s-th scalar), or s * c_i on the right side
-    ix = car.indexed()
-    act = ix.act if side != "right" else [[ix.index[car.act_left(a, c)] for a in A.elements] for c in els]
+    keys = set(kept)
+    act = ix.act if side != "right" else left
     delta = [[(ix.index[c1], ix.index[c2], mult) for (c1, c2), mult in C.delta[c]] for c in els]
 
     def term(fk, gk, i1, i2):
@@ -606,7 +600,7 @@ def dual_semiring(C, side="left", max_size=64):
 
     add_table = {}
     mul_table = {}
-    klist = sorted(keys, key=ordkey)
+    klist = sorted(kept, key=ordkey)
     for fk in klist:
         for gk in klist:
             sk = tuple(A.add(x, y) for x, y in zip(fk, gk))
@@ -630,7 +624,7 @@ def dual_semiring(C, side="left", max_size=64):
     eta = {a: tuple(A.mul(a, C.eps[c]) for c in els) for a in A.elements}
     if any(k not in keys for k in eta.values()):
         raise FormatError("unit map image escapes the dual")
-    return DualSemiring(C, side, ring, {k: keys[k] for k in klist}, eval_of, eta)
+    return DualSemiring(C, side, ring, tuple(klist), eta)
 
 
 # ---------------------------------------------------------------- coideals

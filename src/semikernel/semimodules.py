@@ -4,12 +4,14 @@ quotients, subtractive closure, hom enumeration and the exactness taxonomy.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
-from .errors import FormatError, UnsupportedError, negative_count
+from .errors import FormatError, UndecidedError, UnsupportedError, negative_count
+from .presentations import DEFAULT_BUDGET
 from .util import Report, sorted_elems, unpreserved
 
 SAMPLES = 64  # sample size of the checks on effective carriers
@@ -21,7 +23,7 @@ class Semimodule:
     be given (tensor carriers need genuinely two-sided structure).
     """
 
-    # attributes set after construction (basis, hom_keys, ...) go to __dict__
+    # attributes set after construction (basis, ...) go to __dict__
     __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "__dict__")
 
     def __init__(self, base, atoms, name="M", act_left=None):
@@ -911,30 +913,34 @@ def _times(add, zero, t, k):
     return acc
 
 
-def hom_enumerate(M, N, as_maps=True):
+def hom_enumerate(M, N):
     """All linear maps M -> N for finite M; N finite or with solvable atoms.
 
-    Generators are the greedy ones of M.indexed(), in element order, and
-    their images are pruned by each generator's cyclic constraint: with
-    (i + p)g = ig, an image t needs (i + p)t = it.  Every other element's
-    image is folded along the step x -> x + g that first reached it, walking
-    from zero, and a candidate is kept if it is additive and preserves the
-    action.  For a free source every basis-image assignment extends
-    uniquely, so no verification is needed at all.  The search runs on
-    positions (_hom_positions): into N itself when N is finite, otherwise
-    into the finite image hull of M in N (_image_hull).  The maps come in
+    The search runs on positions (_homs, _hom_positions).  The maps come in
     the ordkey order of their images on M.elements(), named h0, h1, ... in
     that order.
     """
+    _, nels, homs = _homs(M, N)
+    return [_hom_map(M, N, nels, f, i) for i, f in enumerate(homs)]
+
+
+def _homs(M, N):
+    """Hom(M, N) for finite M as (T, nels, homs): the finite module T the
+    search runs in (N when it is finite, otherwise the image hull of M in N,
+    _image_hull), the element of N at each position of T, and the sorted
+    position tuples _hom_positions(M, T)."""
     if not M.is_finite:
         raise UnsupportedError("hom enumeration needs a finite source")
-    mels = M.elements()
-    target = N if N.is_finite else _image_hull(M, N)
-    nels = N.elements() if target is N else [h for (h,) in target.elements()]
-    graphs = [dict(zip(mels, map(nels.__getitem__, f))) for f in _hom_positions(M, target)]
-    if not as_maps:
-        return graphs
-    return [LinearMap(M, N, m.__getitem__, name=f"h{i}") for i, m in enumerate(graphs)]
+    if N.is_finite:
+        return N, N.elements(), _hom_positions(M, N)
+    T = _image_hull(M, N)
+    return T, [h for (h,) in T.elements()], _hom_positions(M, T)
+
+
+def _hom_map(M, N, nels, f, i):
+    """The LinearMap h{i}: M -> N sending each element of M to the element
+    of nels at its position in the tuple f."""
+    return LinearMap(M, N, dict(zip(M.elements(), map(nels.__getitem__, f))).__getitem__, name=f"h{i}")
 
 
 def _generator_walk(mx):
@@ -1000,15 +1006,38 @@ def _hom_positions(M, N):
     """Hom(M, N) for finite M and N as tuples of N-positions, one per
     position of M, sorted: N.elements() is in ordkey order, so this is the
     ordkey order of the images.  Sums and actions are read off the rows of
-    M.indexed() and N.indexed(); a free source folds the sum of basis image
-    * coordinate over its non-zero coordinates, in order."""
+    M.indexed() and N.indexed().
+
+    Generators are the greedy ones of M.indexed(), in element order, and
+    their images are pruned by each generator's cyclic constraint: with
+    (i + p)g = ig, an image t needs (i + p)t = it.  Every other element's
+    image is folded along the step x -> x + g that first reached it, walking
+    from zero, and a candidate is kept if it is additive and preserves the
+    action.  A free source instead folds the sum of basis image *
+    coordinate over its non-zero coordinates, in order: every assignment of
+    basis images extends uniquely, so it needs no check.  The candidates
+    are counted before any is built, and more than DEFAULT_BUDGET of them
+    raise UndecidedError.
+    """
     mx, nx = M.indexed(), N.indexed()
     madd, nadd, nact, nzero = mx.add, nx.add, nx.act, nx.zero
     S = M.base
+    free = len(M.atoms) == 1 and isinstance(M.atoms[0], FreeAtom)
+    if free:
+        cands = [range(len(nx.elements))] * len(M.atoms[0].basis)
+    else:
+        constraints, steps = _generator_walk(mx)
+        cands = [
+            [t for t in range(len(nx.elements)) if _times(nadd, nzero, t, hi) == _times(nadd, nzero, t, lo)]
+            for hi, lo in constraints
+        ]
+    count = math.prod(map(len, cands))
+    if count > DEFAULT_BUDGET:
+        raise UndecidedError(f"hom search {M.name} -> {N.name}: {count} candidates, above the cap {DEFAULT_BUDGET}")
     out = []
-    if len(M.atoms) == 1 and isinstance(M.atoms[0], FreeAtom):
+    if free:
         terms = [[(i, S.index[c]) for i, c in enumerate(x[0]) if c != S.zero] for x in mx.elements]
-        for images in itertools.product(range(len(nx.elements)), repeat=len(M.atoms[0].basis)):
+        for images in itertools.product(*cands):
             f = []
             for t in terms:
                 acc = nzero
@@ -1018,11 +1047,6 @@ def _hom_positions(M, N):
             out.append(tuple(f))
         out.sort()
         return out
-    constraints, steps = _generator_walk(mx)
-    cands = [
-        [t for t in range(len(nx.elements)) if _times(nadd, nzero, t, hi) == _times(nadd, nzero, t, lo)]
-        for hi, lo in constraints
-    ]
     # over NAT additivity implies linearity; otherwise act columns are base.elements
     acts = [] if S.elements is None else list(enumerate(mx.act))
     f = [nzero] * len(mx.elements)
@@ -1040,32 +1064,24 @@ def _hom_positions(M, N):
 
 
 def hom_module(M, N):
-    """The hom set as a module under pointwise addition and action."""
-    maps = hom_enumerate(M, N, as_maps=False)
-    els = M.elements()
-    keys = [tuple(m[x] for x in els) for m in maps]
-    key_of = {k: k for k in keys}
+    """The hom set as a module under pointwise addition and action, summed
+    and acted on along the position tuples of the hom search (_homs)."""
+    T, nels, homs = _homs(M, N)
+    tx = T.indexed()
+    index = {f: i for i, f in enumerate(homs)}
 
-    def addk(a, b):
-        k = tuple(N.add(x, y) for x, y in zip(a, b))
-        if k not in key_of:
-            raise FormatError("hom set not closed under addition")
-        return k
+    def closed(k, what):
+        i = index.get(k)
+        if i is None:
+            raise FormatError(f"hom set not closed under {what}")
+        return i
 
-    add_table = {(a, b): addk(a, b) for a in keys for b in keys}
+    add = [[closed(tuple(tx.add[x][y] for x, y in zip(f, g)), "addition") for g in homs] for f in homs]
+    action = None
     if N.base.elements is not None:
-        def actk(a, s):
-            k = tuple(N.act(x, s) for x in a)
-            if k not in key_of:
-                raise FormatError("hom set not closed under action")
-            return k
-
-        action = {(a, s): actk(a, s) for a in keys for s in N.base.elements}
-    else:
-        action = None
-    H = table_module(N.base, keys, add_table, action, name=f"Hom({M.name},{N.name})")
-    H.hom_keys = {k: LinearMap(M, N, dict(zip(els, k)).__getitem__) for k in keys}
-    return H
+        action = [[closed(tuple(tx.act[x][s] for x in f), "action") for s in range(len(N.base.elements))] for f in homs]
+    keys = [tuple(map(nels.__getitem__, f)) for f in homs]
+    return table_module(N.base, keys, add, action, name=f"Hom({M.name},{N.name})")
 
 
 # ---------------------------------------------------------------- dual basis
@@ -1111,10 +1127,9 @@ def find_isomorphism(M, N):
         raise UnsupportedError("witness search needs finite modules")
     if len(M.elements()) != len(N.elements()):
         return None
-    for f in hom_enumerate(M, N):
-        preds_inj = len({f(x) for x in M.elements()}) == len(M.elements())
-        if preds_inj:
-            return f
+    for i, f in enumerate(_hom_positions(M, N)):
+        if len(set(f)) == len(f):
+            return _hom_map(M, N, N.elements(), f, i)
     return None
 
 

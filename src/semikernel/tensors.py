@@ -107,11 +107,9 @@ class FreeTensor(TensorProduct):
         self.atoms = [m.atoms[0] for m in factors]
         basis = [tuple(range(len(a.basis))) for a in self.atoms]
         self.pairs = list(itertools.product(*basis))
-        atom = FreeAtom(over, self.pairs)
         self.result = Semimodule(
-            over, [atom], name=name or "(x)".join(m.name for m in factors)
+            over, [FreeAtom(over, self.pairs)], name=name or "(x)".join(m.name for m in factors)
         )
-        self._atom = atom
 
     def pure(self, *ms):
         S = self.over
@@ -280,7 +278,7 @@ class SaturationTensor(TensorProduct):
             for i, row in enumerate(rows):  # compact in place: one list at a time beside the arrays
                 rows[i] = compact(row, n)
         r_ring, r_fn = right_action if right_action is not None else (self.over, None)
-        l_ring, l_fn = left_action if left_action is not None else (self.over, None)
+        l_fn = left_action[1] if left_action is not None else None
         gen_nfs = [classes[j] for j in steps[0]]
         action = None
         if r_ring.elements is not None:
@@ -297,8 +295,6 @@ class SaturationTensor(TensorProduct):
             name=name or "(x)".join(m.name for m in self.factors),
             act_left=act_l,
         )
-        self.left_ring = l_ring
-        self.right_ring = r_ring
 
     def _act_slot(self, vec, s, slot, custom_fn):
         """Action applied in one tensor slot of every generator of a class vector.

@@ -11,9 +11,13 @@ their images on `M.elements()`.  Both routes must give the same maps, in the
 same order, under the same `h{i}` names.
 """
 import itertools
+import time
 
 import pytest
 
+from semikernel.errors import UndecidedError
+from semikernel.gallery import gallery_coring
+from semikernel.presentations import DEFAULT_BUDGET
 from semikernel.semimodules import (
     bool_module,
     cyclic_module,
@@ -173,7 +177,6 @@ def test_hom_enumerate_matches_the_element_route(M, N):
     maps = hom_enumerate(M, N)
     assert [f.mapping for f in maps] == ref
     assert [f.name for f in maps] == [f"h{i}" for i in range(len(ref))]
-    assert hom_enumerate(M, N, as_maps=False) == ref
 
 
 def test_the_oracle_pairs_are_not_vacuous():
@@ -183,3 +186,14 @@ def test_the_oracle_pairs_are_not_vacuous():
     assert counts[-3:] == [4, 6, 1]
     # e.g. C4 -> Q/Z(+)Q/Z has 4 * 4 maps; B(+)C4 -> Q/Z(+)B only those of C4 -> Q/Z
     assert [len(ref_hom(M, N)) for M, N in MIXED] == [16, 4, 8, 36, 6, 36, 1, 2, 1, 16, 8, 8]
+
+
+def test_hom_search_counts_its_candidates_before_building_any():
+    """words1_L2's carrier is free of rank 7 on 128 elements, so a search
+    over itself has 128^7 candidates: it is refused at once, naming the
+    count and the cap, instead of running."""
+    W = gallery_coring("words1_L2").carrier
+    t0 = time.perf_counter()
+    with pytest.raises(UndecidedError, match=f"hom search .*: {128 ** 7} candidates, above the cap {DEFAULT_BUDGET}"):
+        hom_enumerate(W, W)
+    assert time.perf_counter() - t0 < 1.0

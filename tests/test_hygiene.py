@@ -53,3 +53,24 @@ def test_every_private_function_is_referenced():
             if everywhere[name] - _names(node)[name] <= 0:
                 unreferenced.append(f"{module}: {name}")
     assert not unreferenced, unreferenced
+
+
+def test_every_stored_attribute_is_read():
+    """Each attribute that src/semikernel stores is loaded somewhere in the
+    source or the tests, or named by a string (a slot, a getattr)."""
+    tests = Path(__file__).resolve().parent
+    trees = list(TREES.values()) + [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(tests.glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    unread = sorted(
+        f"{module}:{n.lineno}: .{n.attr}"
+        for module, tree in TREES.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and n.attr not in read
+    )
+    assert not unread, unread

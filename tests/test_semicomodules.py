@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from semikernel.errors import CertificateError, FormatError, InternalInvariantError
+from semikernel.errors import CertificateError, FormatError, InternalInvariantError, UnsupportedError
 from semikernel.gallery import gallery_coring, mutation_corpus
 from semikernel.pairings import (
     alpha_check,
@@ -19,11 +19,12 @@ from semikernel.pairings import (
     rational_part,
     restrict_to_base,
 )
-from semikernel.semicorings import basis_elem
+from semikernel.semicorings import basis_elem, dual_semiring
 from semikernel.semimodules import (
     LinearMap,
     _hom_positions,
     cyclic_module,
+    find_isomorphism,
     free_semimodule,
     hom_enumerate,
     identity_map,
@@ -336,6 +337,40 @@ def test_cofree_colinear_search_builds_one_linear_map_per_survivor(monkeypatch):
     every = _hom_positions(XC.carrier, XC.carrier)
     assert [f.name for f in maps] == [f"h{bisect.bisect_left(every, g)}" for g in graphs]
     assert [tuple(ix.index[f(y)] for y in ix.elements) for f in maps] == graphs
+
+
+def test_linear_maps_are_built_only_for_callers_that_get_maps(monkeypatch):
+    """Inside the kernel a hom set stays position tuples: both universal
+    verifiers, run on a criterion-9 pair, build no LinearMap, nor does the
+    left dual of words1_L2, which searches all 128 functionals before its
+    size cap refuses them; find_isomorphism builds only the one map it
+    returns, named as in hom_enumerate."""
+    CC = coring_as_comodule(GL)
+    ends = colinear_maps(CC, CC)
+    f, g = ends[0], ends[-1]
+    coeq, pi = comodule_coequalizer(f, g, CC, CC)
+    eq, iota = comodule_equalizer(f, g, CC, CC)
+    W1 = gallery_coring("words1_L2")
+    X = free_semimodule(B, 2)
+    built = []
+    init = LinearMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearMap, "__init__", counted)
+    coeq_verdict = verify_coequalizer_universal(f, g, CC, CC, coeq, pi, [coring_as_comodule(GL), coeq])
+    eq_verdict = verify_equalizer_universal(f, g, CC, CC, eq, iota, [eq])
+    with pytest.raises(UnsupportedError, match="128 elements"):
+        dual_semiring(W1, "left")
+    assert built == []
+    iso = find_isomorphism(X, X)
+    monkeypatch.undo()
+    assert coeq_verdict == (True, None) and eq_verdict == (True, None)
+    assert built == [iso]
+    first = next(h for h in hom_enumerate(X, X) if len(set(h.mapping.values())) == len(X.elements()))
+    assert (iso.name, iso.mapping) == (first.name, first.mapping)
 
 
 def test_positions_are_handed_out_once_across_threads():
