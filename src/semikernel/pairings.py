@@ -163,18 +163,18 @@ def alpha_check(P: MeasuringPairing, M_A) -> dict:
     """Injectivity and subtractivity of M (x) C -> Hom(A-script, M)."""
     T = tensor(M_A, P.coring.carrier, over=P.base)
     aels = list(P.asemiring.elements)
-    tuples = {}
+    tensor_of = {}
     w_inj = None
     for t in T.result.elements():
         key = tuple(alpha_eval(P, M_A, T, t, a) for a in aels)
-        if key in tuples:
-            w_inj = (tuples[key], t)
+        if key in tensor_of:
+            w_inj = (tensor_of[key], t)
             break
-        tuples[key] = t
+        tensor_of[key] = t
     # the elements of P.amodule() are (a,) for a in aels, both in ordkey order
     _, mels, homs = _homs(P.amodule(), M_A)
     ambient_keys = {tuple(map(mels.__getitem__, f)) for f in homs}
-    img = set(tuples)
+    img = set(tensor_of)
     if not img <= ambient_keys:
         raise InternalInvariantError("alpha image escapes the hom set")
     # subtractive: image closed inside the hom monoid under the closure rule
@@ -185,6 +185,7 @@ def alpha_check(P: MeasuringPairing, M_A) -> dict:
         "subtractive": w_sub is None,
         "subtractive_witness": w_sub,
         "tensor": T,
+        "tensor_of": tensor_of,  # alpha(t) on aels -> t; holds every t when injective
     }
 
 
@@ -252,9 +253,9 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
     """Largest subobject whose action is represented by a tensor over the coring.
 
     M is a finite module over the pairing semiring.  Requires the alpha
-    certificate on M restricted to the base; representing tensors are found
-    by exhaustive search through the canonical forms, so uniqueness is
-    checked, not assumed.
+    certificate on M restricted to the base; the representing tensor of m
+    is looked up by its action on the pairing semiring's elements among the
+    alpha values that alpha_check evaluated, which injectivity makes unique.
     """
     M_A = restrict_to_base(P, M)
     rep = alpha_report or alpha_check(P, M_A)
@@ -262,22 +263,12 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
         raise CertificateError("alpha condition not certified on this module")
     T = rep["tensor"]
     aels = list(P.asemiring.elements)
-    alpha_key = {
-        t: tuple(alpha_eval(P, M_A, T, t, a) for a in aels) for t in T.result.elements()
-    }
+    tensor_of = rep["tensor_of"]
     rho = {}
     for m in M.elements():
-        wanted = tuple(M.act(m, a) for a in aels)
-        found = None
-        for t, key in alpha_key.items():
-            if key == wanted:
-                if found is not None:
-                    raise InternalInvariantError(
-                        f"two representing tensors for {m}: certification refuted"
-                    )
-                found = t
-        if found is not None:
-            rho[m] = found
+        t = tensor_of.get(tuple(M.act(m, a) for a in aels))
+        if t is not None:
+            rho[m] = t
     E = subcarrier_module(M_A, [m[0] for m in rho], name=f"Rat({M.name})")
     incl = LinearMap(E, M_A, lambda x: x, name="rat-incl")
     lift, _, TE = lift_coaction(E, P.coring, incl, T)

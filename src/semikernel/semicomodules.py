@@ -308,7 +308,7 @@ def _colinear(M: Semicomodule, N: Semicomodule):
     mx = M.carrier.indexed()
     on = range(len(mx.elements))
     if M.additivity_witness is None and N.additivity_witness is None:
-        on = [mx.zero, *_greedy_positions(mx)]
+        on = [mx.zero, *_greedy_positions(mx)[0]]
     return [(i, f) for i, f in enumerate(_hom_positions(M.carrier, N.carrier)) if _square(M, N, f, on)]
 
 
@@ -332,7 +332,7 @@ def cofree_comodule(X, C, name=None):
 
 def coring_as_comodule(C):
     """(C, Delta) as a right semicomodule over itself."""
-    return Semicomodule(C, C.carrier, dict(C.delta), name=f"({C.name},Delta)")
+    return Semicomodule(C, C.carrier, dict(C.delta), name=f"({C.name},Delta)", mc=C.cc())
 
 
 def cofree_adjunction_check(Y: Semicomodule, X) -> Report:

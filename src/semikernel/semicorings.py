@@ -252,16 +252,32 @@ def semicoring_morphism_check(f: LinearMap, source, target) -> Report:
 
 # ---------------------------------------------------------------- gallery
 
-def _free_carrier(S, labels, name):
-    atom = FreeAtom(S, labels)
-    M = Semimodule(S, [atom], name=name)
-    M.labels = tuple(labels)
-    return M, atom
-
-
 def basis_elem(M, i, s=None):
     atom = M.atoms[0]
     return (atom.unit(i, s),)
+
+
+def _linear_semicoalgebra(S, labels, name, basis_delta, basis_eps):
+    """The free semicoalgebra on labels with Delta(e_i) = sum s e_j (x) e_k
+    over the (j, s, k) of basis_delta[i] and epsilon(e_i) = basis_eps[i],
+    both extended linearly to every element sum c_i e_i of the carrier."""
+    car = Semimodule(S, [FreeAtom(S, labels)], name=name)
+    car.labels = tuple(labels)
+    delta, eps = {}, {}
+    for v in car.elements():
+        terms = []
+        total = S.zero
+        for i, c in enumerate(v[0]):
+            if c == S.zero:
+                continue
+            for j, s, k in basis_delta[i]:
+                cs = S.mul(c, s)
+                if cs != S.zero:
+                    terms.append(((basis_elem(car, j, cs), basis_elem(car, k)), 1))
+            total = S.add(total, S.mul(c, basis_eps[i]))
+        delta[v] = fs_make(terms)
+        eps[v] = total
+    return Semicoring(S, car, delta, eps, name=car.name)
 
 
 def grouplike_semicoalgebra(S, points, name=None):
@@ -269,21 +285,9 @@ def grouplike_semicoalgebra(S, points, name=None):
     if not S.flags["commutative"]:
         raise FormatError("group-like semicoalgebra needs a commutative base")
     points = list(points)
-    car, atom = _free_carrier(S, points, name or f"GL({S.name},{len(points)})")
-    els = car.elements()
-    delta = {}
-    eps = {}
-    for v in els:
-        coeffs = v[0]
-        terms = []
-        total = S.zero
-        for i, c in enumerate(coeffs):
-            if c != S.zero:
-                terms.append(((basis_elem(car, i, c), basis_elem(car, i)), 1))
-            total = S.add(total, c)
-        delta[v] = fs_make(terms)
-        eps[v] = total
-    return Semicoring(S, car, delta, eps, name=car.name)
+    n = len(points)
+    delta = [[(i, S.one, i)] for i in range(n)]
+    return _linear_semicoalgebra(S, points, name or f"GL({S.name},{n})", delta, [S.one] * n)
 
 
 def polynomial_semicoalgebra(S, d, variant, name=None):
@@ -298,31 +302,13 @@ def polynomial_semicoalgebra(S, d, variant, name=None):
         return C
     if variant != 2:
         raise FormatError("variant must be 1 or 2")
-    car, atom = _free_carrier(S, [f"x{i}" for i in range(d + 1)], name or f"poly2({S.name},{d})")
-    els = car.elements()
-    binom_s = {
-        (i, j): _int_in(S, comb(i, j)) for i in range(d + 1) for j in range(i + 1)
-    }
-    delta = {}
-    eps = {}
-    for v in els:
-        coeffs = v[0]
-        terms = []
-        for i, c in enumerate(coeffs):
-            if c == S.zero:
-                continue
-            for j in range(i + 1):
-                coeff = S.mul(c, binom_s[(i, j)])
-                if coeff == S.zero:
-                    continue
-                terms.append(((basis_elem(car, j, coeff), basis_elem(car, i - j)), 1))
-        delta[v] = fs_make(terms)
-        eps[v] = coeffs[0]
-    return Semicoring(S, car, delta, eps, name=car.name)
-
-
-def _int_in(S, k):
-    return S.times_int(S.one, k)
+    return _linear_semicoalgebra(
+        S,
+        [f"x{i}" for i in range(d + 1)],
+        name or f"poly2({S.name},{d})",
+        [[(j, S.times_int(S.one, comb(i, j)), i - j) for j in range(i + 1)] for i in range(d + 1)],
+        [S.one] + [S.zero] * d,
+    )
 
 
 def _words(L):
@@ -344,9 +330,7 @@ def boolean_word_semicoalgebra(L, variant, name=None):
 
     S = bool_semiring()
     words = _words(L)
-    car, atom = _free_carrier(S, words, name or f"words{variant}(L={L})")
     widx = {w: i for i, w in enumerate(words)}
-    els = car.elements()
 
     def word_terms(w):
         if variant == 1:
@@ -362,26 +346,10 @@ def boolean_word_semicoalgebra(L, variant, name=None):
             return pairs
         raise FormatError("variant must be 1, 2 or 3")
 
-    delta = {}
-    eps = {}
-    for vel in els:
-        coeffs = vel[0]
-        terms = []
-        total_eps = S.zero
-        for i, c in enumerate(coeffs):
-            if c == S.zero:
-                continue
-            w = words[i]
-            for (u, v) in word_terms(w):
-                terms.append(((basis_elem(car, widx[u], c), basis_elem(car, widx[v])), 1))
-            if variant == 1:
-                total_eps = S.add(total_eps, c)  # w(1,1) = 1 for every word
-            else:
-                if w == "":
-                    total_eps = S.add(total_eps, c)  # w(0,0) = [w empty]
-        delta[vel] = fs_make(terms)
-        eps[vel] = total_eps
-    return Semicoring(S, car, delta, eps, name=car.name)
+    delta = [[(widx[u], S.one, widx[v]) for u, v in word_terms(w)] for w in words]
+    # w(1, 1) = 1 for every word; otherwise w(0, 0) = [w empty]
+    eps = [S.one if variant == 1 or w == "" else S.zero for w in words]
+    return _linear_semicoalgebra(S, words, name or f"words{variant}(L={L})", delta, eps)
 
 
 def _bimodule_over(B, A, phi):
@@ -452,7 +420,7 @@ def sweedler_semicoring(phi, name=None):
     T = SaturationTensor(
         [ABA, ABA],
         B,
-        left_action=(A, lambda a, m: to_m(A.mul(a, from_m(m)))),
+        left_action=lambda a, m: to_m(A.mul(a, from_m(m))),
         right_action=(A, lambda m, a: to_m(A.mul(from_m(m), a))),
         name=name or f"{A.name}(x)_{B.name}{A.name}",
     )

@@ -876,30 +876,37 @@ def short_exact_sequence(L: Subsemimodule):
 # ---------------------------------------------------------------- hom sets
 
 def _greedy_positions(ix):
-    """Additive generating set of an indexed carrier, as positions: each
-    position, in order, that the sums of the ones before it do not reach.
-    Hom extension walks sums of generators only, so the scalar action is
-    not used."""
+    """Additive generating set of an indexed carrier, as positions, and the
+    steps (y, x, k) with y = x + gens[k] that first reach each non-zero
+    position y: each position, in order, that the sums of the ones before it
+    do not reach is a generator, reached from zero, and the walk then adds
+    every generator to everything reached.  Every x is zero or comes before
+    the steps from it; the walk is not breadth first.  Hom extension walks
+    sums of generators only, so the scalar action is not used."""
     reached = {ix.zero}
-    gens = []
+    gens, steps = [], []
     for e in range(len(ix.elements)):
         if e not in reached:
+            reached.add(e)
+            steps.append((e, ix.zero, len(gens)))
             gens.append(e)
             frontier = list(reached)
             while frontier:
-                row = ix.add[frontier.pop()]
-                for g in gens:
+                x = frontier.pop()
+                row = ix.add[x]
+                for k, g in enumerate(gens):
                     y = row[g]
                     if y not in reached:
                         reached.add(y)
+                        steps.append((y, x, k))
                         frontier.append(y)
-    return gens
+    return gens, steps
 
 
 def _greedy_gens(M):
     """Additive generating set of a finite M, in element order."""
     ix = M.indexed()
-    return [ix.elements[g] for g in _greedy_positions(ix)]
+    return [ix.elements[g] for g in _greedy_positions(ix)[0]]
 
 
 def _times(add, zero, t, k):
@@ -946,10 +953,11 @@ def _hom_map(M, N, nels, f, i):
 def _generator_walk(mx):
     """For the greedy generators gens of an indexed carrier: each one's
     cyclic constraint (i + p, i), with (i + p)g = ig, and the steps
-    (y, x, k) with y = x + gens[k] that first reach each non-zero position,
-    breadth first from zero, so every x comes before the steps from it."""
+    (y, x, k) with y = x + gens[k] that first reach each non-zero position
+    in the walk of _greedy_positions, so every x comes before the steps
+    from it."""
     add, zero = mx.add, mx.zero
-    gens = _greedy_positions(mx)
+    gens, steps = _greedy_positions(mx)
     constraints = []
     for g in gens:
         seen, cur = {}, zero
@@ -957,18 +965,6 @@ def _generator_walk(mx):
             seen[cur] = len(seen)
             cur = add[cur][g]
         constraints.append((len(seen), seen[cur]))
-    steps = []
-    reached, frontier = {zero}, [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, g in enumerate(gens):
-                y = add[x][g]
-                if y not in reached:
-                    reached.add(y)
-                    steps.append((y, x, k))
-                    nxt.append(y)
-        frontier = nxt
     return constraints, steps
 
 
@@ -1011,9 +1007,9 @@ def _hom_positions(M, N):
     Generators are the greedy ones of M.indexed(), in element order, and
     their images are pruned by each generator's cyclic constraint: with
     (i + p)g = ig, an image t needs (i + p)t = it.  Every other element's
-    image is folded along the step x -> x + g that first reached it, walking
-    from zero, and a candidate is kept if it is additive and preserves the
-    action.  A free source instead folds the sum of basis image *
+    image is folded along the step x -> x + g by which the greedy walk of
+    _greedy_positions first reached it, and a candidate is kept if it is
+    additive and preserves the action.  A free source instead folds the sum of basis image *
     coordinate over its non-zero coordinates, in order: every assignment of
     basis images extends uniquely, so it needs no check.  The candidates
     are counted before any is built, and more than DEFAULT_BUDGET of them
@@ -1139,52 +1135,14 @@ def find_isomorphism(M, N):
 def _commutative_monoids(size):
     """Canonical add tables of commutative monoids on {0..size-1}, 0 = identity,
     packed as tuples of rows (table[i][j] is i + j), in sorted order."""
-    if size == 1:
-        return [((0,),)]  # packed: table[i][j] row-major for i,j >= 0
-    idx = list(range(size))
+    idx = range(size)
     cells = [(i, j) for i in range(1, size) for j in range(i, size)]
     results = set()
-
-    def canonical(tab):
-        best = None
-        for perm in itertools.permutations(range(1, size)):
-            p = [0] + list(perm)
-            inv = [0] * size
-            for a, b in enumerate(p):
-                inv[b] = a
-            key = tuple(
-                tuple(inv[tab[(p[i], p[j])] if (p[i], p[j]) in tab else tab[(p[j], p[i])] ] for j in idx)
-                for i in idx
-            )
-            if best is None or key < best:
-                best = key
-        return best
-
-    def fill(pos, tab):
-        if pos == len(cells):
-            full = {}
-            for i in idx:
-                for j in idx:
-                    if i == 0:
-                        full[(i, j)] = j
-                    elif j == 0:
-                        full[(i, j)] = i
-                    else:
-                        full[(i, j)] = tab[(i, j)] if (i, j) in tab else tab[(j, i)]
-            for a in idx:
-                for b in idx:
-                    for c in idx:
-                        if full[(full[(a, b)], c)] != full[(a, full[(b, c)])]:
-                            return
-            results.add(canonical(full))
-            return
-        i, j = cells[pos]
-        for v in idx:
-            tab[(i, j)] = v
-            fill(pos + 1, tab)
-        del tab[(i, j)]
-
-    fill(0, {})
+    for values in itertools.product(idx, repeat=len(cells)):
+        tab = dict(zip(cells, values))
+        full = [[j if i == 0 else i if j == 0 else tab[min(i, j), max(i, j)] for j in idx] for i in idx]
+        if all(full[full[a][b]][c] == full[a][full[b][c]] for a in idx for b in idx for c in idx):
+            results.add(_module_iso_key(0, full, [()] * size)[0])
     return sorted(results)
 
 
@@ -1241,24 +1199,26 @@ def enumerate_modules(S, max_size):
     seen = set()
     uniq = []
     for M in out:
-        key = _module_iso_key(M)
+        ix = M.indexed()
+        key = _module_iso_key(ix.zero, ix.add, ix.act)
         if key not in seen:
             seen.add(key)
             uniq.append(M)
     return uniq
 
 
-def _module_iso_key(M):
-    ix = M.indexed()
-    zero_i = ix.zero
-    others = [i for i in range(len(ix.elements)) if i != zero_i]
+def _module_iso_key(zero, add, act):
+    """The least (add, act) rows over every relabelling of the positions that
+    sends zero to 0: the same key for isomorphic structures."""
+    others = [i for i in range(len(add)) if i != zero]
     best = None
     for perm in itertools.permutations(others):
-        order = (zero_i, *perm)  # order[k] is the position relabelled k
+        order = (zero, *perm)  # order[k] is the position relabelled k
         p = {o: k for k, o in enumerate(order)}
-        add = tuple(tuple(p[ix.add[a][b]] for b in order) for a in order)
-        act = tuple(tuple(p[j] for j in ix.act[a]) for a in order)
-        key = (add, act)
+        key = (
+            tuple(tuple(p[add[a][b]] for b in order) for a in order),
+            tuple(tuple(p[j] for j in act[a]) for a in order),
+        )
         if best is None or key < best:
             best = key
     return best

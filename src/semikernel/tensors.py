@@ -80,7 +80,7 @@ class TensorProduct:
                 raise fail(q)
             yield q, members, fs_make(_through(maps, structure[members[0]]))
 
-    def map_of(self, maps, target, check=True):
+    def map_of(self, maps, target):
         """The induced map on tensors from per-slot linear maps.
 
         Well-definedness is re-verified; failure is a bug trap, not user error.
@@ -93,7 +93,7 @@ class TensorProduct:
 
         name = "(" + "x".join(f.name for f in maps) + ")"
         try:
-            return LinearMap(self.result, target.result, fn, name=name, check=check)
+            return LinearMap(self.result, target.result, fn, name=name, check=True)
         except FormatError as e:
             raise InternalInvariantError(f"tensor map not well defined: {e}") from e
 
@@ -141,7 +141,9 @@ class SaturationTensor(TensorProduct):
     """General tensor by congruence saturation over reduced generators.
 
     With lazy=True only the word problem is solved (raw_pure/nf/equal work);
-    the quotient module is never enumerated.
+    the quotient module is never enumerated.  left_action (s, m) -> s m acts
+    on the first factor; right_action is (ring, fn) with fn (m, s) -> m s on
+    the last factor, and its ring becomes the result's base.
     """
 
     def __init__(self, factors, over, budget=None, name=None, left_action=None, right_action=None, lazy=False):
@@ -278,7 +280,6 @@ class SaturationTensor(TensorProduct):
             for i, row in enumerate(rows):  # compact in place: one list at a time beside the arrays
                 rows[i] = compact(row, n)
         r_ring, r_fn = right_action if right_action is not None else (self.over, None)
-        l_fn = left_action[1] if left_action is not None else None
         gen_nfs = [classes[j] for j in steps[0]]
         action = None
         if r_ring.elements is not None:
@@ -287,7 +288,7 @@ class SaturationTensor(TensorProduct):
         atom = PresentedTableAtom(r_ring, classes, rows, action, gen_nfs, self._raw_relations)
 
         def act_l(s, x):
-            return (self._act_slot(x[0], s, 0, l_fn),)
+            return (self._act_slot(x[0], s, 0, left_action),)
 
         self.result = Semimodule(
             r_ring,

@@ -27,10 +27,12 @@ from semikernel.semimodules import (
     zero_module,
 )
 from semikernel.semirings import SemiringMorphism, bool_semiring
+from semikernel.tensors import tensor
 from semikernel.pairings import (
     MeasuringPairing,
     alpha_certify,
     alpha_check,
+    alpha_eval,
     canonical_dual_pairing,
     colinear_are_linear_check,
     coring_in_dual_check,
@@ -154,6 +156,25 @@ def test_rational_part_roundtrip_gallery():
             for (m1, c1), mult in M.coaction[m]:
                 acc = T.result.add(acc, T.result.times_int(T.pure((m1,), c1), mult))
             assert rat.rho_class[(m,)] == acc
+
+
+def test_rational_part_evaluates_alpha_once_per_tensor_and_scalar(monkeypatch):
+    """rational_part looks each element up among the alpha values that
+    alpha_check evaluated, rather than evaluating them again."""
+    from semikernel import pairings
+
+    calls = []
+
+    def counted(P, M_A, T, t, a):
+        calls.append((t, a))
+        return alpha_eval(P, M_A, T, t, a)
+
+    monkeypatch.setattr(pairings, "alpha_eval", counted)
+    MA = induced_action(P, coring_as_comodule(GL))
+    rat = rational_part(P, MA)
+    assert len(rat.elements) == len(GL.carrier.elements())
+    T = tensor(restrict_to_base(P, MA), GL.carrier, over=P.base)
+    assert len(calls) == len(set(calls)) == len(T.result.elements()) * len(P.asemiring.elements)
 
 
 def test_rational_part_proper_subobject():

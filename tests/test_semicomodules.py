@@ -51,7 +51,7 @@ from semikernel.semicomodules import (
     verify_coequalizer_universal,
     verify_equalizer_universal,
 )
-from semikernel.tensors import tensor
+from semikernel.tensors import SaturationTensor, tensor
 
 B = bool_semiring()
 GL = gallery_coring("grouplike_bool_2")
@@ -59,6 +59,14 @@ GL = gallery_coring("grouplike_bool_2")
 
 def test_coring_over_itself():
     assert check_comodule(coring_as_comodule(GL)).ok
+
+
+def test_regular_comodule_shares_the_corings_tensor():
+    """C as a comodule over itself takes C (x) C for its M (x) C rather than
+    saturating a second copy."""
+    CX = gallery_coring("coext_bool")
+    assert isinstance(CX.cc(), SaturationTensor)
+    assert coring_as_comodule(CX).mc() is CX.cc()
 
 
 def test_planted_violation_detected():

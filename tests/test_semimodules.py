@@ -190,6 +190,29 @@ def test_hom_enumeration():
     assert len(hom_enumerate(M, T)) == len(hom_enumerate(cM, T))
 
 
+def test_hom_search_does_not_depend_on_the_element_order():
+    """Each BOOL and ZMOD(2) module up to size 4, relabelled in every order,
+    has the hom sets of the original into each module, transported.  A
+    generator whose image were folded from a non-zero x with x + g = g
+    would make some candidates collide and others be missed."""
+    mods = [M for S in (B, Z2) for M in enumerate_modules(S, 4)]
+
+    def relabelled(M, perm):
+        els = [e for (e,) in M.elements()]
+        add = {(perm[a], perm[b]): perm[M.add((a,), (b,))[0]] for a in els for b in els}
+        act = {(perm[a], s): perm[M.act((a,), s)[0]] for a in els for s in M.base.elements}
+        return table_module(M.base, list(perm), add, act, name=f"{M.name}{perm}")
+
+    for M in mods:
+        for N in mods:
+            if M.base is not N.base:
+                continue
+            want = sorted(tuple(f(x) for x in M.elements()) for f in hom_enumerate(M, N))
+            for perm in itertools.permutations(range(len(M.elements()))):
+                got = sorted(tuple(f((perm[x],)) for (x,) in M.elements()) for f in hom_enumerate(relabelled(M, perm), N))
+                assert got == want, (M.name, N.name, perm)
+
+
 def test_hom_module_structure():
     Bm = semiring_module(B)
     H = hom_module(Bm, Bm)
