@@ -10,8 +10,10 @@ time.  The walk keeps what it computes: the right Cayley graph of the
 quotient (the class of v + e_g for every class v and generator g) and the
 spanning tree that first reached each class, so callers can fold sums along
 generator steps instead of rewriting them again (Froidure & Pin, Algorithms
-for computing finite semigroups, 1997).  A work budget turns potentially
-infinite runs into a loud "undecided" failure rather than a wrong answer.
+for computing finite semigroups, 1997).  The walk reads that graph itself:
+a step whose class the tree already determines is looked up, and only the
+others are rewritten.  A work budget turns potentially infinite runs into a
+loud "undecided" failure rather than a wrong answer.
 
 Rules are stored sparse as well as dense: a left side touches only a few
 generators, so each rule keeps the support of its left side as (i, c) pairs
@@ -160,8 +162,11 @@ class MonoidPresentation:
 
         Returns the quotient's right Cayley graph as a Quotient, with classes
         as canonical forms in breadth-first discovery order.  The walk takes
-        |classes| * n steps, each one budget unit plus a reduce; if the
-        quotient is infinite the budget raises UndecidedError.
+        |classes| * n steps, each one budget unit; if the quotient is
+        infinite the budget raises UndecidedError.  Class i was reached as
+        order[p] + e_h, so its g-step is the h-step from q = steps[p][g]:
+        read off the graph once steps[q][h] is known (Froidure & Pin), and
+        reduced only otherwise.
         """
         zero = self.reduce((0,) * self.n)
         order = [zero]
@@ -171,15 +176,20 @@ class MonoidPresentation:
         # order grows while it is walked: it is the breadth-first queue
         for i, v in enumerate(order):
             row = []
+            steps.append(row)
+            p, h = parent[i] or (None, None)
             for g in range(self.n):
                 self.budget.spend()
+                q = None if p is None else steps[p][g]
+                if q is not None and (q < i or q == i and h < g):
+                    row.append(steps[q][h])
+                    continue
                 w = self.reduce(v[:g] + (v[g] + 1,) + v[g + 1:])
                 j = index.setdefault(w, len(order))
                 if j == len(order):
                     order.append(w)
                     parent.append((i, g))
                 row.append(j)
-            steps.append(row)
         return Quotient(order, steps, parent)
 
 

@@ -283,8 +283,14 @@ class SaturationTensor(TensorProduct):
         gen_nfs = [classes[j] for j in steps[0]]
         action = None
         if r_ring.elements is not None:
+            # The action is additive, (p + e_g) s = p s + e_g s, so its rows
+            # are folded along the same tree from the action on each
+            # generator, worked out once.
             pos = {x: i for i, x in enumerate(classes)}
-            action = [[pos[self._act_slot(x, s, -1, r_fn)] for s in r_ring.elements] for x in classes]
+            gen_act = [[pos[self._act_slot(x, s, -1, r_fn)] for s in r_ring.elements] for x in gen_nfs]
+            action = [[0] * len(r_ring.elements)]  # 0 s = 0, the class of 0
+            for p, g in parent[1:]:
+                action.append([rows[a][b] for a, b in zip(action[p], gen_act[g])])
         atom = PresentedTableAtom(r_ring, classes, rows, action, gen_nfs, self._raw_relations)
 
         def act_l(s, x):

@@ -1,0 +1,187 @@
+"""The saturation walk and the action table against the routes they replaced.
+
+`reference_walk` reduces every step of the breadth-first quotient walk, and
+`reference_action` works out the action on every class with `_act_slot`.
+The kernel reads a step off the Cayley graph when the spanning tree already
+determines it and folds the action rows along that tree (Froidure & Pin,
+Algorithms for computing finite semigroups, 1997); both must give the same
+Quotient, classes, addition rows and action rows, entry for entry.
+"""
+import pytest
+
+from semikernel.errors import UndecidedError
+from semikernel.gallery import GALLERY_NAMES, gallery_coring
+from semikernel.presentations import Budget, MonoidPresentation, Quotient
+from semikernel.semicorings import sweedler_semicoring
+from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule
+from semikernel.semirings import SemiringMorphism, bool_semiring, nat, semiring_from_tables, tropcap, zmod
+from semikernel.tensors import SaturationTensor, tensor, tensor_multi
+
+B = bool_semiring()
+N = nat()
+Z2 = zmod(2)
+Z3 = zmod(3)
+
+
+def reference_walk(pres):
+    """The breadth-first walk with one reduce on every step."""
+    zero = pres.reduce((0,) * pres.n)
+    order, index, steps, parent = [zero], {zero: 0}, [], [None]
+    for i, v in enumerate(order):
+        row = []
+        for g in range(pres.n):
+            w = pres.reduce(v[:g] + (v[g] + 1,) + v[g + 1:])
+            j = index.setdefault(w, len(order))
+            if j == len(order):
+                order.append(w)
+                parent.append((i, g))
+            row.append(j)
+        steps.append(row)
+    return Quotient(order, steps, parent)
+
+
+def reference_action(T, classes, ring, fn):
+    """The action row of every class, each worked out and reduced on its own."""
+    pos = {x: i for i, x in enumerate(classes)}
+    return [[pos[T._act_slot(x, s, -1, fn)] for s in ring.elements] for x in classes]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every eager saturation tensor built in the test, with its right action."""
+    out = []
+    build = SaturationTensor._build_result
+
+    def record(self, quotient, name, left_action, right_action):
+        build(self, quotient, name, left_action, right_action)
+        out.append((self, right_action))
+
+    monkeypatch.setattr(SaturationTensor, "_build_result", record)
+    return out
+
+
+def assert_same_as_reference(T, right_action):
+    ref = reference_walk(T.pres)
+    assert T.pres.enumerate_quotient() == ref
+    classes = ref.order
+    atom = T.result.atoms[0]
+    assert list(atom._carrier) == classes
+    assert atom._gen_nfs == [classes[j] for j in ref.steps[0]]
+    pos = {x: i for i, x in enumerate(classes)}
+    for a, row in enumerate(atom._rows):
+        sums = [T.pres.reduce(tuple(map(int.__add__, classes[a], b))) for b in classes]
+        assert list(row) == [pos[w] for w in sums], a
+    ring, fn = right_action if right_action is not None else (T.over, None)
+    if ring.elements is None:
+        assert atom._act is None
+    else:
+        assert [list(row) for row in atom._act] == reference_action(T, classes, ring, fn)
+
+
+def _free(S, *ranks):
+    return tensor_multi([free_semimodule(S, r) for r in ranks], force_saturation=True)
+
+
+@pytest.mark.parametrize(
+    "S,ranks",
+    [
+        (B, (2, 2)),
+        (B, (2, 3)),
+        (B, (3, 3)),  # 512 classes: rows are arrays, not bytes
+        (Z2, (1, 3)),
+        (Z2, (2, 2)),
+        (Z3, (1, 2)),
+        (Z3, (2, 2)),
+        (Z3, (1, 2, 1)),
+        (B, (1, 2, 2)),
+    ],
+    ids=lambda x: getattr(x, "name", None) or "x".join(map(str, x)),
+)
+def test_free_tensors_fold_like_the_reference(built, S, ranks):
+    T = _free(S, *ranks)
+    assert [t for t, _ in built] == [T]
+    assert_same_as_reference(T, None)
+
+
+def test_module_pairs_fold_like_the_reference(built):
+    mods = enumerate_modules(B, 4)
+    for M in mods:
+        for M2 in mods:
+            tensor_multi([M, M2], force_saturation=True)
+    assert len(built) == len(mods) ** 2
+    for T, right_action in built:
+        assert_same_as_reference(T, right_action)
+
+
+def test_cyclic_tensors_over_nat_have_no_action_table(built):
+    for a in range(2, 7):
+        for b in range(2, 7):
+            tensor(cyclic_module(N, a), cyclic_module(N, b))
+    assert len(built) == 25
+    for T, right_action in built:
+        assert T.result.atoms[0]._act is None
+        assert_same_as_reference(T, right_action)
+
+
+def test_gallery_coring_squares_fold_like_the_reference(built):
+    names = [n for n in GALLERY_NAMES if hasattr(gallery_coring(n), "cc") and len(gallery_coring(n).carrier.elements()) <= 4]
+    assert names == ["sweedler_id", "coext_bool", "coext_zmod2", "grouplike_bool_2"]
+    del built[:]  # the gallery's own Sweedler tensor, if it was built just now
+    for n in names:
+        C = gallery_coring(n)
+        tensor(C.carrier, C.carrier, over=C.base, force_saturation=True)
+    assert len(built) == len(names)
+    for T, right_action in built:
+        assert_same_as_reference(T, right_action)
+
+
+def _bool_pairs():
+    els = [(a, b) for a in (0, 1) for b in (0, 1)]
+    add = {(u, v): (max(u[0], v[0]), max(u[1], v[1])) for u in els for v in els}
+    mul = {(u, v): (u[0] * v[0], u[1] * v[1]) for u in els for v in els}
+    return semiring_from_tables("BxB", els, add, mul, (0, 0), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda: SemiringMorphism(B, B, lambda x: x),
+        lambda: SemiringMorphism(B, _bool_pairs(), lambda s: (s, s)),
+        lambda: SemiringMorphism(B, tropcap(1), {0: "oo", 1: 0}.__getitem__),
+    ],
+    ids=["id", "BxB", "tropcap1"],
+)
+def test_sweedler_right_action_folds_like_the_reference(built, phi):
+    sweedler_semicoring(phi())
+    (T, right_action), = built
+    assert right_action is not None and right_action[0].elements is not None
+    assert_same_as_reference(T, right_action)
+
+
+def test_walk_reduces_only_the_steps_it_cannot_read(monkeypatch):
+    """On B^3 (x) B^3 the walk reads most steps off the graph, and it
+    still spends one budget unit on every step."""
+    T = SaturationTensor([free_semimodule(B, 3), free_semimodule(B, 3)], B, lazy=True)
+    calls = []
+    reduce = MonoidPresentation.reduce
+
+    def counted(self, v):
+        calls.append(v)
+        return reduce(self, v)
+
+    monkeypatch.setattr(MonoidPresentation, "reduce", counted)
+    before = T.budget.used
+    q = T.pres.enumerate_quotient()
+    steps = len(q.order) * T.n
+    assert (len(q.order), T.n) == (512, 9)
+    assert len(calls) < steps / 2
+    assert T.budget.used - before >= steps
+
+
+def test_budget_stops_an_infinite_walk_that_reads_steps():
+    # the free commutative monoid on two generators: from the second class
+    # on, the walk reads steps off the graph, and it still runs out
+    p = MonoidPresentation(2, [], budget=Budget(50))
+    with pytest.raises(UndecidedError):
+        p.enumerate_quotient()
+    assert p.budget.used == 51
