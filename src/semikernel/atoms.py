@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import FormatError, UnsupportedError, negative_count
 from .util import sorted_elems
@@ -25,16 +26,16 @@ class Atom:
         raise NotImplementedError
 
     def times_int(self, a, k):
-        """k-fold sum by binary doubling."""
+        """k-fold sum by binary doubling, which stops at the last bit of k."""
         if k < 0:
             raise negative_count(k)
         acc = self.zero
-        base = a
         while k:
             if k & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
+                acc = self.add(acc, a)
             k >>= 1
+            if k:
+                a = self.add(a, a)
         return acc
 
     # generating data: list of (key, element); None when not finitely generated
@@ -386,7 +387,11 @@ class PresentedTableAtom(TableAtom):
 
 
 class FreeAtom(Atom):
-    """Free module on a finite basis over a finite semiring: coefficient tuples."""
+    """Free module on a finite basis over a finite semiring: coefficient tuples.
+
+    The sum and the action look each coordinate up in the base semiring's
+    `add_memo` and `mul_memo`, which every atom over that base shares.
+    """
 
     __slots__ = ("basis", "zero")
     kind = "FREE"
@@ -405,13 +410,13 @@ class FreeAtom(Atom):
         return out
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.add_memo.__getitem__, zip(a, b)))
 
     def act(self, a, s):
-        return tuple(self.base.mul(x, s) for x in a)
+        return tuple(map(self.base.mul_memo.__getitem__, zip(a, repeat(s))))
 
     def act_left(self, s, a):
-        return tuple(self.base.mul(s, x) for x in a)
+        return tuple(map(self.base.mul_memo.__getitem__, zip(repeat(s), a)))
 
     def unit(self, i, s=None):
         s = self.base.one if s is None else s

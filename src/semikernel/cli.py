@@ -114,7 +114,7 @@ def _checked(cmd, subject, check):
 
 def _validate(name, v):
     if isinstance(v, Semiring):
-        return v.axiom_report  # checked on construction, on the sample a check would draw
+        return v.axiom_report  # checked on first read, on the sample a check would draw
     if isinstance(v, Semimodule):
         return check_semimodule_axioms(v)
     if isinstance(v, LinearMap):

@@ -606,9 +606,12 @@ def coideal_check(C, K: Subsemimodule):
     T = C.cc()
     gens = [T.pure(k, c) for k in K.elements for c in car.elements()]
     gens += [T.pure(c, k) for k in K.elements for c in car.elements()]
-    reach = span(T.result, gens)
-    closed = subtractive_closure(reach)
-    out["delta_condition"] = all(C.delta_norm(k) in closed.elements for k in K.elements)
+    reach = span(T.result, gens).elements
+    # Δ(k) is in the subtractive closure of reach iff Δ(k) + l is in reach for some l in reach
+    add = T.result.add
+    out["delta_condition"] = all(
+        any(add(d, l) in reach for l in reach) for d in map(C.delta_norm, K.elements)
+    )
     out["is_coideal"] = (
         (out["delta_condition"] and out["counit_condition"])
         if out["is_uniform"]

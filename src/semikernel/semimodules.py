@@ -915,8 +915,9 @@ def _times(add, zero, t, k):
     while k:
         if k & 1:
             acc = add[acc][t]
-        t = add[t][t]
         k >>= 1
+        if k:
+            t = add[t][t]
     return acc
 
 

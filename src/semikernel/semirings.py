@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
@@ -45,7 +46,11 @@ class Semiring:
 
     Finite semirings carry an explicit element list; the only infinite builtin
     is NAT, whose canonical form is the integer itself.  All values are
-    immutable after construction and structural flags are computed eagerly.
+    immutable after construction.  The axiom report and the structural flags
+    are computed together, from one drawn sample, the first time either is
+    read, so a builtin that no caller asks about draws nothing;
+    `semiring_from_tables`, the constructor of every semiring a document or a
+    dual supplies, reads the report at once.
     """
 
     def __init__(self, name, elements, add, mul, zero, one, sample=None):
@@ -60,11 +65,28 @@ class Semiring:
         self._sample = sample
         if self.one == self.zero:
             raise FormatError(f"{name}: 1 = 0 is not allowed")
-        drawn = _drawn(self)  # one sample for both checks
-        self.axiom_report = _axioms(self, drawn)
-        if not self.axiom_report.ok:
-            raise FormatError(f"{name}: semiring axioms fail: {self.axiom_report.first_witness()}")
-        self.flags = _predicates(drawn)
+        self._checks = None  # (axiom report, flags), computed on first read
+        self._lock = threading.Lock()
+        # (x, y) -> x + y and x * y, filled on first use: a free atom's coordinatewise operations
+        self.add_memo = _Memo(add)
+        self.mul_memo = _Memo(mul)
+
+    def _checked(self):
+        """The axiom report and the flags, from one sample drawn on first call."""
+        if self._checks is None:
+            with self._lock:  # one draw, however many threads ask at once
+                if self._checks is None:
+                    drawn = _drawn(self)
+                    self._checks = (_axioms(self, drawn), _predicates(drawn))
+        return self._checks
+
+    @property
+    def axiom_report(self):
+        return self._checked()[0]
+
+    @property
+    def flags(self):
+        return self._checked()[1]
 
     @property
     def is_finite(self):
@@ -89,6 +111,19 @@ class Semiring:
     def __repr__(self):
         size = len(self.elements) if self.is_finite else "effective"
         return f"<Semiring {self.name} ({size})>"
+
+
+class _Memo(dict):
+    """A dict of op(x, y) keyed by the pair (x, y), each entry computed on its first lookup."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, pair):
+        value = self[pair] = self.op(*pair)
+        return value
 
 
 def _triples(S):
@@ -184,10 +219,14 @@ def _predicates(d):
 def semiring_from_tables(name, elements, add_table, mul_table, zero, one):
     """Build a finite semiring from explicit operation tables.
 
-    Tables are dicts keyed by element pairs.  Non-closure is a format error.
+    Tables are dicts keyed by element pairs.  Non-closure is a format error,
+    and so is an axiom that fails on the checked sample.
     """
     cand = candidate_semiring(name, elements, add_table, mul_table, zero, one)
-    return Semiring(name, cand.elements, cand.add, cand.mul, zero, one)
+    S = Semiring(name, cand.elements, cand.add, cand.mul, zero, one)
+    if not S.axiom_report.ok:
+        raise FormatError(f"{name}: semiring axioms fail: {S.axiom_report.first_witness()}")
+    return S
 
 
 # ---------------------------------------------------------------- builtins

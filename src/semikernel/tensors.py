@@ -112,14 +112,13 @@ class FreeTensor(TensorProduct):
         )
 
     def pure(self, *ms):
-        S = self.over
-        coeffs = []
-        for combo in self.pairs:
-            c = S.one
-            for slot, i in enumerate(combo):
-                c = S.mul(c, ms[slot][0][i])
-            coeffs.append(c)
-        return (tuple(coeffs),)
+        # the coefficient of combo in self.pairs (their product order) is
+        # one * m0[i0] * m1[i1] * ..., folded slot by slot through the memo
+        mul = self.over.mul_memo.__getitem__
+        coeffs = (self.over.one,)
+        for m in ms:
+            coeffs = tuple(mul((c, x)) for c in coeffs for x in m[0])
+        return (coeffs,)
 
     def rep(self, x):
         out = []

@@ -492,22 +492,54 @@ def test_validate_loads_only_the_layers_it_needs(tmp_path):
     assert "semicorings" in loaded_layers(tmp_path, DOC["declarations"][4:5])  # a gallery coring
 
 
-def test_validate_of_a_semiring_draws_no_second_sample(tmp_path, monkeypatch, capsys):
-    """A builtin semiring checked its axioms on construction; validate reports
-    that check instead of drawing the same seeded sample again."""
-    from semikernel import cli, semirings
+DRAWS = """
+import json, sys
+from semikernel import cli, semirings
 
+semirings.nat.cache_clear()
+drawn, calls = semirings._drawn, []
+semirings._drawn = lambda S: calls.append(S.name) or drawn(S)
+N = semirings.nat()
+built = list(calls)
+code = cli.main(["--format", "jsonl", "validate", sys.argv[1]])
+validated = list(calls)
+again = semirings.check_semiring_axioms(N)  # the record a check on a fresh draw gives
+calls.clear()
+N.axiom_report, N.flags
+want = cli._checked("validate", "N0", lambda: again)
+print(json.dumps([built, code, validated, calls, want]))
+"""
+
+
+def test_validate_of_a_semiring_draws_no_second_sample(tmp_path):
+    """A builtin semiring draws nothing when it is built.  validate draws its
+    sample once, a second read of the report or the flags draws nothing, and
+    the record is the one a fresh check gives."""
     p = tmp_path / "doc.json"
     decls = QZ_DOC["declarations"][::2]  # N0 and C4
     p.write_text(json.dumps({"declarations": decls, "commands": []}))
-    semirings.nat()  # constructed (and checked) before validate runs
-    drawn, calls = semirings._drawn, []
-    monkeypatch.setattr(semirings, "_drawn", lambda S: calls.append(S.name) or drawn(S))
-    assert cli.main(["--format", "jsonl", "validate", str(p)]) == 0
-    assert calls == []
-    monkeypatch.undo()
-    got = {r["subject"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
-    want = cli._checked("validate", "N0", lambda: semirings.check_semiring_axioms(semirings.nat()))
+    r = subprocess.run([sys.executable, "-c", DRAWS, str(p)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    *out, last = r.stdout.splitlines()
+    built, code, validated, again, want = json.loads(last)
+    assert built == []
+    assert code == 0
+    assert validated == ["NAT"]
+    assert again == []
+    got = {rec["subject"]: rec for rec in map(json.loads, out)}
     got["N0"].pop("elapsed_ms")
     want.pop("elapsed_ms")
     assert got["N0"] == want
+
+
+def test_non_associative_table_semiring_exits_3_on_load(tmp_path):
+    """A semiring from tables is checked when the document is read, whatever
+    the verb: here a report with no commands."""
+    add = [[0, 1, 2], [1, 1, 0], [2, 0, 1]]  # (1 + 1) + 2 = 0 but 1 + (1 + 2) = 1
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+    decl = {"kind": "semiring", "name": "T", "elements": [0, 1, 2], "add": add, "mul": mul, "zero": 0, "one": 1}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"declarations": [decl], "commands": []}))
+    r = run_cli(["report", str(p)])
+    assert r.returncode == 3, (r.stdout, r.stderr)
+    assert "semiring axioms fail" in r.stderr

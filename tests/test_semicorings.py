@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from semikernel.errors import FormatError, UnsupportedError
@@ -327,6 +329,49 @@ def test_coideal_equivalence_sweep():
             else:
                 with pytest.raises(FormatError):
                     quotient_semicoring(C, K)
+
+
+def _closure_delta_condition(C, K):
+    """The delta condition by its definition: Δ(k) in the subtractive
+    closure of the span of K (x) C and C (x) K, for every k in K."""
+    from semikernel.semimodules import subtractive_closure
+
+    T = C.cc()
+    gens = [T.pure(k, c) for k in K.elements for c in C.carrier.elements()]
+    gens += [T.pure(c, k) for k in K.elements for c in C.carrier.elements()]
+    closed = subtractive_closure(span(T.result, gens)).elements
+    return all(C.delta_norm(k) in closed for k in K.elements)
+
+
+def test_delta_condition_is_the_closure_definition():
+    from semikernel.semimodules import enumerate_submodules
+
+    for name in ("sweedler_id", "coext_bool", "coext_zmod2", "grouplike_bool_2"):
+        C = gallery_coring(name)
+        for K in enumerate_submodules(C.carrier):
+            assert coideal_check(C, K)["delta_condition"] == _closure_delta_condition(C, K), (name, K)
+
+
+@pytest.mark.parametrize(
+    "g,verdicts",
+    [
+        # (is_uniform, counit_condition, delta_condition, is_coideal), as the
+        # closure of all of C (x) C (65,536 elements) decides them
+        (((0, 0, 0, 1),), (True, False, True, False)),
+        (((0, 0, 1, 1),), (True, True, True, True)),
+        (((0, 1, 1, 1),), (True, False, False, False)),
+        (((1, 1, 1, 1),), (True, True, False, False)),
+    ],
+)
+def test_coideal_check_of_a_two_element_k_in_poly1(g, verdicts):
+    C = gallery_coring("poly1_zmod2_3")
+    K = span(C.carrier, [g])
+    assert len(K.elements) == 2
+    start = time.process_time()
+    out = coideal_check(C, K)
+    assert time.process_time() - start < 5  # the closure of C (x) C took 46 s
+    keys = ("is_uniform", "counit_condition", "delta_condition", "is_coideal")
+    assert tuple(out[k] for k in keys) == verdicts
 
 
 def test_grouplike_empty_point_set_is_zero_coalgebra():

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from semikernel.errors import FormatError
@@ -122,3 +126,39 @@ def test_one_equals_zero_rejected():
     els = [0]
     with pytest.raises(FormatError):
         semiring_from_tables("triv", els, {(0, 0): 0}, {(0, 0): 0}, 0, 0)
+
+
+def test_every_builtin_passes_its_axioms():
+    builtins = [bool_semiring(), nat()]
+    builtins += [zmod(n) for n in (2, 3, 4, 5, 6, 30, 200)]
+    builtins += [natcap(k) for k in (1, 2, 3)] + [tropcap(k) for k in (1, 2, 3)]
+    builtins += [ideals(6), ideals(12)]
+    for S in builtins:
+        assert S.axiom_report.ok, (S.name, S.axiom_report.first_witness())
+
+
+def test_concurrent_first_reads_draw_once(monkeypatch):
+    """Eight threads that read the report of an unchecked NAT at once get
+    equal reports, from one draw."""
+    from semikernel import semirings
+
+    drawn, calls = semirings._drawn, []
+    monkeypatch.setattr(semirings, "_drawn", lambda S: calls.append(S.name) or drawn(S))
+    N = semirings.nat.__wrapped__()  # a NAT of its own, so the cached one stays as it is
+    start = threading.Barrier(8)
+
+    def read():
+        start.wait()
+        return N.axiom_report
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so their first reads overlap
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(read) for _ in range(8)]
+            reports = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == ["NAT"]
+    assert all(rep == reports[0] for rep in reports)
+    assert reports[0] == check_semiring_axioms(N)
