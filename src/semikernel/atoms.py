@@ -386,14 +386,63 @@ class PresentedTableAtom(TableAtom):
         return out
 
 
+class Radix:
+    """S^r numbered by the integers below q^r, q = |S| (Knuth, TAOCP vol. 2
+    §4.1): the digits of the position of (x_1, ..., x_r), most significant
+    first, are the positions of the x_k in S.elements, so positions run in
+    the order of FreeAtom.elements() and nothing is listed.  add(i, j),
+    act(i, k) (by S.elements[k], on the right) and act_left(i, k) work digit
+    by digit through S.tables().  Over a two-element base with zero first
+    the digits are bits: a sum is one | (1 + 1 = 1) or one ^ (1 + 1 = 0) of
+    the positions, and an action by k is one * k."""
+
+    __slots__ = ("base", "rank", "q", "zero", "add", "act", "act_left")
+
+    def __init__(self, base, rank):
+        self.base, self.rank, self.q = base, rank, len(base.elements)
+        (plus, times), digits, number = base.tables(), self._digits, self._number
+        self.zero = number([base.index[base.zero]] * rank)
+        if times == [[0, 0], [0, 1]] and plus in ([[0, 1], [1, 1]], [[0, 1], [1, 0]]):
+            self.add = int.__or__ if plus[1][1] else int.__xor__
+            self.act = self.act_left = int.__mul__
+        else:
+            self.add = lambda i, j: number([plus[a][b] for a, b in zip(digits(i), digits(j))])
+            self.act = lambda i, k: number([times[a][k] for a in digits(i)])
+            self.act_left = lambda i, k: number([times[k][a] for a in digits(i)])
+
+    def _number(self, digits):
+        n = 0
+        for d in digits:
+            n = n * self.q + d
+        return n
+
+    def _digits(self, i):
+        out = [0] * self.rank
+        for k in range(self.rank - 1, -1, -1):
+            i, out[k] = divmod(i, self.q)
+        return out
+
+    def position(self, x):
+        """The position of the coefficient tuple x; None if x is not one."""
+        if type(x) is not tuple or len(x) != self.rank:
+            return None
+        digits = list(map(self.base.index.get, x))
+        return None if None in digits else self._number(digits)
+
+    def element(self, i):
+        return tuple(map(self.base.elements.__getitem__, self._digits(i)))
+
+
 class FreeAtom(Atom):
     """Free module on a finite basis over a finite semiring: coefficient tuples.
 
     The sum and the action look each coordinate up in the base semiring's
-    `add_memo` and `mul_memo`, which every atom over that base shares.
+    `add_memo` and `mul_memo`, which every atom over that base shares;
+    `radix` numbers the elements (Radix), built on first use: it reads the
+    base's tables, |S|² sums and products.
     """
 
-    __slots__ = ("basis", "zero")
+    __slots__ = ("basis", "zero", "_radix")
     kind = "FREE"
 
     def __init__(self, base, basis):
@@ -402,6 +451,13 @@ class FreeAtom(Atom):
         self.base = base
         self.basis = tuple(basis)
         self.zero = (base.zero,) * len(self.basis)
+        self._radix = None
+
+    @property
+    def radix(self):  # a property, not __getattr__, which would slow every attribute read
+        if self._radix is None:
+            self._radix = Radix(self.base, len(self.basis))
+        return self._radix
 
     def elements(self):
         out = [()]

@@ -4,18 +4,16 @@ Coactions are stored as formal sums of (carrier element, coring element)
 pairs, normalized through the computed tensor before equality tests.
 Colinearity squares, including those of the factor and lift maps that the
 (co)equalizer verifiers test, are folded on integer positions
-(Semicomodule.compiled, _Positions).  The structured lane mirrors every
-check symbolically for infinite carriers.
+(Semicomodule.compiled, Semimodule.positions).  The structured lane
+mirrors every check symbolically for infinite carriers.
 """
 from __future__ import annotations
 
-import itertools
-import threading
 from fractions import Fraction
 from functools import cached_property
 
-from .atoms import CyclicAtom, QmodzAtom, TableAtom
-from .errors import CertificateError, FormatError, UnsupportedError, negative_count
+from .atoms import CyclicAtom, QmodzAtom
+from .errors import CertificateError, FormatError, UnsupportedError
 from .semimodules import (
     LinearMap,
     Semimodule,
@@ -23,7 +21,7 @@ from .semimodules import (
     _hom_map,
     _hom_positions,
     _homs,
-    _times,
+    fold,
     hom_enumerate,
     identity_map,
     module_congruence_closure,
@@ -39,7 +37,7 @@ from .structured import (
     structured_mono_flat_probe,
 )
 from .tensors import tensor, tensor_multi
-from .util import Report, fs_eval, fs_make, ordkey, unpreserved
+from .util import Memo, Report, fs_eval, fs_make, ordkey, unpreserved
 
 
 class Semicomodule:
@@ -85,66 +83,13 @@ class Semicomodule:
     @cached_property
     def additivity_witness(self):
         """The first (x, y), in element order, with rho(x + y) != rho(x) +
-        rho(y) in M (x) C; None when the coaction is additive."""
-        els = self.carrier.elements()
-        return unpreserved(self.rho_norm, self.carrier.add, self.mc().result.add, itertools.product(els, els))
+        rho(y) in M (x) C; None when the coaction is additive.  Scanned on
+        positions: the compiled rhobar against the sum of M (x) C."""
+        ix = self.carrier.indexed()
+        return unpreserved(self.compiled.rhobar, ix.add, self.compiled.sums.add, ix.elements)
 
     def __repr__(self):
         return f"<Semicomodule {self.name} over {self.coring.name}>"
-
-
-class _Memo(dict):
-    """A dict that computes, keeps and returns the value of a missing key."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-class _Positions:
-    """A finite module R on integer positions, for folds that must not
-    index all of R: M (x) C can be far too large for R.indexed().
-
-    of(x) is the position of the element x, element(i) the element at i,
-    add[i][j] the position of the sum of the elements at i and j, and zero
-    that of R.zero.  A single table atom's carrier positions and rows are
-    read as they are (every saturation tensor's result is one), and of(x)
-    is None off the carrier.  Otherwise positions are handed out in the
-    order elements are first seen, under a lock so that an element never
-    gets two, and each sum is computed once, when a fold first reaches it.
-    """
-
-    __slots__ = ("of", "element", "add", "zero")
-
-    def __init__(self, R):
-        atom = R.atoms[0] if len(R.atoms) == 1 else None
-        if isinstance(atom, TableAtom) and atom.base is R.base:
-            index, carrier = atom.index, atom._carrier
-            self.of = lambda x: index.get(x[0])
-            self.element = lambda i: (carrier[i],)
-            self.add = atom._rows
-        else:
-            els, lock = [], threading.Lock()
-
-            def new(x):
-                with lock:
-                    i = ids.get(x)
-                    if i is None:
-                        i = ids[x] = len(els)
-                        els.append(x)
-                return i
-
-            ids = _Memo(new)
-            self.of = ids.__getitem__
-            self.element = els.__getitem__
-            self.add = _Memo(lambda i: _Memo(lambda j: ids[R.add(els[i], els[j])]))
-        self.zero = self.of(R.zero)
 
 
 class _Compiled:
@@ -152,9 +97,10 @@ class _Compiled:
 
     terms[m] is rho(m), for each position m of M.carrier.indexed(), as
     (M-position, C-position, multiplicity) triples, C-positions being
-    those of coring.carrier.elements().  sums is M (x) C on positions,
-    pure[n][c] the position of n (x) c there and rhobar[m] that of rho(m);
-    both are filled as folds reach them.
+    those of coring.carrier.elements().  sums is M (x) C on positions
+    (Semimodule.positions), pure[n][c] the position of n (x) c there,
+    filled as folds reach it, and rhobar[m] that of rho(m), for every m: a
+    negative multiplicity raises there.
     """
 
     __slots__ = ("terms", "sums", "pure", "rhobar")
@@ -164,24 +110,17 @@ class _Compiled:
         cels = M.coring.carrier.elements()
         cpos = {c: i for i, c in enumerate(cels)}
         self.terms = [[(ix.index[m1], cpos[c1], k) for (m1, c1), k in M.coaction[m]] for m in ix.elements]
-        k = min((k for terms in self.terms for _, _, k in terms), default=0)
-        if k < 0:
-            raise negative_count(k)
         T = M.mc()
-        self.sums = sums = _Positions(T.result)
-        self.pure = [_Memo(lambda c, n=n: sums.of(T.pure(n, cels[c]))) for n in ix.elements]
-        self.rhobar = _Memo(lambda m: self.image(self.terms[m], range(len(ix.elements))))
+        self.sums = sums = T.result.positions()
+        self.pure = [Memo(lambda c, n=n: sums.of(T.pure(n, cels[c]))) for n in ix.elements]
+        self.rhobar = [self.image(terms, range(len(ix.elements))) for terms in self.terms]
 
     def image(self, terms, f):
         """The position of (f (x) C) applied to the (m, c, k) terms, with f
         a sequence of positions here: the sum of k * pure[f[m]][c], folded
         in term order from zero."""
-        add, pure, zero = self.sums.add, self.pure, self.sums.zero
-        acc = zero
-        for m, c, k in terms:
-            t = pure[f[m]][c]
-            acc = add[acc][t if k == 1 else _times(add, zero, t, k)]
-        return acc
+        pure = self.pure
+        return fold(self.sums.add, self.sums.zero, ((pure[f[m]][c], k) for m, c, k in terms))
 
 
 class StructuredSemicomodule:
@@ -209,29 +148,25 @@ def check_comodule(M) -> Report:
     els = car.elements()
     w = M.additivity_witness
     rep.add("coaction-additive", w is None, w)
-    acts = itertools.product(els, C.base.elements)
-    w = unpreserved(M.rho_norm, car.act, M.mc().result.act, acts, scalar=True)
+    w = unpreserved(M.compiled.rhobar, car.indexed().act, M.compiled.sums.act, els, C.base.elements)
     rep.add("coaction-linear", w is None, w)
 
+    def counit(rm):  # the sum of m_1 eps(c_1) over rho(m)
+        return fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in rm))
+
     # counit triangle doubles as the splitting retraction for the coaction
-    w = None
-    for m in els:
-        acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
-        if acc != m:
-            w = (m, acc)
-            break
+    w = next(((m, acc) for m in els if (acc := counit(M.coaction[m])) != m), None)
     rep.add("counit-law", w is None, w)
     rep.add("coaction-splits", w is None, w)
 
     T3 = M.mcc()
-    w = None
-    for m in els:
-        rm = M.coaction[m]
+
+    def coassociative(rm):  # (rho (x) C) rho(m) == (M (x) Delta) rho(m), pushed
         lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rm for (m11, c11), n in M.coaction[m1]]
         rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rm for (c11, c12), n in C.delta[c1]]
-        if T3.push(lhs) != T3.push(rhs):
-            w = m
-            break
+        return T3.push(lhs) == T3.push(rhs)
+
+    w = next((m for m in els if not coassociative(M.coaction[m])), None)
     rep.add("coassociative", w is None, w)
     return rep
 
@@ -344,18 +279,13 @@ def cofree_adjunction_check(Y: Semicomodule, X) -> Report:
     _, _, homs = _homs(Y.carrier, X)
     rep.add("hom-count", len(colin) == len(homs), (len(colin), len(homs)))
     T = XC.base_tensor
-    # forward: f -> theta . (X (x) eps) . f, then back; must round-trip
-    w = None
-    for f in colin:
-        def phi(y, f=f):
+    def round_trips(f):  # f -> phi = theta . (X (x) eps) . f, then back
+        def phi(y):
             return fs_eval(X, ((X.act(xm, C.eps[c]), mult) for (xm, c), mult in T.rep(f(y))))
 
-        def back(y, phi=phi):
-            return T.push(Y.coaction[y], (phi, None))
+        return all(T.push(Y.coaction[y], (phi, None)) == f(y) for y in Y.carrier.elements())
 
-        if any(back(y) != f(y) for y in Y.carrier.elements()):
-            w = f.name
-            break
+    w = next((f.name for f in colin if not round_trips(f)), None)
     rep.add("round-trip", w is None, w)
     return rep
 
@@ -494,22 +424,19 @@ def cogenerator_probe(Q, C, family):
     QC = cofree_comodule(Q, C)
     T = QC.base_tensor
     results = []
-    ok = True
     for (f, g, M, N) in family:
         if all(f(m) == g(m) for m in M.carrier.elements()):
             results.append({"pair": (f.name, g.name), "separated": True, "vacuous": True})
             continue
-        sep = None
-        for phi in hom_enumerate(N.carrier, Q):
-            def h(n, phi=phi):
+
+        def separates(phi):  # (phi (x) C) rho_N tells f from g
+            def h(n):
                 return T.push(N.coaction[n], (phi, None))
 
-            if any(h(f(m)) != h(g(m)) for m in M.carrier.elements()):
-                sep = phi
-                break
-        results.append({"pair": (f.name, g.name), "separated": sep is not None})
-        ok = ok and sep is not None
-    return {"all_separated": ok, "family": results}
+            return any(h(f(m)) != h(g(m)) for m in M.carrier.elements())
+
+        results.append({"pair": (f.name, g.name), "separated": any(map(separates, hom_enumerate(N.carrier, Q)))})
+    return {"all_separated": all(r["separated"] for r in results), "family": results}
 
 
 # ---------------------------------------------------------------- counterexample

@@ -17,8 +17,11 @@ from .semimodules import (
     LinearMap,
     Semimodule,
     Subsemimodule,
+    _greedy_gens,
     _homs,
     congruence_mod,
+    fold,
+    left_rows,
     quotient_by_congruence,
     scalar_of,
     scalar_to,
@@ -110,71 +113,56 @@ class StructuredSemicoring:
 
 # ---------------------------------------------------------------- checking
 
-def _coassoc_elements(C):
-    """Elements on which coassociativity is verified elementwise.
-
-    Large carriers are checked on an additive generating set; this is a
-    complete check because linearity of the comultiplication is verified
-    exhaustively first.
-    """
-    els = C.carrier.elements()
-    if len(els) <= 32:
-        return els, True
-    from .semimodules import _greedy_gens
-
-    return _greedy_gens(C.carrier), False
-
-
 def check_semicoring(C) -> Report:
     if C.structured:
         return _check_semicoring_structured(C)
     rep = Report(f"semicoring {C.name}")
-    car = C.carrier
-    els = car.elements()
-    T2 = C.cc()
-    dm = {c: C.delta_norm(c) for c in els}
-    pairs = list(itertools.product(els, els))
-    acts = list(itertools.product(els, C.base.elements))
-    w = unpreserved(dm.__getitem__, car.add, T2.result.add, pairs)
+    car, S, T2 = C.carrier, C.base, C.cc()
+    # every scan runs on positions: C's in car.indexed(), C (x) C's in its
+    # positions(), S's in S.elements; Delta(c) is pushed there directly
+    ix, P = car.indexed(), T2.result.positions()
+    els, scalars = ix.elements, S.elements
+    plus, times = S.tables()
+    dm = [T2.position(C.delta[c]) for c in els]
+    ep = [S.index.get(C.eps[c]) for c in els]
+    if None in ep:  # the scans read epsilon on S's positions (a document's is checked on reading)
+        raise FormatError(f"{C.name}: epsilon value {C.eps[els[ep.index(None)]]!r} is not an element of {S.name}")
+    w = unpreserved(dm, ix.add, P.add, els)
     rep.add("comult-additive", w is None, w)
-    w = unpreserved(dm.__getitem__, car.act, T2.result.act, acts, scalar=True)
+    w = unpreserved(dm, ix.act, P.act, els, scalars)
     rep.add("comult-right-linear", w is None, w)
-    w = unpreserved(
-        dm.__getitem__,
-        lambda x, s: car.act_left(s, x),
-        lambda d, s: T2.result.act_left(s, d),
-        acts,
-        scalar=True,
-    )
+    w = unpreserved(dm, left := left_rows(car), P.act_left, els, scalars)
     rep.add("comult-left-linear", w is None, w)
-    w = unpreserved(C.eps.__getitem__, car.add, C.base.add, pairs)
+    w = unpreserved(ep, ix.add, lambda u, v: plus[u][v], els)
     rep.add("counit-additive", w is None, w)
-    w = unpreserved(C.eps.__getitem__, car.act, C.base.mul, acts, scalar=True)
+    w = unpreserved(ep, ix.act, lambda u, k: times[u][k], els, scalars)
     rep.add("counit-right-linear", w is None, w)
 
-    # counit triangles, evaluated directly in the carrier
+    # counit triangles, folded on C's positions
+    index, add = ix.index, lambda i, j: ix.add[i][j]
     w = None
-    for c in els:
-        left = fs_eval(car, ((car.act_left(C.eps[c1], c2), mult) for (c1, c2), mult in C.delta[c]))
-        right = fs_eval(car, ((car.act(c1, C.eps[c2]), mult) for (c1, c2), mult in C.delta[c]))
-        if left != c:
-            w = ("left", c, left)
-            break
-        if right != c:
-            w = ("right", c, right)
+    for i, c in enumerate(els):
+        terms = [(index[c1], index[c2], mult) for (c1, c2), mult in C.delta[c]]
+        lhs = fold(add, ix.zero, ((left[b][ep[a]], k) for a, b, k in terms))
+        rhs = fold(add, ix.zero, ((ix.act[a][ep[b]], k) for a, b, k in terms))
+        if lhs != i or rhs != i:
+            w = ("left", c, els[lhs]) if lhs != i else ("right", c, els[rhs])
             break
     rep.add("counit-law", w is None, w)
 
-    check_els, exhaustive = _coassoc_elements(C)
+    # a large carrier is checked on an additive generating set: complete,
+    # as the linearity of Delta was checked exhaustively above
+    exhaustive = len(els) <= 32
+    check_els = els if exhaustive else _greedy_gens(car)
     T3 = C.ccc()
-    w = None
-    for c in check_els:
-        dc = C.delta[c]
+    push = T3.push if T3.result is None else T3.position  # a lazy T3 has no positions
+
+    def coassociative(dc):  # (Delta (x) C) Delta(c) == (C (x) Delta) Delta(c), pushed
         lhs = [((c11, c12, c2), m * n) for (c1, c2), m in dc for (c11, c12), n in C.delta[c1]]
         rhs = [((c1, c21, c22), m * n) for (c1, c2), m in dc for (c21, c22), n in C.delta[c2]]
-        if T3.push(lhs) != T3.push(rhs):
-            w = (c, "coassociativity")
-            break
+        return push(lhs) == push(rhs)
+
+    w = next(((c, "coassociativity") for c in check_els if not coassociative(C.delta[c])), None)
     rep.add("coassociative" + ("" if exhaustive else "-on-generators"), w is None, w)
     return rep
 
@@ -236,16 +224,10 @@ class SemicoringMorphism:
 def semicoring_morphism_check(f: LinearMap, source, target) -> Report:
     """f: source -> target a map of semicorings over the same base."""
     rep = Report(f"semicoring morphism {f.name}")
-    Tt = target.cc()
-    w = None
-    for d in source.carrier.elements():
-        if Tt.push(source.delta[d], (f, f)) != target.delta_norm(f(d)):
-            w = d
-            break
+    Tt, els = target.cc(), source.carrier.elements()
+    w = next((d for d in els if Tt.push(source.delta[d], (f, f)) != target.delta_norm(f(d))), None)
     rep.add("comult-square", w is None, w)
-    w = next(
-        (d for d in source.carrier.elements() if target.eps[f(d)] != source.eps[d]), None
-    )
+    w = next((d for d in els if target.eps[f(d)] != source.eps[d]), None)
     rep.add("counit-triangle", w is None, w)
     return rep
 
@@ -377,16 +359,14 @@ def _free_basis(A, B, phi):
     nonzero = [a for a in A.elements if a != A.zero]
     for combo in itertools.combinations(nonzero, k):
         reached = {}
-        ok = True
         for coeffs in itertools.product(B.elements, repeat=k):
             v = A.zero
             for c, e in zip(coeffs, combo):
                 v = A.add(v, A.mul(phi(c), e))
             if v in reached:
-                ok = False
                 break
             reached[v] = coeffs
-        if ok and len(reached) == na:
+        else:  # |B|^k = |A| combinations, no two alike
             return list(combo), reached
     return None
 
@@ -535,7 +515,7 @@ def dual_semiring(C, side="left", max_size=64):
     # c_i * (s-th scalar) and left[i][s] is (s-th scalar) * c_i
     ix = car.indexed()
     els = ix.elements
-    left = [[ix.index[car.act_left(a, c)] for a in A.elements] for c in els]
+    left = left_rows(car)
 
     def linear(k, act, mul):
         return all(k[act[i][s]] == mul(v, a) for i, v in enumerate(k) for s, a in enumerate(A.elements))

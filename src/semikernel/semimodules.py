@@ -6,13 +6,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
 from .errors import FormatError, UndecidedError, UnsupportedError, negative_count
 from .presentations import DEFAULT_BUDGET
-from .util import Report, sorted_elems, unpreserved
+from .util import Record, Report, sorted_elems, unpreserved, unpreserved_elements
 
 SAMPLES = 64  # sample size of the checks on effective carriers
 
@@ -24,7 +23,7 @@ class Semimodule:
     """
 
     # attributes set after construction (basis, ...) go to __dict__
-    __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "__dict__")
+    __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "_positions", "__dict__")
 
     def __init__(self, base, atoms, name="M", act_left=None):
         self.base = base
@@ -34,6 +33,7 @@ class Semimodule:
         self._act_left = act_left
         self._elements = None
         self._indexed = None
+        self._positions = None
 
     @property
     def is_finite(self):
@@ -47,6 +47,12 @@ class Semimodule:
             # comes in ordkey (lexicographic) order; no atoms give [()]
             self._elements = list(itertools.product(*(a.elements() for a in self.atoms)))
         return self._elements
+
+    def positions(self):
+        """The finite carrier numbered by integers (see Positions), built once."""
+        if self._positions is None:
+            self._positions = Positions(self)
+        return self._positions
 
     def indexed(self):
         """The finite carrier on integer positions (see Indexed), built once;
@@ -126,14 +132,15 @@ class Indexed:
     """A finite semimodule on the positions of its elements.
 
     `elements` is M.elements() (ordkey order), `index` maps each element to
-    its position (built on first use when the rows are shared) and `zero` is
-    the position of M.zero.  add[i][j] is the position of elements[i] +
-    elements[j] and act[i][k] that of elements[i] acted on by
-    base.elements[k]; the act rows are empty over an infinite base.  Rows
-    are compact (atoms.compact).  A single table atom whose carrier is in
-    ordkey order already holds these rows, and they are shared; otherwise
-    they are computed, and a sum or action outside the carrier raises
-    FormatError.
+    its position (built on first use unless the rows are computed on
+    elements) and `zero` is the position of M.zero.  add[i][j] is the
+    position of elements[i] + elements[j] and act[i][k] that of elements[i]
+    acted on by base.elements[k]; the act rows are empty over an infinite
+    base.  Rows are compact (atoms.compact).  A single table atom in ordkey
+    order already holds these rows, and they are shared; a single free
+    atom's are read off its Radix, whose positions are in ordkey order;
+    otherwise they are computed on elements, and a sum or action outside
+    the carrier raises FormatError.
     """
 
     __slots__ = ("elements", "index", "zero", "add", "act")
@@ -150,6 +157,12 @@ class Indexed:
             self.zero = atom._carrier.index(atom.zero)
             self.add = atom._rows
             self.act = atom._act if atom._act is not None else (b"",) * n
+            return
+        if isinstance(atom, FreeAtom) and atom.base is M.base:
+            rx, scalars = atom.radix, range(len(M.base.elements))
+            self.zero = rx.zero
+            self.add = tuple(compact(list(map(rx.add, itertools.repeat(i), range(n))), n) for i in range(n))
+            self.act = tuple(compact([rx.act(i, k) for k in scalars], n) for i in range(n))
             return
         self.index = index = {e: i for i, e in enumerate(els)}
         self.zero = index[M.zero]
@@ -169,6 +182,49 @@ class Indexed:
             raise AttributeError(name)
         self.index = {e: i for i, e in enumerate(self.elements)}
         return self.index
+
+
+class Positions:
+    """A finite module R numbered by integers, for scans and folds that must
+    not list R (M (x) C can be far too large for R.indexed()): of(x) is the
+    position of x (None if x is no element), element(i) the element at i,
+    add(i, j), act(i, k) and act_left(i, k) the positions of a sum and of
+    the actions by base.elements[k], zero that of R.zero.  A single free
+    atom is numbered by its Radix, a single table atom by its carrier and
+    rows (every saturation tensor's result is one), any other R by
+    R.indexed(); a left action no Radix gives is computed on elements."""
+
+    __slots__ = ("of", "element", "add", "act", "act_left", "zero")
+
+    def __init__(self, R):
+        atom = R.atoms[0] if len(R.atoms) == 1 else None
+        scalars = R.base.elements
+        self.act_left = lambda i, k: self.of(R.act_left(scalars[k], self.element(i)))
+        if isinstance(atom, FreeAtom) and atom.base is R.base:
+            rx = atom.radix
+            self.of = lambda x: rx.position(x[0]) if type(x) is tuple and len(x) == 1 else None
+            self.element = lambda i: (rx.element(i),)
+            self.add, self.act = rx.add, rx.act
+            if R._act_left is None:
+                self.act_left = rx.act_left
+        else:
+            if isinstance(atom, TableAtom) and atom.base is R.base:
+                index, carrier, add, act = atom.index, atom._carrier, atom._rows, atom._act
+                self.of = lambda x: index.get(x[0]) if type(x) is tuple and len(x) == 1 else None
+                self.element = lambda i: (carrier[i],)
+            else:
+                ix = R.indexed()
+                self.of, self.element, add, act = ix.index.get, ix.elements.__getitem__, ix.add, ix.act
+            self.add = lambda i, j: add[i][j]
+            self.act = lambda i, k: act[i][k]
+        self.zero = self.of(R.zero)
+
+
+def left_rows(M):
+    """left[i][k]: the position in M.indexed() of base.elements[k] acting
+    on the left of elements[i], for a finite M over a finite base."""
+    ix = M.indexed()
+    return [[ix.index[M.act_left(s, x)] for s in M.base.elements] for x in ix.elements]
 
 
 def same_carrier(M, N):
@@ -343,7 +399,9 @@ class LinearMap:
 
     def check(self) -> Report:
         """Images in a finite target, then linearity: exhaustive on finite
-        sources, sampled otherwise."""
+        sources, sampled otherwise.  With a finite source, target and base
+        and every image in the target, linearity is scanned on positions
+        (util.unpreserved), otherwise on elements."""
         M, N, f = self.source, self.target, self.fn
         rep = Report(f"linear {self.name}")
         if M.is_finite:
@@ -360,14 +418,18 @@ class LinearMap:
             pairs = [(M.sample(rng), M.sample(rng)) for _ in range(SAMPLES)]
             xs = [x for pair in pairs for x in pair]
             actions = zip((x for x, _ in pairs), M.base.sample_elements(rng, SAMPLES))
+        fp = [None]
         if N.is_finite:
-            targets = set(N.elements())
-            w = next((x for x in xs if f(x) not in targets), None)
+            P = N.positions()
+            fp = [P.of(f(x)) for x in xs]
+            w = next((x for x, p in zip(xs, fp) if p is None), None)
             rep.add("codomain", w is None, w)
         rep.add("zero", f(M.zero) == N.zero, M.zero)
-        w = unpreserved(f, M.add, N.add, pairs)
+        ix = None if None in fp or rep.sampled else M.indexed()
+        w = unpreserved_elements(f, M.add, N.add, pairs) if ix is None else unpreserved(fp, ix.add, P.add, xs)
         rep.add("additive", w is None, w)
-        w = unpreserved(f, M.act, N.act, actions, scalar=True)
+        w = (unpreserved_elements(f, M.act, N.act, actions, scalar=True) if ix is None
+             else unpreserved(fp, ix.act, P.act, xs, scalars))
         rep.add("action", w is None, w)
         return rep
 
@@ -385,11 +447,11 @@ def zero_map(M, N):
 
 # ---------------------------------------------------------------- subobjects
 
-@dataclass(slots=True)
-class Subsemimodule:
-    ambient: Semimodule
-    elements: frozenset
-    generators: tuple = ()
+class Subsemimodule(Record):
+    __slots__ = _fields = ("ambient", "elements", "generators")
+
+    def __init__(self, ambient, elements, generators=()):
+        self.ambient, self.elements, self.generators = ambient, elements, generators
 
     def __repr__(self):
         return f"<Sub {len(self.elements)} of {self.ambient.name}>"
@@ -512,13 +574,14 @@ def enumerate_submodules(M, cap=4096):
 
 # ---------------------------------------------------------------- congruences
 
-@dataclass
-class Congruence:
-    ambient: Semimodule
-    kind: str  # modL | bracketL | custom
-    witness: object  # the subsemimodule L when applicable
-    classes: list  # list of frozensets, ordered by their least element
-    class_of: dict
+class Congruence(Record):
+    """kind: modL, bracketL or custom; witness: the subsemimodule L if any;
+    classes: frozensets by their least element; class_of: element -> class."""
+
+    _fields = ("ambient", "kind", "witness", "classes", "class_of")
+
+    def __init__(self, ambient, kind, witness, classes, class_of):
+        self.ambient, self.kind, self.witness, self.classes, self.class_of = ambient, kind, witness, classes, class_of
 
 
 def _generated(M, kind, witness, pairs):
@@ -662,12 +725,8 @@ def cancellative_reflection(M):
 
 def is_cancellative(M):
     els = M.elements()
-    for a in els:
-        for b in els:
-            for c in els:
-                if M.add(a, b) == M.add(a, c) and b != c:
-                    return False, (a, b, c)
-    return True, None
+    w = next(((a, b, c) for a in els for b in els for c in els if M.add(a, b) == M.add(a, c) and b != c), None)
+    return w is None, w
 
 
 # ---------------------------------------------------------------- axiom check
@@ -806,14 +865,9 @@ def induced_first_iso(f: LinearMap):
     """The induced map source/Ker(f) -> image; bijective iff f is k-uniform."""
     Q, pi = quotient_by_sub(f.source, kernel(f))
     mapping = {}
-    ok = True
     for x in f.source.elements():
-        q = pi(x)
-        if q in mapping and mapping[q] != f(x):
-            ok = False
-        mapping.setdefault(q, f(x))
-    if not ok:
-        raise FormatError("first-iso map not well defined")  # cannot happen
+        if mapping.setdefault(pi(x), f(x)) != f(x):
+            raise FormatError("first-iso map not well defined")  # cannot happen
     img = image(f)
     injective = len(set(mapping.values())) == len(mapping)
     surjective = set(mapping.values()) == set(img.elements)
@@ -909,15 +963,27 @@ def _greedy_gens(M):
     return [ix.elements[g] for g in _greedy_positions(ix)[0]]
 
 
+def fold(add, zero, pairs):
+    """util.fs_eval on positions: the sum of k * t over the (t, k) pairs,
+    folded left from zero, add(i, j) being the sum on positions."""
+    acc = zero
+    for t, k in pairs:
+        acc = add(acc, t if k == 1 else _times(add, zero, t, k))
+    return acc
+
+
 def _times(add, zero, t, k):
-    """k * t on positions by binary doubling, as Atom.times_int folds it."""
+    """k * t on positions by binary doubling, as Atom.times_int folds it;
+    add(i, j) is the sum on positions."""
+    if k < 0:
+        raise negative_count(k)
     acc = zero
     while k:
         if k & 1:
-            acc = add[acc][t]
+            acc = add(acc, t)
         k >>= 1
         if k:
-            t = add[t][t]
+            t = add(t, t)
     return acc
 
 
@@ -1024,10 +1090,12 @@ def _hom_positions(M, N):
         cands = [range(len(nx.elements))] * len(M.atoms[0].basis)
     else:
         constraints, steps = _generator_walk(mx)
-        cands = [
-            [t for t in range(len(nx.elements)) if _times(nadd, nzero, t, hi) == _times(nadd, nzero, t, lo)]
-            for hi, lo in constraints
-        ]
+        plus = lambda i, j: nadd[i][j]
+        allowed = {  # the images each distinct cyclic constraint allows, found once
+            (hi, lo): [t for t in range(len(nx.elements)) if _times(plus, nzero, t, hi) == _times(plus, nzero, t, lo)]
+            for hi, lo in set(constraints)
+        }
+        cands = [allowed[c] for c in constraints]
     count = math.prod(map(len, cands))
     if count > DEFAULT_BUDGET:
         raise UndecidedError(f"hom search {M.name} -> {N.name}: {count} candidates, above the cap {DEFAULT_BUDGET}")
@@ -1180,20 +1248,13 @@ def enumerate_modules(S, max_size):
             for assign in itertools.product(endos, repeat=len(free)):
                 phi = {S.zero: zf, S.one: idf}
                 phi.update(dict(zip(free, assign)))
-                ok = True
-                for s in sels:
-                    for t in sels:
-                        su = phi[S.add(s, t)]
-                        if endo_add[(phi[s], phi[t])] != su:
-                            ok = False
-                            break
-                        comp = tuple(phi[t][phi[s][i]] for i in range(size))
-                        if comp != phi[S.mul(s, t)]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                # phi(s + t) = phi(s) + phi(t) and phi(st) = phi(t) . phi(s)
+                if not all(
+                    endo_add[(phi[s], phi[t])] == phi[S.add(s, t)]
+                    and tuple(phi[t][phi[s][i]] for i in range(size)) == phi[S.mul(s, t)]
+                    for s in sels
+                    for t in sels
+                ):
                     continue
                 action = [[phi[s][i] for s in sels] for i in range(size)]
                 out.append(table_module(S, range(size), table, action, name=f"M{size}#{len(out)}"))

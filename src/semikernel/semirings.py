@@ -8,7 +8,7 @@ from math import gcd
 from types import SimpleNamespace
 
 from .errors import FormatError, UnsupportedError, negative_count
-from .util import Report, ordkey, sorted_elems, unpreserved
+from .util import Memo, Report, ordkey, sorted_elems, unpreserved, unpreserved_elements
 
 SAMPLE_BUDGET = 10_000
 
@@ -66,10 +66,11 @@ class Semiring:
         if self.one == self.zero:
             raise FormatError(f"{name}: 1 = 0 is not allowed")
         self._checks = None  # (axiom report, flags), computed on first read
+        self._tables = None
         self._lock = threading.Lock()
         # (x, y) -> x + y and x * y, filled on first use: a free atom's coordinatewise operations
-        self.add_memo = _Memo(add)
-        self.mul_memo = _Memo(mul)
+        self.add_memo = Memo(lambda pair: add(*pair))
+        self.mul_memo = Memo(lambda pair: mul(*pair))
 
     def _checked(self):
         """The axiom report and the flags, from one sample drawn on first call."""
@@ -79,6 +80,12 @@ class Semiring:
                     drawn = _drawn(self)
                     self._checks = (_axioms(self, drawn), _predicates(drawn))
         return self._checks
+
+    def tables(self):
+        """(plus, times) of a finite S on positions (_position_tables), built on first call."""
+        if self._tables is None:
+            self._tables = _position_tables(self, self.index)
+        return self._tables
 
     @property
     def axiom_report(self):
@@ -113,17 +120,12 @@ class Semiring:
         return f"<Semiring {self.name} ({size})>"
 
 
-class _Memo(dict):
-    """A dict of op(x, y) keyed by the pair (x, y), each entry computed on its first lookup."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-    def __missing__(self, pair):
-        value = self[pair] = self.op(*pair)
-        return value
+def _position_tables(S, index):
+    """S.add and S.mul on positions in S.elements, index mapping each
+    element to its position: plus[a][b] is the position of elements[a] +
+    elements[b], times[a][b] that of elements[a] * elements[b]."""
+    els = S.elements
+    return tuple([[index[op(a, b)] for b in els] for a in els] for op in (S.add, S.mul))
 
 
 def _triples(S):
@@ -156,8 +158,7 @@ def _drawn(S):
     if els is None or len(els) ** 2 > SAMPLE_BUDGET:
         return d
     index = {e: i for i, e in enumerate(els)}
-    add = [[index[S.add(a, b)] for b in els] for a in els]  # S is closed (see check_semiring_axioms)
-    mul = [[index[S.mul(a, b)] for b in els] for a in els]
+    add, mul = _position_tables(S, index)  # S is closed (see check_semiring_axioms)
     d.pairs = [(index[a], index[b]) for a, b in _pairs(triples)]
     for i, (a, b, c) in enumerate(triples):  # in place, so one list of triples is alive
         triples[i] = (index[a], index[b], index[c])
@@ -357,11 +358,16 @@ class SemiringMorphism:
             raise UnsupportedError("morphism check needs a finite source")
         rep.add("zero", f(S.zero) == T.zero)
         rep.add("one", f(S.one) == T.one)
-        pairs = [(a, b) for a in S.elements for b in S.elements]
-        w = unpreserved(f, S.add, T.add, pairs)
-        rep.add("additive", w is None, w)
-        w = unpreserved(f, S.mul, T.mul, pairs)
-        rep.add("multiplicative", w is None, w)
+        els = S.elements
+        pairs = [(a, b) for a in els for b in els]
+        fp = [T.index.get(f(a)) for a in els] if T.is_finite else [None]  # on T's positions
+        for k, (name, op, top) in enumerate((("additive", S.add, T.add), ("multiplicative", S.mul, T.mul))):
+            if None in fp:
+                w = unpreserved_elements(f, op, top, pairs)
+            else:
+                rows = T.tables()[k]
+                w = unpreserved(fp, S.tables()[k], lambda u, v: rows[u][v], els)
+            rep.add(name, w is None, w)
         return rep
 
     def __call__(self, x):

@@ -25,13 +25,14 @@ from .semimodules import (
     Subsemimodule,
     cancellative_reflection,
     direct_sum,
+    fold,
     identity_map,
     map_predicates,
     scalar_of,
     scalar_to,
     subtractive_closure,
 )
-from .util import fs_eval, fs_make
+from .util import Memo, fs_eval, fs_make
 
 
 def _through(maps, terms):
@@ -64,6 +65,13 @@ class TensorProduct:
         if self.result is None:  # a lazy SaturationTensor has no module to fold in
             return self._push_raw(terms)
         return fs_eval(self.result, ((self.pure(*ms), mult) for ms, mult in terms))
+
+    def position(self, terms):
+        """push(terms) as a position of result.positions(), folded there; the
+        position of each pure tensor is worked out once per tensor."""
+        P = self.result.positions()
+        pure = self.__dict__.setdefault("_pure_positions", Memo(lambda ms: P.of(self.pure(*ms))))
+        return fold(P.add, P.zero, ((pure[ms], k) for ms, k in terms))
 
     def descend(self, classes, structure, maps, fail):
         """Push a structure down a quotient, one class at a time.
@@ -121,19 +129,12 @@ class FreeTensor(TensorProduct):
         return (coeffs,)
 
     def rep(self, x):
-        out = []
-        for combo, c in zip(self.pairs, x[0]):
-            if c == self.over.zero:
-                continue
-            ms = []
-            for slot, i in enumerate(combo):
-                a = self.atoms[slot]
-                if slot == 0:
-                    ms.append((a.unit(i, c),))
-                else:
-                    ms.append((a.unit(i),))
-            out.append((tuple(ms), 1))
-        return out
+        # c * e_i0 (x) e_i1 (x) ... for each non-zero coefficient c of x, c in the first slot
+        return [
+            (tuple((a.unit(i, None if slot else c),) for slot, (a, i) in enumerate(zip(self.atoms, combo))), 1)
+            for combo, c in zip(self.pairs, x[0])
+            if c != self.over.zero
+        ]
 
 
 class SaturationTensor(TensorProduct):

@@ -1,8 +1,8 @@
 """Ordering, formal sums and report plumbing used by every module."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 
 def ordkey(x):
@@ -49,29 +49,77 @@ def fs_eval(M, pairs):
     return acc
 
 
-def unpreserved(f, op, top, pairs, scalar=False):
-    """The first (a, b) of pairs, in the order given, with f(op(a, b)) !=
-    top(f(a), f(b)), or != top(f(a), b) when b is a scalar acting on a (None
-    if f preserves op on every pair): the law "f is a homomorphism" as a scan."""
+def unpreserved(f, rows, top, els, cols=None):
+    """The first pair (els[i], b), row by row, that f does not carry to the
+    target's operation, or None: the law "f is a homomorphism" as one scan
+    of integer positions.  f[i] is the target position of the image of
+    els[i]; rows[i][j] the position in els of els[i] op b, with b = els[j],
+    or the scalar b = cols[j] when cols are given; top the target operation
+    on positions.  The pair fails when f[rows[i][j]] != top(f[i], f[j]), or
+    != top(f[i], j) for a scalar."""
+    second = f if cols is None else range(len(cols))
+    for i, row in enumerate(rows):
+        lhs, rhs = list(map(f.__getitem__, row)), list(map(top, repeat(f[i]), second))
+        if lhs != rhs:
+            j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            return els[i], (els if cols is None else cols)[j]
+    return None
+
+
+def unpreserved_elements(f, op, top, pairs, scalar=False):
+    """unpreserved on elements, for pairs a carrier has no positions for (an
+    infinite or sampled one, or an image off the target): the first (a, b)
+    of pairs, in the order given, with f(op(a, b)) != top(f(a), f(b)), or
+    != top(f(a), b) when b is a scalar acting on a."""
     if scalar:
         return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), b)), None)
     return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), f(b))), None)
 
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    witness: object = None
+class Memo(dict):
+    """A dict that computes, keeps and returns the value fn(key) of a missing key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-@dataclass
-class Report:
+class Record:
+    """Field-wise == and a repr that lists the fields, as a dataclass has:
+    the fields are the names in _fields."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(getattr(self, k) for k in self._fields) == tuple(getattr(other, k) for k in self._fields)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self._fields)})"
+
+
+class Check(Record):
+    _fields = ("name", "ok", "witness")
+
+    def __init__(self, name, ok, witness=None):
+        self.name, self.ok, self.witness = name, ok, witness
+
+
+class Report(Record):
     """Outcome of a validation: per-check verdicts plus an overall flag."""
 
-    subject: str
-    checks: list = field(default_factory=list)
-    sampled: bool = False
+    _fields = ("subject", "checks", "sampled")
+
+    def __init__(self, subject, checks=None, sampled=False):
+        self.subject, self.checks, self.sampled = subject, [] if checks is None else checks, sampled
 
     def add(self, name, ok, witness=None):
         self.checks.append(Check(name, bool(ok), witness))

@@ -492,6 +492,23 @@ def test_validate_loads_only_the_layers_it_needs(tmp_path):
     assert "semicorings" in loaded_layers(tmp_path, DOC["declarations"][4:5])  # a gallery coring
 
 
+HEAVY = """
+import json, sys
+from semikernel import cli
+code = cli.main(["--format", "jsonl", "report", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)]))
+"""
+
+
+def test_report_imports_neither_dataclasses_nor_inspect(doc_path):
+    """dataclasses brings in inspect, ast, dis and tokenize, which every cold
+    CLI child would pay for: a report that validates a coring, tensors two
+    modules and takes a dual loads neither."""
+    r = subprocess.run([sys.executable, "-c", HEAVY, doc_path], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == [0, []]
+
+
 DRAWS = """
 import json, sys
 from semikernel import cli, semirings

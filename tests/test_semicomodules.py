@@ -22,6 +22,7 @@ from semikernel.pairings import (
 from semikernel.semicorings import basis_elem, dual_semiring
 from semikernel.semimodules import (
     LinearMap,
+    Positions,
     _hom_positions,
     cyclic_module,
     find_isomorphism,
@@ -35,7 +36,6 @@ from semikernel.semimodules import (
 from semikernel.semirings import bool_semiring, nat
 from semikernel.semicomodules import (
     Semicomodule,
-    _Positions,
     check_comodule,
     cofree_adjunction_check,
     cofree_comodule,
@@ -382,17 +382,17 @@ def test_linear_maps_are_built_only_for_callers_that_get_maps(monkeypatch):
 
 
 def test_positions_are_handed_out_once_across_threads():
-    """Eight threads ask one fresh _Positions of a free module (which hands
-    out positions as elements are first seen) for the same 256 elements at
-    once, each from another starting point, switching every microsecond:
-    every element gets one position, the same in every thread."""
+    """Eight threads ask one fresh Positions of a free module (numbered by
+    its Radix, on first use) for the same 256 elements at once, each from
+    another starting point, switching every microsecond: every element gets
+    one position, the same in every thread."""
     R = free_semimodule(B, 8)
     els = R.elements()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            P = _Positions(R)
+            P = Positions(R)
             barrier = threading.Barrier(8)
             seen = {}
 
