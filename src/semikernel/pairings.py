@@ -9,8 +9,6 @@ from .semimodules import (
     Subsemimodule,
     _homs,
     hom_enumerate,
-    is_subtractive,
-    left_rows,
     retable_module,
     scalar_of,
     semiring_module,
@@ -21,7 +19,7 @@ from .semimodules import (
 )
 from .semirings import semiring_from_tables
 from .tensors import tensor
-from .util import Report, fs_eval, fs_make, sorted_elems, unpreserved
+from .util import Report, fs_eval, fs_make, sorted_elems, unpreserved_rows
 
 
 class MeasuringPairing:
@@ -55,42 +53,79 @@ class MeasuringPairing:
         els = car.elements()
         aels = self.asemiring.elements
 
-        # kappa(a) on positions: C's in car.indexed(), A's in A.elements
-        ix, (plus, times) = car.indexed(), A.tables()
-        kappa = {a: [A.index[self.ev[(a, c)]] for c in els] for a in aels}
+        ix = car.indexed()
 
         def kappa_values(rows, top, cols=None):
-            """The first a, in order, whose kappa(a) does not carry rows to top."""
+            """The first a, in order, whose kappa(a) does not carry the
+            operation on C's positions in rows to top on A."""
             for a in aels:
-                w = unpreserved(kappa[a], rows, top, els, cols)
+                w = unpreserved_rows([self.ev[(a, c)] for c in els], rows, top, els, cols)
                 if w is not None:
                     return (a, *w)
             return None
 
-        w = kappa_values(ix.add, lambda u, v: plus[u][v])
+        w = kappa_values(ix.add, A.add)
         rep.add("kappa-values-additive", w is None, w)
-        w = kappa_values(left_rows(car), lambda u, k: times[k][u], A.elements)
+        w = kappa_values(ix.left, lambda v, k: A.mul(A.elements[k], v), A.elements)
         rep.add("kappa-values-left-linear", w is None, w)
-        ev, R, eta = self.ev, self.asemiring, self.eta
-        triples = [(a, b, x) for a in aels for b in aels for x in els]
-        w = next(((a, b, x) for a, b, x in triples if ev[(R.add(a, b), x)] != A.add(ev[(a, x)], ev[(b, x)])), None)
+        w = next(
+            (
+                (a, b, x)
+                for a in aels
+                for b in aels
+                for x in els
+                if self.ev[(self.asemiring.add(a, b), x)]
+                != A.add(self.ev[(a, x)], self.ev[(b, x)])
+            ),
+            None,
+        )
         rep.add("kappa-additive", w is None, w)
-
-        def convolution(a, b, c):  # <b, c_1 <a, c_2>> summed over Delta(c)
-            return fs_eval(A, ((ev[(b, car.act(c1, ev[(a, c2)]))], k) for (c1, c2), k in C.delta[c]))
-
         # kappa multiplicative against the left convolution product
-        w = next(((a, b, c) for a, b, c in triples if convolution(a, b, c) != ev[(R.mul(a, b), c)]), None)
+        w = None
+        for a in aels:
+            for b in aels:
+                ab = self.asemiring.mul(a, b)
+                for c in els:
+                    acc = fs_eval(
+                        A,
+                        (
+                            (self.ev[(b, car.act(c1, self.ev[(a, c2)]))], mult)
+                            for (c1, c2), mult in C.delta[c]
+                        ),
+                    )
+                    if acc != self.ev[(ab, c)]:
+                        w = (a, b, c)
+                        break
+                if w:
+                    break
+            if w:
+                break
         rep.add("kappa-multiplicative", w is None, w)
-        w = next((c for c in els if ev[(R.one, c)] != C.eps[c]), None)
+        w = next((c for c in els if self.ev[(self.asemiring.one, c)] != C.eps[c]), None)
         rep.add("kappa-unit-is-counit", w is None, w)
-        w = next(((s, c) for s in A.elements for c in els if ev[(eta[s], c)] != A.mul(s, C.eps[c])), None)
+        w = next(
+            (
+                (s, c)
+                for s in A.elements
+                for c in els
+                if self.ev[(self.eta[s], c)] != A.mul(s, C.eps[c])
+            ),
+            None,
+        )
         rep.add("eta-compatible", w is None, w)
         # eta must itself be a morphism of semirings
-        ok = eta[A.zero] == R.zero and eta[A.one] == R.one
-        ops = (("add", A.add, R.add), ("mul", A.mul, R.mul))
-        pairs = ((s, t) for s in A.elements for t in A.elements)
-        w = next(((op, s, t) for s, t in pairs for op, f, g in ops if eta[f(s, t)] != g(eta[s], eta[t])), None)
+        ok = self.eta[A.zero] == self.asemiring.zero and self.eta[A.one] == self.asemiring.one
+        w = None
+        for s in A.elements:
+            for t in A.elements:
+                if self.eta[A.add(s, t)] != self.asemiring.add(self.eta[s], self.eta[t]):
+                    w = ("add", s, t)
+                    break
+                if self.eta[A.mul(s, t)] != self.asemiring.mul(self.eta[s], self.eta[t]):
+                    w = ("mul", s, t)
+                    break
+            if w:
+                break
         rep.add("eta-morphism", ok and w is None, w)
         return rep
 
@@ -155,10 +190,12 @@ def alpha_check(P: MeasuringPairing, M_A) -> dict:
 def alpha_certify(P: MeasuringPairing, family) -> dict:
     """Family-relative alpha certificate; never the universal condition."""
     members = []
+    ok = True
     for M in family:
         r = alpha_check(P, M)
         members.append({"module": M.name, "injective": r["injective"], "subtractive": r["subtractive"]})
-    return {"alpha_on_family": all(m["injective"] and m["subtractive"] for m in members), "family": members}
+        ok = ok and r["injective"] and r["subtractive"]
+    return {"alpha_on_family": ok, "family": members}
 
 
 # ---------------------------------------------------------------- actions
@@ -249,37 +286,65 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
 def rat_property_suite(P: MeasuringPairing, family) -> Report:
     """Subtractivity, idempotence, functoriality and the membership criterion."""
     rep = Report(f"rational-part suite over {P.name}")
-    rats = {M.name: rational_part(P, M) for M in family}
+    rats = {}
+    w = None
+    for M in family:
+        rats[M.name] = rational_part(P, M)
     # (closure) Rat = its subtractive closure inside M
-    subs = (Subsemimodule(restrict_to_base(P, M), rats[M.name].elements) for M in family)
-    w = next((M.name for M, sub in zip(family, subs) if not is_subtractive(sub)), None)
+    for M in family:
+        r = rats[M.name]
+        sub = Subsemimodule(restrict_to_base(P, M), r.elements)
+        if subtractive_closure(sub).elements != r.elements:
+            w = M.name
+            break
     rep.add("rational-part-subtractive", w is None, w)
     # (idempotence) Rat(Rat(M)) = Rat(M), acting through the induced comodule
-    again = (rational_part(P, induced_action(P, rats[M.name].comodule)) for M in family)
-    w = next((M.name for M, r2 in zip(family, again) if len(r2.elements) != len(rats[M.name].elements)), None)
+    w = None
+    for M in family:
+        r = rats[M.name]
+        MA2 = induced_action(P, r.comodule)
+        r2 = rational_part(P, MA2)
+        if len(r2.elements) != len(r.elements):
+            w = M.name
+            break
     rep.add("rational-part-idempotent", w is None, w)
     # (functoriality) every linear map sends rational parts into rational parts
-    maps = ((M.name, N.name, f) for M in family for N in family for f in hom_enumerate(M, N))
-    w = next(((m, n, f.name) for m, n, f in maps if not set(map(f, rats[m].elements)) <= rats[n].elements), None)
+    w = None
+    for M in family:
+        for N in family:
+            for f in hom_enumerate(M, N):
+                rM, rN = rats[M.name], rats[N.name]
+                img = {f(m) for m in rM.elements}
+                if not img <= rN.elements:
+                    w = (M.name, N.name, f.name)
+                    break
+            if w:
+                break
+        if w:
+            break
     rep.add("rational-part-functorial", w is None, w)
-
-    def misses(M):
-        """The first (M, K, t) whose membership the evaluations misjudge."""
+    # membership criterion: tensors landing in a closed submodule are detected
+    # by their evaluations (both directions, small instances)
+    w = None
+    for M in family:
         L = restrict_to_base(P, M)
         T = tensor(L, P.coring.carrier, over=P.base)
+        subs = _small_submodules(L)
         aels = list(P.asemiring.elements)
-        for K in _small_submodules(L):
+        for K in subs:
             Kbar = subtractive_closure(K).elements
             gens = [T.pure(k, c) for k in sorted_elems(Kbar) for c in P.coring.carrier.elements()]
             inside = span(T.result, gens).elements
             for t in T.result.elements():
-                if (t in inside) != all(alpha_eval(P, L, T, t, a) in Kbar for a in aels):
-                    return M.name, sorted_elems(K.elements), t
-        return None
-
-    # membership criterion: tensors landing in a closed submodule are detected
-    # by their evaluations (both directions, small instances)
-    w = next(filter(None, map(misses, family)), None)
+                lhs = t in inside
+                rhs = all(alpha_eval(P, L, T, t, a) in Kbar for a in aels)
+                if lhs != rhs:
+                    w = (M.name, sorted_elems(K.elements), t)
+                    break
+            if w:
+                break
+        if w:
+            break
     rep.add("membership-criterion", w is None, w)
     return rep
 
@@ -338,8 +403,16 @@ def coring_in_dual_check(P: MeasuringPairing) -> Report:
         (len(r.elements), len(car.elements())),
     )
     # chi is colinear: compare the recovered coaction with the pushed one
-    T, rho = ar["tensor"], r.rho_class
-    w = next((c for c in chi if chi[c] not in rho or T.push(C.delta[c], (chi.__getitem__, None)) != rho[chi[c]]), None)
+    T = ar["tensor"]
+    w = None
+    for c in car.elements():
+        target = r.rho_class.get(chi[c])
+        if target is None:
+            w = c
+            break
+        if T.push(C.delta[c], (chi.__getitem__, None)) != target:
+            w = c
+            break
     rep.add("chi-colinear", w is None, w)
     return rep
 
@@ -456,7 +529,7 @@ def pairing_tensor(P: MeasuringPairing, Q: MeasuringPairing):
 # ---------------------------------------------------------------- finiteness
 
 def completely_subtractive(M) -> bool:
-    from .semimodules import enumerate_submodules
+    from .semimodules import enumerate_submodules, is_subtractive
 
     return all(is_subtractive(L) for L in enumerate_submodules(M))
 

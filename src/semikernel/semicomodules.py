@@ -4,7 +4,7 @@ Coactions are stored as formal sums of (carrier element, coring element)
 pairs, normalized through the computed tensor before equality tests.
 Colinearity squares, including those of the factor and lift maps that the
 (co)equalizer verifiers test, are folded on integer positions
-(Semicomodule.compiled, Semimodule.positions).  The structured lane
+(Semicomodule.compiled, Semimodule.indexed).  The structured lane
 mirrors every check symbolically for infinite carriers.
 """
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .structured import (
     structured_mono_flat_probe,
 )
 from .tensors import tensor, tensor_multi
-from .util import Memo, Report, fs_eval, fs_make, ordkey, unpreserved
+from .util import Memo, Report, fs_eval, fs_make, ordkey, unpreserved_rows
 
 
 class Semicomodule:
@@ -86,7 +86,7 @@ class Semicomodule:
         rho(y) in M (x) C; None when the coaction is additive.  Scanned on
         positions: the compiled rhobar against the sum of M (x) C."""
         ix = self.carrier.indexed()
-        return unpreserved(self.compiled.rhobar, ix.add, self.compiled.sums.add, ix.elements)
+        return unpreserved_rows(self.compiled.rhobar, ix.add, self.compiled.sums.plus, ix.elements)
 
     def __repr__(self):
         return f"<Semicomodule {self.name} over {self.coring.name}>"
@@ -98,7 +98,7 @@ class _Compiled:
     terms[m] is rho(m), for each position m of M.carrier.indexed(), as
     (M-position, C-position, multiplicity) triples, C-positions being
     those of coring.carrier.elements().  sums is M (x) C on positions
-    (Semimodule.positions), pure[n][c] the position of n (x) c there,
+    (Semimodule.indexed), pure[n][c] the position of n (x) c there,
     filled as folds reach it, and rhobar[m] that of rho(m), for every m: a
     negative multiplicity raises there.
     """
@@ -111,7 +111,7 @@ class _Compiled:
         cpos = {c: i for i, c in enumerate(cels)}
         self.terms = [[(ix.index[m1], cpos[c1], k) for (m1, c1), k in M.coaction[m]] for m in ix.elements]
         T = M.mc()
-        self.sums = sums = T.result.positions()
+        self.sums = sums = T.result.indexed()
         self.pure = [Memo(lambda c, n=n: sums.of(T.pure(n, cels[c]))) for n in ix.elements]
         self.rhobar = [self.image(terms, range(len(ix.elements))) for terms in self.terms]
 
@@ -120,7 +120,7 @@ class _Compiled:
         a sequence of positions here: the sum of k * pure[f[m]][c], folded
         in term order from zero."""
         pure = self.pure
-        return fold(self.sums.add, self.sums.zero, ((pure[f[m]][c], k) for m, c, k in terms))
+        return fold(self.sums.plus, self.sums.zero, ((pure[f[m]][c], k) for m, c, k in terms))
 
 
 class StructuredSemicomodule:
@@ -148,25 +148,28 @@ def check_comodule(M) -> Report:
     els = car.elements()
     w = M.additivity_witness
     rep.add("coaction-additive", w is None, w)
-    w = unpreserved(M.compiled.rhobar, car.indexed().act, M.compiled.sums.act, els, C.base.elements)
+    w = unpreserved_rows(M.compiled.rhobar, car.indexed().act, M.compiled.sums.scale, els, C.base.elements)
     rep.add("coaction-linear", w is None, w)
 
-    def counit(rm):  # the sum of m_1 eps(c_1) over rho(m)
-        return fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in rm))
-
     # counit triangle doubles as the splitting retraction for the coaction
-    w = next(((m, acc) for m in els if (acc := counit(M.coaction[m])) != m), None)
+    w = None
+    for m in els:
+        acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
+        if acc != m:
+            w = (m, acc)
+            break
     rep.add("counit-law", w is None, w)
     rep.add("coaction-splits", w is None, w)
 
     T3 = M.mcc()
-
-    def coassociative(rm):  # (rho (x) C) rho(m) == (M (x) Delta) rho(m), pushed
+    w = None
+    for m in els:
+        rm = M.coaction[m]
         lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rm for (m11, c11), n in M.coaction[m1]]
         rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rm for (c11, c12), n in C.delta[c1]]
-        return T3.push(lhs) == T3.push(rhs)
-
-    w = next((m for m in els if not coassociative(M.coaction[m])), None)
+        if T3.push(lhs) != T3.push(rhs):
+            w = m
+            break
     rep.add("coassociative", w is None, w)
     return rep
 
@@ -279,13 +282,18 @@ def cofree_adjunction_check(Y: Semicomodule, X) -> Report:
     _, _, homs = _homs(Y.carrier, X)
     rep.add("hom-count", len(colin) == len(homs), (len(colin), len(homs)))
     T = XC.base_tensor
-    def round_trips(f):  # f -> phi = theta . (X (x) eps) . f, then back
-        def phi(y):
+    # forward: f -> theta . (X (x) eps) . f, then back; must round-trip
+    w = None
+    for f in colin:
+        def phi(y, f=f):
             return fs_eval(X, ((X.act(xm, C.eps[c]), mult) for (xm, c), mult in T.rep(f(y))))
 
-        return all(T.push(Y.coaction[y], (phi, None)) == f(y) for y in Y.carrier.elements())
+        def back(y, phi=phi):
+            return T.push(Y.coaction[y], (phi, None))
 
-    w = next((f.name for f in colin if not round_trips(f)), None)
+        if any(back(y) != f(y) for y in Y.carrier.elements()):
+            w = f.name
+            break
     rep.add("round-trip", w is None, w)
     return rep
 
@@ -424,19 +432,22 @@ def cogenerator_probe(Q, C, family):
     QC = cofree_comodule(Q, C)
     T = QC.base_tensor
     results = []
+    ok = True
     for (f, g, M, N) in family:
         if all(f(m) == g(m) for m in M.carrier.elements()):
             results.append({"pair": (f.name, g.name), "separated": True, "vacuous": True})
             continue
-
-        def separates(phi):  # (phi (x) C) rho_N tells f from g
-            def h(n):
+        sep = None
+        for phi in hom_enumerate(N.carrier, Q):
+            def h(n, phi=phi):
                 return T.push(N.coaction[n], (phi, None))
 
-            return any(h(f(m)) != h(g(m)) for m in M.carrier.elements())
-
-        results.append({"pair": (f.name, g.name), "separated": any(map(separates, hom_enumerate(N.carrier, Q)))})
-    return {"all_separated": all(r["separated"] for r in results), "family": results}
+            if any(h(f(m)) != h(g(m)) for m in M.carrier.elements()):
+                sep = phi
+                break
+        results.append({"pair": (f.name, g.name), "separated": sep is not None})
+        ok = ok and sep is not None
+    return {"all_separated": ok, "family": results}
 
 
 # ---------------------------------------------------------------- counterexample

@@ -17,11 +17,9 @@ from .semimodules import (
     LinearMap,
     Semimodule,
     Subsemimodule,
-    _greedy_gens,
     _homs,
     congruence_mod,
     fold,
-    left_rows,
     quotient_by_congruence,
     scalar_of,
     scalar_to,
@@ -38,7 +36,7 @@ from .structured import (
     structured_map_tensor,
 )
 from .tensors import SaturationTensor, tensor, tensor_multi
-from .util import Report, fs_eval, fs_make, ordkey, unpreserved
+from .util import Report, fs_eval, fs_make, ordkey, unpreserved_rows
 
 
 class Semicoring:
@@ -113,56 +111,77 @@ class StructuredSemicoring:
 
 # ---------------------------------------------------------------- checking
 
+def _coassoc_elements(C):
+    """Elements on which coassociativity is verified elementwise.
+
+    Large carriers are checked on an additive generating set; this is a
+    complete check because linearity of the comultiplication is verified
+    exhaustively first.
+    """
+    els = C.carrier.elements()
+    if len(els) <= 32:
+        return els, True
+    from .semimodules import _greedy_gens
+
+    return _greedy_gens(C.carrier), False
+
+
 def check_semicoring(C) -> Report:
     if C.structured:
         return _check_semicoring_structured(C)
     rep = Report(f"semicoring {C.name}")
     car, S, T2 = C.carrier, C.base, C.cc()
-    # every scan runs on positions: C's in car.indexed(), C (x) C's in its
-    # positions(), S's in S.elements; Delta(c) is pushed there directly
-    ix, P = car.indexed(), T2.result.positions()
+    # the scans run on positions (util.unpreserved_rows): C's and C (x) C's
+    # in their indexed(), with Delta(c) pushed to its position directly;
+    # epsilon's images stay elements of S
+    ix, P = car.indexed(), T2.result.indexed()
     els, scalars = ix.elements, S.elements
-    plus, times = S.tables()
     dm = [T2.position(C.delta[c]) for c in els]
-    ep = [S.index.get(C.eps[c]) for c in els]
-    if None in ep:  # the scans read epsilon on S's positions (a document's is checked on reading)
-        raise FormatError(f"{C.name}: epsilon value {C.eps[els[ep.index(None)]]!r} is not an element of {S.name}")
-    w = unpreserved(dm, ix.add, P.add, els)
+    eps = [C.eps[c] for c in els]
+    w = unpreserved_rows(dm, ix.add, P.plus, els)
     rep.add("comult-additive", w is None, w)
-    w = unpreserved(dm, ix.act, P.act, els, scalars)
+    w = unpreserved_rows(dm, ix.act, P.scale, els, scalars)
     rep.add("comult-right-linear", w is None, w)
-    w = unpreserved(dm, left := left_rows(car), P.act_left, els, scalars)
+    w = unpreserved_rows(dm, ix.left, P.scale_left, els, scalars)
     rep.add("comult-left-linear", w is None, w)
-    w = unpreserved(ep, ix.add, lambda u, v: plus[u][v], els)
+    w = unpreserved_rows(eps, ix.add, S.add, els)
     rep.add("counit-additive", w is None, w)
-    w = unpreserved(ep, ix.act, lambda u, k: times[u][k], els, scalars)
+    w = unpreserved_rows(eps, ix.act, lambda e, k: S.mul(e, scalars[k]), els, scalars)
     rep.add("counit-right-linear", w is None, w)
 
-    # counit triangles, folded on C's positions
-    index, add = ix.index, lambda i, j: ix.add[i][j]
+    # counit triangles, folded on C's positions; an epsilon value off S
+    # acts off the carrier, and then they are evaluated on elements
+    ep = [S.index.get(e) for e in eps]
+    off = None in ep
     w = None
-    for i, c in enumerate(els):
-        terms = [(index[c1], index[c2], mult) for (c1, c2), mult in C.delta[c]]
-        lhs = fold(add, ix.zero, ((left[b][ep[a]], k) for a, b, k in terms))
-        rhs = fold(add, ix.zero, ((ix.act[a][ep[b]], k) for a, b, k in terms))
-        if lhs != i or rhs != i:
-            w = ("left", c, els[lhs]) if lhs != i else ("right", c, els[rhs])
+    for c in els:
+        dc = C.delta[c]
+        if off:
+            left = fs_eval(car, ((car.act_left(C.eps[c1], c2), mult) for (c1, c2), mult in dc))
+            right = fs_eval(car, ((car.act(c1, C.eps[c2]), mult) for (c1, c2), mult in dc))
+        else:
+            terms = [(ix.index[c1], ix.index[c2], mult) for (c1, c2), mult in dc]
+            left = els[fold(ix.plus, ix.zero, ((ix.left[b][ep[a]], mult) for a, b, mult in terms))]
+            right = els[fold(ix.plus, ix.zero, ((ix.act[a][ep[b]], mult) for a, b, mult in terms))]
+        if left != c:
+            w = ("left", c, left)
+            break
+        if right != c:
+            w = ("right", c, right)
             break
     rep.add("counit-law", w is None, w)
 
-    # a large carrier is checked on an additive generating set: complete,
-    # as the linearity of Delta was checked exhaustively above
-    exhaustive = len(els) <= 32
-    check_els = els if exhaustive else _greedy_gens(car)
+    check_els, exhaustive = _coassoc_elements(C)
     T3 = C.ccc()
-    push = T3.push if T3.result is None else T3.position  # a lazy T3 has no positions
-
-    def coassociative(dc):  # (Delta (x) C) Delta(c) == (C (x) Delta) Delta(c), pushed
+    push = T3.push if T3.result is None else T3.position  # a lazy C (x) C (x) C has no positions
+    w = None
+    for c in check_els:
+        dc = C.delta[c]
         lhs = [((c11, c12, c2), m * n) for (c1, c2), m in dc for (c11, c12), n in C.delta[c1]]
         rhs = [((c1, c21, c22), m * n) for (c1, c2), m in dc for (c21, c22), n in C.delta[c2]]
-        return push(lhs) == push(rhs)
-
-    w = next(((c, "coassociativity") for c in check_els if not coassociative(C.delta[c])), None)
+        if push(lhs) != push(rhs):
+            w = (c, "coassociativity")
+            break
     rep.add("coassociative" + ("" if exhaustive else "-on-generators"), w is None, w)
     return rep
 
@@ -224,10 +243,16 @@ class SemicoringMorphism:
 def semicoring_morphism_check(f: LinearMap, source, target) -> Report:
     """f: source -> target a map of semicorings over the same base."""
     rep = Report(f"semicoring morphism {f.name}")
-    Tt, els = target.cc(), source.carrier.elements()
-    w = next((d for d in els if Tt.push(source.delta[d], (f, f)) != target.delta_norm(f(d))), None)
+    Tt = target.cc()
+    w = None
+    for d in source.carrier.elements():
+        if Tt.push(source.delta[d], (f, f)) != target.delta_norm(f(d)):
+            w = d
+            break
     rep.add("comult-square", w is None, w)
-    w = next((d for d in els if target.eps[f(d)] != source.eps[d]), None)
+    w = next(
+        (d for d in source.carrier.elements() if target.eps[f(d)] != source.eps[d]), None
+    )
     rep.add("counit-triangle", w is None, w)
     return rep
 
@@ -359,14 +384,16 @@ def _free_basis(A, B, phi):
     nonzero = [a for a in A.elements if a != A.zero]
     for combo in itertools.combinations(nonzero, k):
         reached = {}
+        ok = True
         for coeffs in itertools.product(B.elements, repeat=k):
             v = A.zero
             for c, e in zip(coeffs, combo):
                 v = A.add(v, A.mul(phi(c), e))
             if v in reached:
+                ok = False
                 break
             reached[v] = coeffs
-        else:  # |B|^k = |A| combinations, no two alike
+        if ok and len(reached) == na:
             return list(combo), reached
     return None
 
@@ -515,7 +542,7 @@ def dual_semiring(C, side="left", max_size=64):
     # c_i * (s-th scalar) and left[i][s] is (s-th scalar) * c_i
     ix = car.indexed()
     els = ix.elements
-    left = left_rows(car)
+    left = ix.left
 
     def linear(k, act, mul):
         return all(k[act[i][s]] == mul(v, a) for i, v in enumerate(k) for s, a in enumerate(A.elements))

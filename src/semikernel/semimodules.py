@@ -11,7 +11,7 @@ from functools import lru_cache
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
 from .errors import FormatError, UndecidedError, UnsupportedError, negative_count
 from .presentations import DEFAULT_BUDGET
-from .util import Record, Report, sorted_elems, unpreserved, unpreserved_elements
+from .util import Record, Report, sorted_elems, unpreserved
 
 SAMPLES = 64  # sample size of the checks on effective carriers
 
@@ -23,7 +23,7 @@ class Semimodule:
     """
 
     # attributes set after construction (basis, ...) go to __dict__
-    __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "_positions", "__dict__")
+    __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "__dict__")
 
     def __init__(self, base, atoms, name="M", act_left=None):
         self.base = base
@@ -33,7 +33,6 @@ class Semimodule:
         self._act_left = act_left
         self._elements = None
         self._indexed = None
-        self._positions = None
 
     @property
     def is_finite(self):
@@ -47,12 +46,6 @@ class Semimodule:
             # comes in ordkey (lexicographic) order; no atoms give [()]
             self._elements = list(itertools.product(*(a.elements() for a in self.atoms)))
         return self._elements
-
-    def positions(self):
-        """The finite carrier numbered by integers (see Positions), built once."""
-        if self._positions is None:
-            self._positions = Positions(self)
-        return self._positions
 
     def indexed(self):
         """The finite carrier on integer positions (see Indexed), built once;
@@ -129,102 +122,110 @@ class Semimodule:
 
 
 class Indexed:
-    """A finite semimodule on the positions of its elements.
+    """A finite semimodule M numbered by the integers below |M|, in the
+    ordkey order of M.elements(): the one numbering of a finite carrier.
 
-    `elements` is M.elements() (ordkey order), `index` maps each element to
-    its position (built on first use unless the rows are computed on
-    elements) and `zero` is the position of M.zero.  add[i][j] is the
-    position of elements[i] + elements[j] and act[i][k] that of elements[i]
-    acted on by base.elements[k]; the act rows are empty over an infinite
-    base.  Rows are compact (atoms.compact).  A single table atom in ordkey
-    order already holds these rows, and they are shared; a single free
-    atom's are read off its Radix, whose positions are in ordkey order;
-    otherwise they are computed on elements, and a sum or action outside
-    the carrier raises FormatError.
+    of(x) is the position of x (None if x is not an element), element(i)
+    the element at position i and zero the position of M.zero.  `elements`
+    is M.elements() and `index` maps each element to its position.
+    add[i][j] is the position of the sum of the elements at i and j, and
+    act[i][k] and left[i][k] those of the element at i acted on by
+    base.elements[k] on the right and on the left: compact rows
+    (atoms.compact), the action rows empty over an infinite base.  plus,
+    scale and scale_left are the same as functions of (i, j) and (i, k).
+
+    A single free atom is numbered by its Radix (`radix`, None otherwise):
+    the functions work digit by digit, and the listing, the index and the
+    rows are built on first read, so a carrier as large as C (x) C of rank
+    49 is never listed.  A single table atom brings its own rows, shared
+    when its carrier is in ordkey order and renumbered otherwise.  Any
+    other M is listed and its rows are computed on elements, as is a left
+    action that no Radix gives; a sum or action outside the carrier raises
+    FormatError.  `index` and `left` are built on first read.  The
+    functions are methods, not closures: a hom search keeps hundreds of
+    these per query.
     """
 
-    __slots__ = ("elements", "index", "zero", "add", "act")
+    __slots__ = ("module", "radix", "zero", "elements", "index", "add", "act", "left")
 
     def __init__(self, M):
+        self.module, self.radix = M, None
+        atom = M.atoms[0] if len(M.atoms) == 1 else None
+        if isinstance(atom, FreeAtom) and atom.base is M.base:
+            self.radix = atom.radix
+            self.zero = self.radix.zero
+            return
         self.elements = els = M.elements()
         n = len(els)
-        atom = M.atoms[0] if len(M.atoms) == 1 else None
-        if (
-            isinstance(atom, TableAtom)
-            and atom._carrier is atom._elements
-            and atom.base is M.base
-        ):
-            self.zero = atom._carrier.index(atom.zero)
-            self.add = atom._rows
-            self.act = atom._act if atom._act is not None else (b"",) * n
-            return
-        if isinstance(atom, FreeAtom) and atom.base is M.base:
-            rx, scalars = atom.radix, range(len(M.base.elements))
-            self.zero = rx.zero
-            self.add = tuple(compact(list(map(rx.add, itertools.repeat(i), range(n))), n) for i in range(n))
-            self.act = tuple(compact([rx.act(i, k) for k in scalars], n) for i in range(n))
+        if isinstance(atom, TableAtom) and atom.base is M.base:
+            rows, act = atom._rows, atom._act
+            if atom._carrier is not atom._elements:  # renumber the carrier's rows in ordkey order
+                at = [atom.index[e] for e in atom._elements]  # the carrier position of each position
+                back = {p: i for i, p in enumerate(at)}
+                rows = tuple(compact([back[rows[p][q]] for q in at], n) for p in at)
+                act = None if act is None else tuple(compact([back[v] for v in act[p]], n) for p in at)
+            self.add, self.act = rows, (b"",) * n if act is None else act
+            self.zero = atom._elements.index(atom.zero)
             return
         self.index = index = {e: i for i, e in enumerate(els)}
         self.zero = index[M.zero]
-
-        def pos(v, x, op, y):
-            i = index.get(v)
-            if i is None:
-                raise FormatError(f"{M.name}: {x!r} {op} {y!r} = {v!r} is not an element of the carrier")
-            return i
-
-        self.add = tuple(compact([pos(M.add(x, y), x, "+", y) for y in els], n) for x in els)
+        self.add = tuple(compact([self._at(M.add(x, y), x, "+", y) for y in els], n) for x in els)
         scalars = M.base.elements or ()
-        self.act = tuple(compact([pos(M.act(x, s), x, "*", s) for s in scalars], n) for x in els)
+        self.act = tuple(compact([self._at(M.act(x, s), x, "*", s) for s in scalars], n) for x in els)
 
-    def __getattr__(self, name):  # reached only while the `index` slot is unset
-        if name != "index":
-            raise AttributeError(name)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        return self.index
+    def of(self, x):
+        if self.radix is None:
+            return self.index.get(x)
+        return self.radix.position(x[0]) if type(x) is tuple and len(x) == 1 else None
 
+    def element(self, i):
+        return self.elements[i] if self.radix is None else (self.radix.element(i),)
 
-class Positions:
-    """A finite module R numbered by integers, for scans and folds that must
-    not list R (M (x) C can be far too large for R.indexed()): of(x) is the
-    position of x (None if x is no element), element(i) the element at i,
-    add(i, j), act(i, k) and act_left(i, k) the positions of a sum and of
-    the actions by base.elements[k], zero that of R.zero.  A single free
-    atom is numbered by its Radix, a single table atom by its carrier and
-    rows (every saturation tensor's result is one), any other R by
-    R.indexed(); a left action no Radix gives is computed on elements."""
+    @property
+    def plus(self):
+        return self._plus if self.radix is None else self.radix.add
 
-    __slots__ = ("of", "element", "add", "act", "act_left", "zero")
+    @property
+    def scale(self):
+        return self._scale if self.radix is None else self.radix.act
 
-    def __init__(self, R):
-        atom = R.atoms[0] if len(R.atoms) == 1 else None
-        scalars = R.base.elements
-        self.act_left = lambda i, k: self.of(R.act_left(scalars[k], self.element(i)))
-        if isinstance(atom, FreeAtom) and atom.base is R.base:
-            rx = atom.radix
-            self.of = lambda x: rx.position(x[0]) if type(x) is tuple and len(x) == 1 else None
-            self.element = lambda i: (rx.element(i),)
-            self.add, self.act = rx.add, rx.act
-            if R._act_left is None:
-                self.act_left = rx.act_left
+    @property
+    def scale_left(self):
+        if self.radix is None or self.module._act_left is not None:
+            return self._left
+        return self.radix.act_left
+
+    def _plus(self, i, j):
+        return self.add[i][j]
+
+    def _scale(self, i, k):
+        return self.act[i][k]
+
+    def _left(self, i, k):
+        """scale_left computed on elements."""
+        s, x = self.module.base.elements[k], self.element(i)
+        return self._at(self.module.act_left(s, x), s, "*", x)
+
+    def _at(self, v, x, op, y):
+        """The position of v = x op y, which must be an element."""
+        i = self.of(v)
+        if i is None:
+            raise FormatError(f"{self.module.name}: {x!r} {op} {y!r} = {v!r} is not an element of the carrier")
+        return i
+
+    def __getattr__(self, name):  # reached only while a slot built on first read is unset
+        if name == "elements":
+            value = self.module.elements()
+        elif name == "index":
+            value = {e: i for i, e in enumerate(self.elements)}
+        elif name in ("add", "act", "left"):
+            n, op = len(self.elements), {"add": self.plus, "act": self.scale, "left": self.scale_left}[name]
+            cols = range(n if name == "add" else len(self.module.base.elements or ()))
+            value = tuple(compact([op(i, k) for k in cols], n) for i in range(n))
         else:
-            if isinstance(atom, TableAtom) and atom.base is R.base:
-                index, carrier, add, act = atom.index, atom._carrier, atom._rows, atom._act
-                self.of = lambda x: index.get(x[0]) if type(x) is tuple and len(x) == 1 else None
-                self.element = lambda i: (carrier[i],)
-            else:
-                ix = R.indexed()
-                self.of, self.element, add, act = ix.index.get, ix.elements.__getitem__, ix.add, ix.act
-            self.add = lambda i, j: add[i][j]
-            self.act = lambda i, k: act[i][k]
-        self.zero = self.of(R.zero)
-
-
-def left_rows(M):
-    """left[i][k]: the position in M.indexed() of base.elements[k] acting
-    on the left of elements[i], for a finite M over a finite base."""
-    ix = M.indexed()
-    return [[ix.index[M.act_left(s, x)] for s in M.base.elements] for x in ix.elements]
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
 def same_carrier(M, N):
@@ -399,9 +400,7 @@ class LinearMap:
 
     def check(self) -> Report:
         """Images in a finite target, then linearity: exhaustive on finite
-        sources, sampled otherwise.  With a finite source, target and base
-        and every image in the target, linearity is scanned on positions
-        (util.unpreserved), otherwise on elements."""
+        sources, sampled otherwise."""
         M, N, f = self.source, self.target, self.fn
         rep = Report(f"linear {self.name}")
         if M.is_finite:
@@ -418,18 +417,14 @@ class LinearMap:
             pairs = [(M.sample(rng), M.sample(rng)) for _ in range(SAMPLES)]
             xs = [x for pair in pairs for x in pair]
             actions = zip((x for x, _ in pairs), M.base.sample_elements(rng, SAMPLES))
-        fp = [None]
         if N.is_finite:
-            P = N.positions()
-            fp = [P.of(f(x)) for x in xs]
-            w = next((x for x, p in zip(xs, fp) if p is None), None)
+            targets = set(N.elements())
+            w = next((x for x in xs if f(x) not in targets), None)
             rep.add("codomain", w is None, w)
         rep.add("zero", f(M.zero) == N.zero, M.zero)
-        ix = None if None in fp or rep.sampled else M.indexed()
-        w = unpreserved_elements(f, M.add, N.add, pairs) if ix is None else unpreserved(fp, ix.add, P.add, xs)
+        w = unpreserved(f, M.add, N.add, pairs)
         rep.add("additive", w is None, w)
-        w = (unpreserved_elements(f, M.act, N.act, actions, scalar=True) if ix is None
-             else unpreserved(fp, ix.act, P.act, xs, scalars))
+        w = unpreserved(f, M.act, N.act, actions, scalar=True)
         rep.add("action", w is None, w)
         return rep
 
@@ -725,8 +720,12 @@ def cancellative_reflection(M):
 
 def is_cancellative(M):
     els = M.elements()
-    w = next(((a, b, c) for a in els for b in els for c in els if M.add(a, b) == M.add(a, c) and b != c), None)
-    return w is None, w
+    for a in els:
+        for b in els:
+            for c in els:
+                if M.add(a, b) == M.add(a, c) and b != c:
+                    return False, (a, b, c)
+    return True, None
 
 
 # ---------------------------------------------------------------- axiom check
@@ -865,9 +864,14 @@ def induced_first_iso(f: LinearMap):
     """The induced map source/Ker(f) -> image; bijective iff f is k-uniform."""
     Q, pi = quotient_by_sub(f.source, kernel(f))
     mapping = {}
+    ok = True
     for x in f.source.elements():
-        if mapping.setdefault(pi(x), f(x)) != f(x):
-            raise FormatError("first-iso map not well defined")  # cannot happen
+        q = pi(x)
+        if q in mapping and mapping[q] != f(x):
+            ok = False
+        mapping.setdefault(q, f(x))
+    if not ok:
+        raise FormatError("first-iso map not well defined")  # cannot happen
     img = image(f)
     injective = len(set(mapping.values())) == len(mapping)
     surjective = set(mapping.values()) == set(img.elements)
@@ -1248,13 +1252,20 @@ def enumerate_modules(S, max_size):
             for assign in itertools.product(endos, repeat=len(free)):
                 phi = {S.zero: zf, S.one: idf}
                 phi.update(dict(zip(free, assign)))
-                # phi(s + t) = phi(s) + phi(t) and phi(st) = phi(t) . phi(s)
-                if not all(
-                    endo_add[(phi[s], phi[t])] == phi[S.add(s, t)]
-                    and tuple(phi[t][phi[s][i]] for i in range(size)) == phi[S.mul(s, t)]
-                    for s in sels
-                    for t in sels
-                ):
+                ok = True
+                for s in sels:
+                    for t in sels:
+                        su = phi[S.add(s, t)]
+                        if endo_add[(phi[s], phi[t])] != su:
+                            ok = False
+                            break
+                        comp = tuple(phi[t][phi[s][i]] for i in range(size))
+                        if comp != phi[S.mul(s, t)]:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
                     continue
                 action = [[phi[s][i] for s in sels] for i in range(size)]
                 out.append(table_module(S, range(size), table, action, name=f"M{size}#{len(out)}"))

@@ -341,6 +341,7 @@ def structured_mono_flat_probe(C, family, over=None):
     """
     over = over or C.base
     results = []
+    ok = True
     idC = structured_identity(C)
     for f in family:
         inj, w = f.is_injective()
@@ -355,5 +356,8 @@ def structured_mono_flat_probe(C, family, over=None):
             diff = b if a == TX.result.zero else a
         else:
             diff = None
-        results.append({"map": f.name, "mono_preserved": pinj, "collapsing_witness": diff})
-    return {"mono_flat_on_family": all(r["mono_preserved"] for r in results), "family": results}
+        results.append(
+            {"map": f.name, "mono_preserved": pinj, "collapsing_witness": diff}
+        )
+        ok = ok and pinj
+    return {"mono_flat_on_family": ok, "family": results}

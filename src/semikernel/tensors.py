@@ -67,11 +67,11 @@ class TensorProduct:
         return fs_eval(self.result, ((self.pure(*ms), mult) for ms, mult in terms))
 
     def position(self, terms):
-        """push(terms) as a position of result.positions(), folded there; the
+        """push(terms) as a position of result.indexed(), folded there; the
         position of each pure tensor is worked out once per tensor."""
-        P = self.result.positions()
+        P = self.result.indexed()
         pure = self.__dict__.setdefault("_pure_positions", Memo(lambda ms: P.of(self.pure(*ms))))
-        return fold(P.add, P.zero, ((pure[ms], k) for ms, k in terms))
+        return fold(P.plus, P.zero, ((pure[ms], k) for ms, k in terms))
 
     def descend(self, classes, structure, maps, fail):
         """Push a structure down a quotient, one class at a time.
@@ -129,12 +129,19 @@ class FreeTensor(TensorProduct):
         return (coeffs,)
 
     def rep(self, x):
-        # c * e_i0 (x) e_i1 (x) ... for each non-zero coefficient c of x, c in the first slot
-        return [
-            (tuple((a.unit(i, None if slot else c),) for slot, (a, i) in enumerate(zip(self.atoms, combo))), 1)
-            for combo, c in zip(self.pairs, x[0])
-            if c != self.over.zero
-        ]
+        out = []
+        for combo, c in zip(self.pairs, x[0]):
+            if c == self.over.zero:
+                continue
+            ms = []
+            for slot, i in enumerate(combo):
+                a = self.atoms[slot]
+                if slot == 0:
+                    ms.append((a.unit(i, c),))
+                else:
+                    ms.append((a.unit(i),))
+            out.append((tuple(ms), 1))
+        return out
 
 
 class SaturationTensor(TensorProduct):

@@ -49,14 +49,24 @@ def fs_eval(M, pairs):
     return acc
 
 
-def unpreserved(f, rows, top, els, cols=None):
-    """The first pair (els[i], b), row by row, that f does not carry to the
-    target's operation, or None: the law "f is a homomorphism" as one scan
-    of integer positions.  f[i] is the target position of the image of
-    els[i]; rows[i][j] the position in els of els[i] op b, with b = els[j],
-    or the scalar b = cols[j] when cols are given; top the target operation
-    on positions.  The pair fails when f[rows[i][j]] != top(f[i], f[j]), or
-    != top(f[i], j) for a scalar."""
+def unpreserved(f, op, top, pairs, scalar=False):
+    """The first (a, b) of pairs, in the order given, with f(op(a, b)) !=
+    top(f(a), f(b)), or != top(f(a), b) when b is a scalar acting on a (None
+    if f preserves op on every pair): the law "f is a homomorphism" as a scan."""
+    if scalar:
+        return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), b)), None)
+    return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), f(b))), None)
+
+
+def unpreserved_rows(f, rows, top, els, cols=None):
+    """unpreserved on a finite carrier's integer positions: the first pair
+    (els[i], b), row by row, that f does not carry to the target's
+    operation, or None.  f[i] is the image of els[i] (a position or an
+    element of the target); rows[i][j] the position in els of els[i] op b,
+    with b = els[j], or the scalar b = cols[j] when cols are given; top the
+    target operation on images.  The pair fails when f[rows[i][j]] !=
+    top(f[i], f[j]), or != top(f[i], j) for a scalar.  Each image is read
+    once, and the pairs come in the order unpreserved takes them."""
     second = f if cols is None else range(len(cols))
     for i, row in enumerate(rows):
         lhs, rhs = list(map(f.__getitem__, row)), list(map(top, repeat(f[i]), second))
@@ -64,16 +74,6 @@ def unpreserved(f, rows, top, els, cols=None):
             j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
             return els[i], (els if cols is None else cols)[j]
     return None
-
-
-def unpreserved_elements(f, op, top, pairs, scalar=False):
-    """unpreserved on elements, for pairs a carrier has no positions for (an
-    infinite or sampled one, or an image off the target): the first (a, b)
-    of pairs, in the order given, with f(op(a, b)) != top(f(a), f(b)), or
-    != top(f(a), b) when b is a scalar acting on a."""
-    if scalar:
-        return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), b)), None)
-    return next(((a, b) for a, b in pairs if f(op(a, b)) != top(f(a), f(b))), None)
 
 
 class Memo(dict):

@@ -18,7 +18,14 @@ import pytest
 from semikernel.atoms import TableAtom
 from semikernel.errors import FormatError, UndecidedError
 from semikernel.presentations import Budget, MonoidPresentation
-from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule, hom_enumerate, table_module
+from semikernel.semimodules import (
+    Semimodule,
+    cyclic_module,
+    enumerate_modules,
+    free_semimodule,
+    hom_enumerate,
+    table_module,
+)
 from semikernel.semirings import bool_semiring, nat, zmod
 from semikernel.tensors import SaturationTensor
 from semikernel.util import sorted_elems
@@ -334,6 +341,28 @@ def test_dict_built_tables_keep_only_positions():
         ]
         assert ta.index == {e: i for i, e in enumerate(els)}
         assert ix.index == {x: i for i, x in enumerate(ix.elements)}
+
+
+def test_a_table_carrier_out_of_ordkey_order_is_renumbered():
+    """A table atom given rows in the reverse of the ordkey order (as a
+    saturation result gives its Cayley-walk order): indexed() still numbers
+    the elements in ordkey order, and its rows and functions agree with
+    the element operations."""
+    for M in enumerate_modules(B, 4):
+        atom = M.atoms[0]
+        carrier = atom.elements()[::-1]
+        pos = {e: i for i, e in enumerate(carrier)}
+        rows = [[pos[atom.add(a, b)] for b in carrier] for a in carrier]
+        act = [[pos[atom.act(a, s)] for s in B.elements] for a in carrier]
+        T = Semimodule(B, [TableAtom(B, carrier, rows, act)])
+        ix, els = T.indexed(), M.elements()
+        assert ix.elements == els and ix.zero == els.index(T.zero)
+        assert [ix.of(x) for x in els] == list(range(len(els))) and ix.of((9,)) is None
+        for (i, x), (j, y) in itertools.product(enumerate(els), repeat=2):
+            assert els[ix.add[i][j]] == els[ix.plus(i, j)] == T.add(x, y)
+        for (i, x), (k, s) in itertools.product(enumerate(els), enumerate(B.elements)):
+            assert els[ix.act[i][k]] == els[ix.scale(i, k)] == T.act(x, s)
+            assert els[ix.left[i][k]] == T.act_left(s, x)
 
 
 def test_skew_table_keeps_its_zero():

@@ -1,7 +1,7 @@
 """The arithmetic index of free carriers: a coefficient tuple's position is
 the mixed-radix number of its coordinates' positions in the base, and the
 sum and the actions work digit by digit on positions (atoms.Radix, read
-through Semimodule.positions() and Semimodule.indexed())."""
+through Semimodule.indexed())."""
 import random
 from itertools import product
 
@@ -51,17 +51,18 @@ def test_sum_and_actions_on_positions_are_the_free_atom_ones(base):
 @pytest.mark.parametrize("base", sorted(BASES))
 def test_positions_run_in_element_order(base, rank):
     M = free_semimodule(BASES[base](), rank)
-    P, ix = M.positions(), M.indexed()
-    assert [P.of(x) for x in M.elements()] == list(range(len(M.elements())))
-    assert [P.element(i) for i in range(len(M.elements()))] == M.elements()
-    assert ix.zero == P.zero == M.elements().index(M.zero)
-    n, scalars = len(ix.elements), range(len(M.base.elements))
-    assert all(ix.add[i][j] == P.add(i, j) for i in range(n) for j in range(n))
-    assert all(ix.act[i][k] == P.act(i, k) for i in range(n) for k in scalars)
+    ix, els = M.indexed(), M.elements()
+    assert [ix.of(x) for x in els] == list(range(len(els)))
+    assert [ix.element(i) for i in range(len(els))] == els == ix.elements
+    assert ix.zero == els.index(M.zero)
+    n, scalars = len(els), list(enumerate(M.base.elements))
+    assert all(els[ix.add[i][j]] == M.add(els[i], els[j]) for i in range(n) for j in range(n))
+    assert all(els[ix.act[i][k]] == M.act(els[i], s) for i in range(n) for k, s in scalars)
+    assert all(els[ix.left[i][k]] == M.act_left(s, els[i]) for i in range(n) for k, s in scalars)
 
 
 def test_off_carrier_values_have_no_position():
-    P = free_semimodule(zmod(3), 2).positions()
+    P = free_semimodule(zmod(3), 2).indexed()
     assert [P.of(x) for x in [((0, 3),), ((0, 1, 2),), ((0, 1),), (0, 1), ((0, 1), (0, 1)), 5]] == [
         None, None, 3 * 0 + 1, None, None, None
     ]
@@ -78,9 +79,9 @@ def test_a_large_free_carrier_is_never_listed(monkeypatch):
     monkeypatch.setattr(FreeAtom, "elements", listed)
     B = bool_semiring()
     M = Semimodule(B, [FreeAtom(B, range(49))], name="B^49")
-    P = M.positions()
+    P = M.indexed()
     x, y = ((1,) + (0,) * 48,), ((0,) * 48 + (1,),)
     i, j = P.of(x), P.of(y)
     assert (i, j) == (1 << 48, 1)
-    assert P.element(P.add(i, j)) == (((1,) + (0,) * 47 + (1,)),)
-    assert P.act(i, 0) == P.zero == 0 and P.act_left(j, 1) == j
+    assert P.element(P.plus(i, j)) == (((1,) + (0,) * 47 + (1,)),)
+    assert P.scale(i, 0) == P.zero == 0 and P.scale_left(j, 1) == j

@@ -21,8 +21,8 @@ from semikernel.pairings import (
 )
 from semikernel.semicorings import basis_elem, dual_semiring
 from semikernel.semimodules import (
+    Indexed,
     LinearMap,
-    Positions,
     _hom_positions,
     cyclic_module,
     find_isomorphism,
@@ -382,17 +382,17 @@ def test_linear_maps_are_built_only_for_callers_that_get_maps(monkeypatch):
 
 
 def test_positions_are_handed_out_once_across_threads():
-    """Eight threads ask one fresh Positions of a free module (numbered by
-    its Radix, on first use) for the same 256 elements at once, each from
-    another starting point, switching every microsecond: every element gets
-    one position, the same in every thread."""
+    """Eight threads ask one fresh Indexed of a free module (numbered by
+    its Radix) for the same 256 elements at once, each from another
+    starting point, switching every microsecond: every element gets one
+    position, the same in every thread."""
     R = free_semimodule(B, 8)
     els = R.elements()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            P = Positions(R)
+            P = Indexed(R)
             barrier = threading.Barrier(8)
             seen = {}
 
