@@ -252,7 +252,7 @@ class TableAtom(Atom):
     over NAT (iterated addition).
     """
 
-    __slots__ = ("zero", "index", "_carrier", "_elements", "_rows", "_act")
+    __slots__ = ("zero", "_index", "_carrier", "_elements", "_rows", "_act")
     kind = "TABLE"
 
     def __init__(self, base, elements, add_table, action=None):
@@ -267,8 +267,7 @@ class TableAtom(Atom):
         index = {e: i for i, e in enumerate(carrier)}
         if len(index) != len(carrier):
             raise FormatError("TABLE elements repeat")
-        self._carrier = carrier
-        self._elements = ordered
+        self._index, self._carrier, self._elements = None, carrier, ordered
         self._rows = self._rows_of(add_table, index, carrier, "add")
         # with every pair present, any further entry has a key outside the carrier
         if isinstance(add_table, dict) and len(add_table) != len(carrier) ** 2:
@@ -287,11 +286,11 @@ class TableAtom(Atom):
                 raise FormatError("TABLE action table needs a finite base")
             self._act = self._rows_of(action, index, base.elements, "action")
 
-    def __getattr__(self, name):  # reached only while the `index` slot is unset
-        if name != "index":
-            raise AttributeError(name)
-        self.index = {e: i for i, e in enumerate(self._carrier)}
-        return self.index
+    @property
+    def index(self):  # a property, not __getattr__, which would slow every attribute read
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self._carrier)}
+        return self._index
 
     def _rows_of(self, table, index, columns, what):
         """Checked rows of positions, one per carrier element, over the
@@ -323,13 +322,13 @@ class TableAtom(Atom):
         return list(self._elements)
 
     def add(self, a, b):
-        index = self.index
+        index = self._index or self.index
         return self._carrier[self._rows[index[a]][index[b]]]
 
     def act(self, a, s):
         if self._act is None:
             return self.times_int(a, s)
-        return self._carrier[self._act[self.index[a]][self.base.index[s]]]
+        return self._carrier[self._act[(self._index or self.index)[a]][self.base.index[s]]]
 
     def gens(self):
         return [(a, a) for a in self._elements if a != self.zero]

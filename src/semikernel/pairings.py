@@ -284,7 +284,10 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
 
 
 def rat_property_suite(P: MeasuringPairing, family) -> Report:
-    """Subtractivity, idempotence, functoriality and the membership criterion."""
+    """Subtractivity, idempotence, functoriality and the membership criterion.
+
+    The report is sampled when a family member has more submodules than
+    enumerate_submodules' cap: the criterion then runs on two of them."""
     rep = Report(f"rational-part suite over {P.name}")
     rats = {}
     w = None
@@ -329,7 +332,8 @@ def rat_property_suite(P: MeasuringPairing, family) -> Report:
     for M in family:
         L = restrict_to_base(P, M)
         T = tensor(L, P.coring.carrier, over=P.base)
-        subs = _small_submodules(L)
+        subs, exhaustive = _small_submodules(L)
+        rep.sampled = rep.sampled or not exhaustive
         aels = list(P.asemiring.elements)
         for K in subs:
             Kbar = subtractive_closure(K).elements
@@ -350,12 +354,14 @@ def rat_property_suite(P: MeasuringPairing, family) -> Report:
 
 
 def _small_submodules(M):
+    """(the submodules of M, True), or past the enumeration cap (two of
+    them, False): the zero submodule and the span of one nonzero element."""
     from .semimodules import enumerate_submodules
 
     try:
-        return enumerate_submodules(M)
+        return enumerate_submodules(M), True
     except UnsupportedError:  # more submodules than the cap
-        return [span(M, []), span(M, [e for e in M.elements() if e != M.zero][:1])]
+        return [span(M, []), span(M, [e for e in M.elements() if e != M.zero][:1])], False
 
 
 def dual_of_asemiring(P: MeasuringPairing):

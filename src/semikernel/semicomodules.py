@@ -145,19 +145,22 @@ def check_comodule(M) -> Report:
     rep = Report(f"comodule {M.name}")
     C = M.coring
     car = M.carrier
-    els = car.elements()
+    els, ix = car.elements(), car.indexed()
     w = M.additivity_witness
     rep.add("coaction-additive", w is None, w)
-    w = unpreserved_rows(M.compiled.rhobar, car.indexed().act, M.compiled.sums.scale, els, C.base.elements)
+    w = unpreserved_rows(M.compiled.rhobar, ix.act, M.compiled.sums.scale, els, C.base.elements)
     rep.add("coaction-linear", w is None, w)
 
-    # counit triangle doubles as the splitting retraction for the coaction
-    w = None
-    for m in els:
-        acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
-        if acc != m:
-            w = (m, acc)
-            break
+    # counit triangle doubles as the splitting retraction for the coaction,
+    # folded on positions; an epsilon value off S (or an infinite S) acts
+    # off the rows, and then it is summed on elements
+    S = C.base
+    ep = [S.index.get(C.eps[c]) for c in C.carrier.elements()] if S.index else [None]
+    if None in ep:
+        accs = (fs_eval(car, ((car.act(m1, C.eps[c1]), k) for (m1, c1), k in M.coaction[m])) for m in els)
+    else:
+        accs = (els[fold(ix.plus, ix.zero, ((ix.act[m1][ep[c1]], k) for m1, c1, k in t))] for t in M.compiled.terms)
+    w = next(((m, acc) for m, acc in zip(els, accs) if acc != m), None)
     rep.add("counit-law", w is None, w)
     rep.add("coaction-splits", w is None, w)
 

@@ -146,16 +146,17 @@ class Indexed:
     these per query.
     """
 
-    __slots__ = ("module", "radix", "zero", "elements", "index", "add", "act", "left")
+    __slots__ = ("module", "radix", "zero", "_elements", "_index", "_add", "_act", "_left")
 
     def __init__(self, M):
         self.module, self.radix = M, None
+        self._elements = self._index = self._add = self._act = self._left = None
         atom = M.atoms[0] if len(M.atoms) == 1 else None
         if isinstance(atom, FreeAtom) and atom.base is M.base:
             self.radix = atom.radix
             self.zero = self.radix.zero
             return
-        self.elements = els = M.elements()
+        self._elements = els = M.elements()
         n = len(els)
         if isinstance(atom, TableAtom) and atom.base is M.base:
             rows, act = atom._rows, atom._act
@@ -164,22 +165,42 @@ class Indexed:
                 back = {p: i for i, p in enumerate(at)}
                 rows = tuple(compact([back[rows[p][q]] for q in at], n) for p in at)
                 act = None if act is None else tuple(compact([back[v] for v in act[p]], n) for p in at)
-            self.add, self.act = rows, (b"",) * n if act is None else act
+            self._add, self._act = rows, (b"",) * n if act is None else act
             self.zero = atom._elements.index(atom.zero)
             return
-        self.index = index = {e: i for i, e in enumerate(els)}
+        self._index = index = {e: i for i, e in enumerate(els)}
         self.zero = index[M.zero]
-        self.add = tuple(compact([self._at(M.add(x, y), x, "+", y) for y in els], n) for x in els)
+        self._add = tuple(compact([self._at(M.add(x, y), x, "+", y) for y in els], n) for x in els)
         scalars = M.base.elements or ()
-        self.act = tuple(compact([self._at(M.act(x, s), x, "*", s) for s in scalars], n) for x in els)
+        self._act = tuple(compact([self._at(M.act(x, s), x, "*", s) for s in scalars], n) for x in els)
+
+    # built on first read, by properties over private slots rather than a
+    # __getattr__, which would slow every attribute read; a carrier is never
+    # empty, so no built value is falsy
+    elements = property(lambda self: self._elements or self._set("_elements", self.module.elements()))
+    index = property(lambda self: self._index or self._set("_index", {e: i for i, e in enumerate(self.elements)}))
+    add = property(lambda self: self._add or self._set("_add", self._rows(self.plus, len(self.elements))))
+    act = property(lambda self: self._act or self._set("_act", self._rows(self.scale)))
+    left = property(lambda self: self._left or self._set("_left", self._rows(self.scale_left)))
+
+    def _set(self, slot, value):
+        setattr(self, slot, value)
+        return value
+
+    def _rows(self, op, cols=None):
+        """Compact rows of op(i, k), one per position i, over k in range(cols),
+        by default over the positions of base.elements."""
+        n = len(self.elements)
+        cols = len(self.module.base.elements or ()) if cols is None else cols
+        return tuple(compact([op(i, k) for k in range(cols)], n) for i in range(n))
 
     def of(self, x):
         if self.radix is None:
-            return self.index.get(x)
+            return (self._index or self.index).get(x)
         return self.radix.position(x[0]) if type(x) is tuple and len(x) == 1 else None
 
     def element(self, i):
-        return self.elements[i] if self.radix is None else (self.radix.element(i),)
+        return self._elements[i] if self.radix is None else (self.radix.element(i),)
 
     @property
     def plus(self):
@@ -192,16 +213,16 @@ class Indexed:
     @property
     def scale_left(self):
         if self.radix is None or self.module._act_left is not None:
-            return self._left
+            return self._scale_left
         return self.radix.act_left
 
-    def _plus(self, i, j):
-        return self.add[i][j]
+    def _plus(self, i, j):  # a carrier without a Radix has its rows from the start
+        return self._add[i][j]
 
     def _scale(self, i, k):
-        return self.act[i][k]
+        return self._act[i][k]
 
-    def _left(self, i, k):
+    def _scale_left(self, i, k):
         """scale_left computed on elements."""
         s, x = self.module.base.elements[k], self.element(i)
         return self._at(self.module.act_left(s, x), s, "*", x)
@@ -212,20 +233,6 @@ class Indexed:
         if i is None:
             raise FormatError(f"{self.module.name}: {x!r} {op} {y!r} = {v!r} is not an element of the carrier")
         return i
-
-    def __getattr__(self, name):  # reached only while a slot built on first read is unset
-        if name == "elements":
-            value = self.module.elements()
-        elif name == "index":
-            value = {e: i for i, e in enumerate(self.elements)}
-        elif name in ("add", "act", "left"):
-            n, op = len(self.elements), {"add": self.plus, "act": self.scale, "left": self.scale_left}[name]
-            cols = range(n if name == "add" else len(self.module.base.elements or ()))
-            value = tuple(compact([op(i, k) for k in cols], n) for i in range(n))
-        else:
-            raise AttributeError(name)
-        setattr(self, name, value)
-        return value
 
 
 def same_carrier(M, N):
@@ -512,14 +519,20 @@ def _members(mask):
 
 
 def enumerate_submodules(M, cap=4096):
-    """All subsemimodules of a finite module, walking the submodule lattice.
+    """All subsemimodules of a finite module, by Close-by-One (Kuznetsov,
+    A fast algorithm for computing all intersections of objects in a finite
+    semi-lattice, 1993).
 
     Elements are the positions of M.indexed() (the ordkey order) and a
-    submodule is an int bitmask.  Each lattice edge L -> L + e is one
+    submodule is an int bitmask.  The walk starts from span{0}; a submodule
+    L reached by adding position e0 tries only the positions e > e0 outside
+    L, and keeps span(L + e) only if that span adds no position below e
+    (the canonicity test), so each submodule is reached once, from its
+    canonical parent, and none is looked up in a seen-set.  Each try is one
     frontier-only closure of L | e: a popped element x is added to every
     member in both orders and acted on by every scalar, through bit tables
     read off the indexed rows: sums[x][y] has the bits of x + y and y + x,
-    acts[x] those of every x * s.  L is closed already, so the edge costs
+    acts[x] those of every x * s.  L is closed already, so a try costs
     |span(L + e) \\ L| · |span(L + e)| table lookups.  Raises
     UnsupportedError once more than cap submodules turn up.  The result is
     sorted by (size, member indices), i.e. (size, ordkey order).
@@ -543,25 +556,24 @@ def enumerate_submodules(M, cap=4096):
                 mask |= 1 << y
                 members.append(y)
                 frontier.append(y)
-        return mask
+        return mask, members
 
-    zero = close(0, [], ix.zero)
-    seen = {zero}
-    stack = [zero]
+    zero, members = close(0, [], ix.zero)
+    found, stack = [zero], [(zero, members, -1)]
     while stack:
-        mask = stack.pop()
-        members = _members(mask)
-        for e in range(len(els)):
+        mask, members, last = stack.pop()
+        for e in range(last + 1, len(els)):
             if mask >> e & 1:
                 continue
-            bigger = close(mask, members, e)
-            if bigger not in seen:
-                if len(seen) >= cap:
-                    raise UnsupportedError("submodule lattice exceeds the cap")
-                seen.add(bigger)
-                stack.append(bigger)
+            bigger, more = close(mask, members, e)
+            if (bigger ^ mask) & ((1 << e) - 1):  # not canonical: found from a smaller e
+                continue
+            if len(found) >= cap:
+                raise UnsupportedError("submodule lattice exceeds the cap")
+            found.append(bigger)
+            stack.append((bigger, more, e))
     out = []
-    for members in sorted((_members(m) for m in seen), key=lambda ms: (len(ms), ms)):
+    for members in sorted((_members(m) for m in found), key=lambda ms: (len(ms), ms)):
         elements = tuple(els[i] for i in members)
         out.append(Subsemimodule(M, frozenset(elements), elements))
     return out

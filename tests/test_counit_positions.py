@@ -1,0 +1,112 @@
+"""The comodule counit triangle on positions against the element loop.
+
+`check_comodule` folds sum k * (m1 . eps(c1)) over the compiled coaction
+terms of each position m, reading the action off the carrier's indexed
+rows, and falls back to the element sum when an epsilon value lies
+outside the base.  The reference is the element loop it replaced: the
+first m, in element order, whose sum util.fs_eval makes differ from m,
+with that sum.  Both must give the same verdict and the same witness (or
+raise the same error) on the finite gallery comodules, the (co)equalizers
+of the hom-search ambients and the epsilon-mutants of the small gallery
+corings, an epsilon value off the base among them.
+"""
+import itertools
+
+import pytest
+
+from semikernel.gallery import GALLERY_NAMES, gallery_coring
+from semikernel.semicomodules import (
+    Semicomodule,
+    check_comodule,
+    cofree_comodule,
+    colinear_maps,
+    comodule_coequalizer,
+    comodule_equalizer,
+    coring_as_comodule,
+)
+from semikernel.semimodules import free_semimodule
+from semikernel.semirings import bool_semiring
+from semikernel.util import fs_eval
+
+B = bool_semiring()
+GL = gallery_coring("grouplike_bool_2")
+CX = gallery_coring("coext_bool")
+SMALL = ("sweedler_id", "coext_bool", "coext_zmod2", "grouplike_bool_2")
+
+
+def reference_counit(M):
+    """The first (m, sum) of the counit triangle on elements, or None."""
+    car, C = M.carrier, M.coring
+    for m in car.elements():
+        acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
+        if acc != m:
+            return m, acc
+    return None
+
+
+def _outcome(fn, M):
+    try:
+        return "value", fn(M)
+    except Exception as e:  # the routes must raise alike too
+        return "raises", type(e), str(e)
+
+
+def _kernel_counit(M):
+    rep = check_comodule(M)
+    law, splits = (next(c for c in rep.checks if c.name == name) for name in ("counit-law", "coaction-splits"))
+    assert (law.ok, law.witness) == (splits.ok, splits.witness)
+    return law.witness
+
+
+def _gallery():
+    for name in GALLERY_NAMES:
+        C = gallery_coring(name)
+        if not C.structured:
+            yield name, coring_as_comodule(C)
+
+
+def _ambient_limits():
+    """Every coequalizer and equalizer of two colinear endomorphisms of the
+    three ambients the hom-search workload pairs up."""
+    ambients = (coring_as_comodule(GL), coring_as_comodule(CX), cofree_comodule(free_semimodule(B, 1), GL))
+    for A in ambients:
+        ends = colinear_maps(A, A)
+        for f, g in itertools.product(ends, ends):
+            yield f"{A.name}:{f.name}:{g.name}:coeq", comodule_coequalizer(f, g, A, A)[0]
+            yield f"{A.name}:{f.name}:{g.name}:eq", comodule_equalizer(f, g, A, A)[0]
+
+
+def _eps_mutants():
+    """Each small gallery coring over itself with one epsilon value changed:
+    to every other base element, and to a value off the base."""
+    for name in SMALL:
+        C = gallery_coring(name)
+        for c in C.carrier.elements():
+            for a in list(C.base.elements) + ["off-base"]:
+                if a != C.eps[c]:
+                    yield f"{name}:eps[{c}]->{a}", coring_as_comodule(C.mutate(eps={c: a}))
+
+
+def _restated(M):
+    """M with each term k * (m (x) c) of its coaction written 3k * (m (x) c),
+    and 2 * (top (x) top) added to each: the same coaction over ZMOD(2)."""
+    top = (M.carrier.elements()[-1], M.coring.carrier.elements()[-1])
+    rho = {m: tuple((pair, 3 * k) for pair, k in terms) + ((top, 2),) for m, terms in M.coaction.items()}
+    return Semicomodule(M.coring, M.carrier, rho, name=f"{M.name}[3k+2]")
+
+
+CASES = list(_gallery()) + list(_ambient_limits()) + list(_eps_mutants())
+CASES += [(f"{name}[3k+2]", _restated(M)) for name, M in CASES if name.startswith("coext_zmod2")]
+
+
+@pytest.mark.parametrize("M", [M for _, M in CASES], ids=[n for n, _ in CASES])
+def test_counit_on_positions_matches_the_element_loop(M):
+    assert _outcome(_kernel_counit, M) == _outcome(reference_counit, M)
+
+
+def test_the_cases_reach_both_routes_and_both_verdicts():
+    outcomes = {name: _outcome(reference_counit, M) for name, M in CASES}
+    in_base = [o for name, o in outcomes.items() if not name.endswith("off-base")]
+    assert ("value", None) in in_base
+    assert any(o[0] == "value" and o[1] is not None for o in in_base)
+    assert any(o[0] == "raises" for o in outcomes.values())

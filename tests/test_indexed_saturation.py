@@ -310,12 +310,9 @@ class _Table(dict):
 
 
 def _index_built(obj):
-    """Whether obj's `index` slot is set, read past the __getattr__ that builds it."""
-    try:
-        type(obj).index.__get__(obj)
-    except AttributeError:
-        return False
-    return True
+    """Whether obj's `index` is built: the private slot behind the property
+    that builds it on first read is set."""
+    return obj._index is not None
 
 
 def test_dict_built_tables_keep_only_positions():

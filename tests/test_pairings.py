@@ -345,3 +345,36 @@ def test_rat_property_suite_falls_back_past_the_submodule_cap(monkeypatch):
     rep = rat_property_suite(P, fam)
     assert rep.ok, rep.failures()
     assert len(calls) == len(fam)
+
+
+def test_rat_property_suite_is_exhaustive_below_the_cap():
+    rep = rat_property_suite(P, enumerate_modules(P.asemiring, 3))
+    assert rep.ok and not rep.sampled
+    assert "sampled" not in repr(rep)
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_rat_property_suite_is_sampled_past_the_submodule_cap(monkeypatch, cap):
+    """A family member with more submodules than the cap runs the criterion
+    on two of them, and the report says it is sampled: past a stand-in that
+    always raises, and past the real walk with a cap of 1."""
+    import semikernel.semimodules as sm
+    from semikernel.errors import UnsupportedError
+
+    walk = sm.enumerate_submodules
+    if cap is None:
+        fake, _ = _raising(UnsupportedError)
+    else:
+        def fake(M, cap=cap):
+            return walk(M, cap=cap)
+    monkeypatch.setattr(sm, "enumerate_submodules", fake)
+    fam = enumerate_modules(P.asemiring, 2)
+    rep = rat_property_suite(P, fam)
+    assert rep.ok and rep.sampled
+    assert repr(rep).endswith("ok sampled>")
+
+
+def test_criterion_8_family_stays_below_the_submodule_cap():
+    """The acceptance family of criterion 8 never reaches the fallback."""
+    fam = enumerate_modules(P.asemiring, 4)
+    assert not rat_property_suite(P, fam).sampled
