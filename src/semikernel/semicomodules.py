@@ -1,11 +1,16 @@
 """Semicomodules: coactions, colinear maps, (co)equalizers and probes.
 
 Coactions are stored as formal sums of (carrier element, coring element)
-pairs, normalized through the computed tensor before equality tests.
-Colinearity squares, including those of the factor and lift maps that the
-(co)equalizer verifiers test, are folded on integer positions
-(Semicomodule.compiled, Semimodule.indexed).  The structured lane
-mirrors every check symbolically for infinite carriers.
+pairs.  Colinearity squares, including those of the factor and lift maps
+that the (co)equalizer verifiers test, are folded on integer positions
+(Semicomodule.compiled, Semimodule.indexed).  When the coring's carrier
+is free with certified coordinates, C = S^n (Indexed.coordinates), M (x) C
+is held as M^n on M's positions and M (x) C (x) C as (M^n)^n, and the
+coequalizer's induced coaction is checked as the colinearity square of
+its projection, so neither word problem is solved (M (x)_S S^n = M^n;
+Brzezinski & Wisbauer, Corings and Comodules, 2003).  Other carriers
+normalize through the computed tensors.  The structured lane mirrors
+every check symbolically for infinite carriers.
 """
 from __future__ import annotations
 
@@ -36,6 +41,7 @@ from .structured import (
     structured_map_tensor,
     structured_mono_flat_probe,
 )
+from .semicorings import counterexample_semicoalgebra, eps_acting
 from .tensors import tensor, tensor_multi
 from .util import Memo, Report, fs_eval, fs_make, ordkey, unpreserved_rows
 
@@ -46,7 +52,8 @@ class Semicomodule:
     M (x) C (`mc`, built unless passed in as `mc=`), the lazy M (x) C (x) C
     (`mcc`), the coaction on positions (`compiled`, which also gives each
     element's normalized coaction) and the additivity witness are computed
-    once, on first use.
+    once, on first use.  Over a coring with coordinates no check reads mc
+    or mcc.
     """
 
     structured = False
@@ -71,9 +78,12 @@ class Semicomodule:
         return self._mcc
 
     def rho_norm(self, m):
-        """rho(m) normalized in M (x) C: the element at its compiled position."""
-        c = self.compiled
-        return c.sums.element(c.rhobar[self.carrier.indexed().index[m]])
+        """rho(m) normalized in M (x) C (mc()), read off its compiled value."""
+        c, ix, T = self.compiled, self.carrier.indexed(), self.mc()
+        u = c.rhobar[ix.index[m]]
+        if c.coords is None:
+            return T.result.indexed().element(u)
+        return T.push(((ix.element(x), self.coring.carrier.indexed().element(g)), 1) for x, g in zip(u, c.coords[0]))
 
     @cached_property
     def compiled(self):
@@ -86,7 +96,7 @@ class Semicomodule:
         rho(y) in M (x) C; None when the coaction is additive.  Scanned on
         positions: the compiled rhobar against the sum of M (x) C."""
         ix = self.carrier.indexed()
-        return unpreserved_rows(self.compiled.rhobar, ix.add, self.compiled.sums.plus, ix.elements)
+        return unpreserved_rows(self.compiled.rhobar, ix.add, self.compiled.plus, ix.elements)
 
     def __repr__(self):
         return f"<Semicomodule {self.name} over {self.coring.name}>"
@@ -97,30 +107,50 @@ class _Compiled:
 
     terms[m] is rho(m), for each position m of M.carrier.indexed(), as
     (M-position, C-position, multiplicity) triples, C-positions being
-    those of coring.carrier.elements().  sums is M (x) C on positions
-    (Semimodule.indexed), pure[n][c] the position of n (x) c there,
-    filled as folds reach it, and rhobar[m] that of rho(m), for every m: a
-    negative multiplicity raises there.
+    those of coring.carrier.indexed().  Each element of M (x) C has a
+    value, with zero, plus(u, v) and scale(u, k) (by base.elements[k]);
+    pure[n][c] is the value of n (x) c, filled as folds reach it, and
+    rhobar[m] that of rho(m), for every m: a negative multiplicity raises
+    there.  coords is the coring carrier's Indexed.coordinates (gens,
+    digits) when it has them and M shares the coring's base: a value is
+    then the tuple (x_1, ..., x_n) of M-positions with sum x_i (x) gens[i],
+    summed and acted on coordinate by coordinate, and n (x) c is (n * c_1,
+    ..., n * c_n) for c_i in digits(c).  Otherwise it is a position of the
+    indexed M (x) C of M.mc().
     """
 
-    __slots__ = ("terms", "sums", "pure", "rhobar")
+    __slots__ = ("terms", "coords", "zero", "plus", "scale", "pure", "rhobar")
 
     def __init__(self, M):
-        ix = M.carrier.indexed()
-        cels = M.coring.carrier.elements()
-        cpos = {c: i for i, c in enumerate(cels)}
-        self.terms = [[(ix.index[m1], cpos[c1], k) for (m1, c1), k in M.coaction[m]] for m in ix.elements]
-        T = M.mc()
-        self.sums = sums = T.result.indexed()
-        self.pure = [Memo(lambda c, n=n: sums.of(T.pure(n, cels[c]))) for n in ix.elements]
+        ix, C = M.carrier.indexed(), M.coring
+        cx = C.carrier.indexed()
+        self.terms = [[(ix.index[m1], cx.index[c1], k) for (m1, c1), k in M.coaction[m]] for m in ix.elements]
+        self.coords = cx.coordinates if M.carrier.base is C.base else None
+        if self.coords is None:
+            T = M.mc()
+            sums = T.result.indexed()
+            self.zero, self.plus, self.scale = sums.zero, sums.plus, sums.scale
+            self.pure = [Memo(lambda c, n=n: sums.of(T.pure(n, cx.elements[c]))) for n in ix.elements]
+        else:
+            add, act, digits = ix.plus, ix.act, self.coords[1]
+            self.zero = (ix.zero,) * len(self.coords[0])
+            self.plus = lambda u, v: tuple(map(add, u, v))
+            self.scale = lambda u, k: tuple(act[x][k] for x in u)
+            self.pure = [Memo(lambda c, n=n: tuple(act[n][k] for k in digits(c))) for n in range(len(ix.elements))]
         self.rhobar = [self.image(terms, range(len(ix.elements))) for terms in self.terms]
 
     def image(self, terms, f):
-        """The position of (f (x) C) applied to the (m, c, k) terms, with f
+        """The value of (f (x) C) applied to the (m, c, k) terms, with f
         a sequence of positions here: the sum of k * pure[f[m]][c], folded
         in term order from zero."""
         pure = self.pure
-        return fold(self.sums.plus, self.sums.zero, ((pure[f[m]][c], k) for m, c, k in terms))
+        return fold(self.plus, self.zero, ((pure[f[m]][c], k) for m, c, k in terms))
+
+    def tensor(self, u, c):
+        """u (x) c in M (x) C (x) C, for u a value of M (x) C and c a
+        C-position: u * c_j for each coordinate c_j of c, concatenated."""
+        scale = self.scale
+        return tuple(x for k in self.coords[1](c) for x in scale(u, k))
 
 
 class StructuredSemicomodule:
@@ -143,12 +173,11 @@ def check_comodule(M) -> Report:
     if M.structured:
         return _check_comodule_structured(M)
     rep = Report(f"comodule {M.name}")
-    C = M.coring
-    car = M.carrier
+    C, car, c = M.coring, M.carrier, M.compiled
     els, ix = car.elements(), car.indexed()
     w = M.additivity_witness
     rep.add("coaction-additive", w is None, w)
-    w = unpreserved_rows(M.compiled.rhobar, ix.act, M.compiled.sums.scale, els, C.base.elements)
+    w = unpreserved_rows(c.rhobar, ix.act, c.scale, els, C.base.elements)
     rep.add("coaction-linear", w is None, w)
 
     # counit triangle doubles as the splitting retraction for the coaction,
@@ -157,22 +186,36 @@ def check_comodule(M) -> Report:
     S = C.base
     ep = [S.index.get(C.eps[c]) for c in C.carrier.elements()] if S.index else [None]
     if None in ep:
+        eps_acting(C, car)
         accs = (fs_eval(car, ((car.act(m1, C.eps[c1]), k) for (m1, c1), k in M.coaction[m])) for m in els)
     else:
-        accs = (els[fold(ix.plus, ix.zero, ((ix.act[m1][ep[c1]], k) for m1, c1, k in t))] for t in M.compiled.terms)
+        accs = (els[fold(ix.plus, ix.zero, ((ix.act[m1][ep[c1]], k) for m1, c1, k in t))] for t in c.terms)
     w = next(((m, acc) for m, acc in zip(els, accs) if acc != m), None)
     rep.add("counit-law", w is None, w)
     rep.add("coaction-splits", w is None, w)
 
-    T3 = M.mcc()
+    # coassociativity at each m: folded in (M^n)^n over a coring with
+    # coordinates, pushed through the lazy M (x) C (x) C otherwise
     w = None
-    for m in els:
-        rm = M.coaction[m]
-        lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rm for (m11, c11), n in M.coaction[m1]]
-        rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rm for (c11, c12), n in C.delta[c1]]
-        if T3.push(lhs) != T3.push(rhs):
-            w = m
-            break
+    if c.coords is None:
+        T3 = M.mcc()
+        for m in els:
+            rm = M.coaction[m]
+            lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rm for (m11, c11), n in M.coaction[m1]]
+            rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rm for (c11, c12), n in C.delta[c1]]
+            if T3.push(lhs) != T3.push(rhs):
+                w = m
+                break
+    else:
+        cx = C.carrier.indexed()
+        delta = Memo(lambda c1: [(cx.index[c11], cx.index[c12], n) for (c11, c12), n in C.delta[cx.elements[c1]]])
+        zero, plus, tensor, pure, rhobar = c.zero * len(c.zero), c.plus, c.tensor, c.pure, c.rhobar
+        for m, terms in enumerate(c.terms):
+            lhs = fold(plus, zero, ((tensor(rhobar[m1], c1), k) for m1, c1, k in terms))
+            rhs = fold(plus, zero, ((tensor(pure[m1][c11], c12), k * n) for m1, c1, k in terms for c11, c12, n in delta[c1]))
+            if lhs != rhs:
+                w = els[m]
+                break
     rep.add("coassociative", w is None, w)
     return rep
 
@@ -305,19 +348,25 @@ def cofree_adjunction_check(Y: Semicomodule, X) -> Report:
 
 def comodule_coequalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomodule):
     """Coequalizer computed in the module category, with the induced coaction
-    verified (diagram chase re-done concretely)."""
+    verified (diagram chase re-done concretely).
+
+    Each class of the congruence gets the coaction of its first member,
+    pushed through pi (x) C.  It is well defined if every member's pushes
+    to the same value: pi's colinearity square (_square), tested class by
+    class in class order, on Q^n over a coring with coordinates and in
+    the computed Q (x) C otherwise.
+    """
     C = N.coring
     pairs = [(f(m), g(m)) for m in M.carrier.elements()]
     cong = module_congruence_closure(N.carrier, pairs)
     Q, pi = quotient_by_congruence(N.carrier, cong)
-    TQ = tensor(Q, C.carrier, over=C.base)
-    classes = (sorted(cls, key=ordkey) for cls in cong.classes)
-
-    def fail(q):
-        return FormatError(f"induced coaction not well defined at {q}")
-
-    coaction = {q: formal for q, _, formal in TQ.descend(classes, N.coaction, (pi, None), fail)}
-    out = Semicomodule(C, Q, coaction, name=f"Coeq({f.name},{g.name})", mc=TQ)
+    classes = [sorted(cls, key=ordkey) for cls in cong.classes]
+    coaction = {pi(cls[0]): fs_make(((pi(m1), c1), k) for (m1, c1), k in N.coaction[cls[0]]) for cls in classes}
+    out = Semicomodule(C, Q, coaction, name=f"Coeq({f.name},{g.name})")
+    proj, index = _map_positions(pi, N.carrier, Q), N.carrier.indexed().index
+    bad = next((cls for cls in classes if not _square(N, out, proj, [index[x] for x in cls])), None)
+    if bad is not None:
+        raise FormatError(f"induced coaction not well defined at {pi(bad[0])}")
     rep = check_comodule(out)
     if not rep.ok:
         raise FormatError(f"coequalizer fails comodule axioms: {rep.first_witness()}")
@@ -458,8 +507,6 @@ def cogenerator_probe(Q, C, family):
 def two_coactions_counterexample(n):
     """Two distinct subcomodule structures on Z/n inside Q/Z over the
     NAT + CYCLIC(n) coalgebra, plus the failing mono-flat probe."""
-    from .semicorings import counterexample_semicoalgebra
-
     C = counterexample_semicoalgebra(n)
     N = C.base
     car = C.carrier
@@ -503,8 +550,6 @@ def two_coactions_counterexample(n):
 def counterexample_equalizer_refusal(n):
     """mult-by-n against zero on Q/Z: the equalizer is Z/n, whose inclusion
     collapses under - (x) C; the construction must refuse."""
-    from .semicorings import counterexample_semicoalgebra
-
     C = counterexample_semicoalgebra(n)
     base = C.base
     Qz = Semimodule(base, [QmodzAtom(base)], name="Q/Z")

@@ -126,6 +126,23 @@ def _coassoc_elements(C):
     return _greedy_gens(C.carrier), False
 
 
+def eps_acting(C, car, left=False):
+    """Raise FormatError naming the first c, in C's element order, whose
+    counit value lies off the base and cannot act on every element of car
+    on the right (and, with left, on the left), as the element fallbacks
+    of the counit checks would."""
+    for c in C.carrier.elements():
+        v = C.eps[c]
+        try:
+            if v not in (C.base.index or ()):
+                for x in car.elements():
+                    car.act(x, v)
+                    if left:
+                        car.act_left(v, x)
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{C.name}: {car.name} cannot be acted on by eps({c!r}) = {v!r}") from e
+
+
 def check_semicoring(C) -> Report:
     if C.structured:
         return _check_semicoring_structured(C)
@@ -144,15 +161,17 @@ def check_semicoring(C) -> Report:
     rep.add("comult-right-linear", w is None, w)
     w = unpreserved_rows(dm, ix.left, P.scale_left, els, scalars)
     rep.add("comult-left-linear", w is None, w)
+    # the counit triangles fold on C's positions; an epsilon value off S acts
+    # off the carrier, which must act by it, and then they are summed on elements
+    ep = [S.index.get(e) for e in eps]
+    off = None in ep
+    if off:
+        eps_acting(C, car, left=True)
     w = unpreserved_rows(eps, ix.add, S.add, els)
     rep.add("counit-additive", w is None, w)
     w = unpreserved_rows(eps, ix.act, lambda e, k: S.mul(e, scalars[k]), els, scalars)
     rep.add("counit-right-linear", w is None, w)
 
-    # counit triangles, folded on C's positions; an epsilon value off S
-    # acts off the carrier, and then they are evaluated on elements
-    ep = [S.index.get(e) for e in eps]
-    off = None in ep
     w = None
     for c in els:
         dc = C.delta[c]

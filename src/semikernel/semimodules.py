@@ -144,12 +144,18 @@ class Indexed:
     FormatError.  `index` and `left` are built on first read.  The
     functions are methods, not closures: a hom search keeps hundreds of
     these per query.
+
+    `coordinates`, built on first read, certifies that M is free: (gens,
+    digits), gens the greedy generators (_greedy_positions) and digits(c)
+    the base positions k_i with c = sum gens[i] * base.elements[k_i], kept
+    only if that is a bijection S^n -> M; None unless the base is finite
+    and commutative and M has no left action of its own.
     """
 
-    __slots__ = ("module", "radix", "zero", "_elements", "_index", "_add", "_act", "_left")
+    __slots__ = ("module", "radix", "zero", "_elements", "_index", "_add", "_act", "_left", "_coordinates")
 
     def __init__(self, M):
-        self.module, self.radix = M, None
+        self.module, self.radix, self._coordinates = M, None, False
         self._elements = self._index = self._add = self._act = self._left = None
         atom = M.atoms[0] if len(M.atoms) == 1 else None
         if isinstance(atom, FreeAtom) and atom.base is M.base:
@@ -186,6 +192,27 @@ class Indexed:
     def _set(self, slot, value):
         setattr(self, slot, value)
         return value
+
+    @property
+    def coordinates(self):
+        if self._coordinates is False:
+            self._coordinates = self._free_coordinates()
+        return self._coordinates
+
+    def _free_coordinates(self):
+        S = self.module.base
+        if S.elements is None or self.module._act_left is not None:
+            return None
+        times = S.tables()[1]
+        if any(row != list(col) for row, col in zip(times, zip(*times))):  # S is not commutative
+            return None
+        gens = _greedy_positions(self)[0]
+        if len(S.elements) ** len(gens) != len(self.elements):
+            return None
+        digits = {}
+        for s in itertools.product(range(len(S.elements)), repeat=len(gens)):
+            digits.setdefault(fold(self.plus, self.zero, ((self.act[g][k], 1) for g, k in zip(gens, s))), s)
+        return (tuple(gens), digits.__getitem__) if len(digits) == len(self.elements) else None
 
     def _rows(self, op, cols=None):
         """Compact rows of op(i, k), one per position i, over k in range(cols),
@@ -450,10 +477,20 @@ def zero_map(M, N):
 # ---------------------------------------------------------------- subobjects
 
 class Subsemimodule(Record):
-    __slots__ = _fields = ("ambient", "elements", "generators")
+    """A subsemimodule: its elements (a frozenset) and generators.  With
+    elements=None the generators are every element, read on first use."""
+
+    __slots__ = ("ambient", "_elements", "generators")
+    _fields = ("ambient", "elements", "generators")
 
     def __init__(self, ambient, elements, generators=()):
-        self.ambient, self.elements, self.generators = ambient, elements, generators
+        self.ambient, self._elements, self.generators = ambient, elements, generators
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = frozenset(self.generators)
+        return self._elements
 
     def __repr__(self):
         return f"<Sub {len(self.elements)} of {self.ambient.name}>"
@@ -574,8 +611,7 @@ def enumerate_submodules(M, cap=4096):
             stack.append((bigger, more, e))
     out = []
     for members in sorted((_members(m) for m in found), key=lambda ms: (len(ms), ms)):
-        elements = tuple(els[i] for i in members)
-        out.append(Subsemimodule(M, frozenset(elements), elements))
+        out.append(Subsemimodule(M, None, tuple(els[i] for i in members)))
     return out
 
 

@@ -3,9 +3,9 @@
 `check_comodule` folds sum k * (m1 . eps(c1)) over the compiled coaction
 terms of each position m, reading the action off the carrier's indexed
 rows, and falls back to the element sum when an epsilon value lies
-outside the base.  The reference is the element loop it replaced: the
-first m, in element order, whose sum util.fs_eval makes differ from m,
-with that sum.  Both must give the same verdict and the same witness (or
+outside the base, after checking that the carrier can act by it.  The
+reference is the element loop it replaced: the first m, in element order,
+whose sum util.fs_eval makes differ from m, with that sum.  Both must give the same verdict and the same witness (or
 raise the same error) on the finite gallery comodules, the (co)equalizers
 of the hom-search ambients and the epsilon-mutants of the small gallery
 corings, an epsilon value off the base among them.
@@ -14,6 +14,7 @@ import itertools
 
 import pytest
 
+from semikernel.errors import FormatError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring
 from semikernel.semicomodules import (
     Semicomodule,
@@ -35,8 +36,17 @@ SMALL = ("sweedler_id", "coext_bool", "coext_zmod2", "grouplike_bool_2")
 
 
 def reference_counit(M):
-    """The first (m, sum) of the counit triangle on elements, or None."""
+    """The first (m, sum) of the counit triangle on elements, or None.  An
+    epsilon value off the base that the carrier cannot act by is a
+    FormatError naming the first such c, in the coring's element order."""
     car, C = M.carrier, M.coring
+    for c in C.carrier.elements():
+        v = C.eps[c]
+        try:
+            if v not in C.base.elements:
+                [car.act(m, v) for m in car.elements()]
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{C.name}: {car.name} cannot be acted on by eps({c!r}) = {v!r}") from e
     for m in car.elements():
         acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
         if acc != m:

@@ -7,13 +7,16 @@ the images.  The references below are the element-level definitions:
 and `reference_semicoring` is check_semicoring built on it.  Both routes
 must give the same checks (name, order, ok, first witness) on the gallery
 corings, the mutation corpus, every rank-2 linear semicoalgebra over BOOL
-and over ZMOD(2), and a coring whose epsilon leaves the base; the coaction
+and over ZMOD(2), and a coring whose epsilon leaves the base (one that
+the carrier cannot act by is a FormatError); the coaction
 scans of check_comodule are held to the same on the gallery corings.
 """
 import itertools
+import re
 
 import pytest
 
+from semikernel.errors import FormatError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
 from semikernel.semicomodules import check_comodule, coring_as_comodule
 from semikernel.semicorings import _linear_semicoalgebra, check_semicoring
@@ -121,6 +124,19 @@ def test_an_epsilon_off_the_base_fails_the_counit_checks():
     rep = _assert_same(bad)
     assert [c.name for c in rep.failures()] == ["counit-additive", "counit-law"]
     assert rep.checks[5].witness == ("left", ((0, 1),), ((0, 5),))
+
+
+@pytest.mark.parametrize("v", [2, "z"])
+def test_an_epsilon_the_carrier_cannot_act_by_is_a_format_error(v):
+    """sweedler_id's table carrier has no action by 2 or by "z": both
+    checks raise a FormatError naming c and eps(c), not a bare KeyError or
+    TypeError from the element fallbacks."""
+    C0 = gallery_coring("sweedler_id")
+    c = C0.carrier.elements()[-1]
+    C = C0.mutate(eps={c: v})
+    for check, arg in ((check_semicoring, C), (check_comodule, coring_as_comodule(C))):
+        with pytest.raises(FormatError, match=re.escape(f"eps({c!r}) = {v!r}")):
+            check(arg)
 
 
 def test_coaction_scans_of_the_gallery_corings_over_themselves():
