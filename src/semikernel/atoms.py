@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .errors import FormatError, UnsupportedError, negative_count
-from .util import sorted_elems
+from .util import sorted_elems, times
 
 
 class Atom:
@@ -26,17 +26,7 @@ class Atom:
         raise NotImplementedError
 
     def times_int(self, a, k):
-        """k-fold sum by binary doubling, which stops at the last bit of k."""
-        if k < 0:
-            raise negative_count(k)
-        acc = self.zero
-        while k:
-            if k & 1:
-                acc = self.add(acc, a)
-            k >>= 1
-            if k:
-                a = self.add(a, a)
-        return acc
+        return times(self.add, self.zero, a, k)
 
     # generating data: list of (key, element); None when not finitely generated
     def gens(self):

@@ -26,7 +26,6 @@ from .semimodules import (
     _hom_map,
     _hom_positions,
     _homs,
-    fold,
     hom_enumerate,
     identity_map,
     module_congruence_closure,
@@ -41,9 +40,9 @@ from .structured import (
     structured_map_tensor,
     structured_mono_flat_probe,
 )
-from .semicorings import counterexample_semicoalgebra, eps_acting
+from .semicorings import counterexample_semicoalgebra, eps_acting, noncoassociative
 from .tensors import tensor, tensor_multi
-from .util import Memo, Report, fs_eval, fs_make, ordkey, unpreserved_rows
+from .util import Memo, Report, fold, fs_eval, fs_make, ordkey, unpreserved_rows
 
 
 class Semicomodule:
@@ -198,14 +197,7 @@ def check_comodule(M) -> Report:
     # coordinates, pushed through the lazy M (x) C (x) C otherwise
     w = None
     if c.coords is None:
-        T3 = M.mcc()
-        for m in els:
-            rm = M.coaction[m]
-            lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rm for (m11, c11), n in M.coaction[m1]]
-            rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rm for (c11, c12), n in C.delta[c1]]
-            if T3.push(lhs) != T3.push(rhs):
-                w = m
-                break
+        w = noncoassociative(els, M.coaction, C.delta, M.mcc())
     else:
         cx = C.carrier.indexed()
         delta = Memo(lambda c1: [(cx.index[c11], cx.index[c12], n) for (c11, c12), n in C.delta[cx.elements[c1]]])

@@ -19,7 +19,6 @@ from .semimodules import (
     Subsemimodule,
     _homs,
     congruence_mod,
-    fold,
     quotient_by_congruence,
     scalar_of,
     scalar_to,
@@ -36,7 +35,7 @@ from .structured import (
     structured_map_tensor,
 )
 from .tensors import SaturationTensor, tensor, tensor_multi
-from .util import Report, fs_eval, fs_make, ordkey, unpreserved_rows
+from .util import Report, fold, fs_eval, fs_make, ordkey, unpreserved_rows
 
 
 class Semicoring:
@@ -126,21 +125,27 @@ def _coassoc_elements(C):
     return _greedy_gens(C.carrier), False
 
 
-def eps_acting(C, car, left=False):
+def eps_acting(C, car, coring=False):
     """Raise FormatError naming the first c, in C's element order, whose
     counit value lies off the base and cannot act on every element of car
-    on the right (and, with left, on the left), as the element fallbacks
-    of the counit checks would."""
+    on the right, or, for check_semicoring's coring, on the left, or be
+    added in the base to every counit value, as the element fallbacks of
+    the counit checks and the coring's counit scans would."""
+    S = C.base
     for c in C.carrier.elements():
-        v = C.eps[c]
+        v, what = C.eps[c], f"{car.name} cannot be acted on by"
         try:
-            if v not in (C.base.index or ()):
+            if v not in (S.index or ()):
                 for x in car.elements():
                     car.act(x, v)
-                    if left:
+                    if coring:
                         car.act_left(v, x)
+                if coring:
+                    what = f"{S.name} cannot add"
+                    for u in C.eps.values():
+                        S.add(v, u)
         except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{C.name}: {car.name} cannot be acted on by eps({c!r}) = {v!r}") from e
+            raise FormatError(f"{C.name}: {what} eps({c!r}) = {v!r}") from e
 
 
 def check_semicoring(C) -> Report:
@@ -166,7 +171,7 @@ def check_semicoring(C) -> Report:
     ep = [S.index.get(e) for e in eps]
     off = None in ep
     if off:
-        eps_acting(C, car, left=True)
+        eps_acting(C, car, coring=True)
     w = unpreserved_rows(eps, ix.add, S.add, els)
     rep.add("counit-additive", w is None, w)
     w = unpreserved_rows(eps, ix.act, lambda e, k: S.mul(e, scalars[k]), els, scalars)
@@ -191,18 +196,23 @@ def check_semicoring(C) -> Report:
     rep.add("counit-law", w is None, w)
 
     check_els, exhaustive = _coassoc_elements(C)
-    T3 = C.ccc()
-    push = T3.push if T3.result is None else T3.position  # a lazy C (x) C (x) C has no positions
-    w = None
-    for c in check_els:
-        dc = C.delta[c]
-        lhs = [((c11, c12, c2), m * n) for (c1, c2), m in dc for (c11, c12), n in C.delta[c1]]
-        rhs = [((c1, c21, c22), m * n) for (c1, c2), m in dc for (c21, c22), n in C.delta[c2]]
-        if push(lhs) != push(rhs):
-            w = (c, "coassociativity")
-            break
+    w = noncoassociative(check_els, C.delta, C.delta, C.ccc())
+    w = None if w is None else (w, "coassociativity")
     rep.add("coassociative" + ("" if exhaustive else "-on-generators"), w is None, w)
     return rep
+
+
+def noncoassociative(els, rho, delta, T3):
+    """The first x of els, in order, at which (rho (x) C) rho(x) and (M (x)
+    delta) rho(x) differ in T3 = M (x) C (x) C, or None: rho and delta map
+    elements to formal sums (((m, c), k), ...), and rho is delta for a coring."""
+    push = T3.push if T3.result is None else T3.position  # a lazy T3 has no positions
+    for x in els:
+        lhs = [((m11, c11, c1), k * n) for (m1, c1), k in rho[x] for (m11, c11), n in rho[m1]]
+        rhs = [((m1, c11, c12), k * n) for (m1, c1), k in rho[x] for (c11, c12), n in delta[c1]]
+        if push(lhs) != push(rhs):
+            return x
+    return None
 
 
 def _check_semicoring_structured(C) -> Report:
@@ -405,9 +415,7 @@ def _free_basis(A, B, phi):
         reached = {}
         ok = True
         for coeffs in itertools.product(B.elements, repeat=k):
-            v = A.zero
-            for c, e in zip(coeffs, combo):
-                v = A.add(v, A.mul(phi(c), e))
+            v = fs_eval(A, ((A.mul(phi(c), e), 1) for c, e in zip(coeffs, combo)))
             if v in reached:
                 ok = False
                 break
@@ -425,10 +433,7 @@ def sweedler_semicoring(phi, name=None):
         ebasis, coeffs_of = basis
 
         def from_m(m):
-            v = A.zero
-            for c, e in zip(m[0], ebasis):
-                v = A.add(v, A.mul(phi.fn(c), e))
-            return v
+            return fs_eval(A, ((A.mul(phi.fn(c), e), 1) for c, e in zip(m[0], ebasis)))
 
         def to_m(a):
             return (coeffs_of[a],)

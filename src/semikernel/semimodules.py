@@ -9,9 +9,9 @@ import random
 from functools import lru_cache
 
 from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
-from .errors import FormatError, UndecidedError, UnsupportedError, negative_count
+from .errors import FormatError, UndecidedError, UnsupportedError
 from .presentations import DEFAULT_BUDGET
-from .util import Record, Report, sorted_elems, unpreserved
+from .util import Record, Report, fold, fs_eval, sorted_elems, times, unpreserved
 
 SAMPLES = 64  # sample size of the checks on effective carriers
 
@@ -68,9 +68,7 @@ class Semimodule:
         return tuple(a.act_left(s, u) for a, u in zip(self.atoms, x))
 
     def times_int(self, x, k):
-        if k < 0:  # the zero module has no atom to refuse it
-            raise negative_count(k)
-        return tuple(a.times_int(u, k) for a, u in zip(self.atoms, x))
+        return times(self.add, self.zero, x, k)
 
     def sample(self, rng):
         out = []
@@ -1015,30 +1013,6 @@ def _greedy_gens(M):
     return [ix.elements[g] for g in _greedy_positions(ix)[0]]
 
 
-def fold(add, zero, pairs):
-    """util.fs_eval on positions: the sum of k * t over the (t, k) pairs,
-    folded left from zero, add(i, j) being the sum on positions."""
-    acc = zero
-    for t, k in pairs:
-        acc = add(acc, t if k == 1 else _times(add, zero, t, k))
-    return acc
-
-
-def _times(add, zero, t, k):
-    """k * t on positions by binary doubling, as Atom.times_int folds it;
-    add(i, j) is the sum on positions."""
-    if k < 0:
-        raise negative_count(k)
-    acc = zero
-    while k:
-        if k & 1:
-            acc = add(acc, t)
-        k >>= 1
-        if k:
-            t = add(t, t)
-    return acc
-
-
 def hom_enumerate(M, N):
     """All linear maps M -> N for finite M; N finite or with solvable atoms.
 
@@ -1144,7 +1118,7 @@ def _hom_positions(M, N):
         constraints, steps = _generator_walk(mx)
         plus = lambda i, j: nadd[i][j]
         allowed = {  # the images each distinct cyclic constraint allows, found once
-            (hi, lo): [t for t in range(len(nx.elements)) if _times(plus, nzero, t, hi) == _times(plus, nzero, t, lo)]
+            (hi, lo): [t for t in range(len(nx.elements)) if times(plus, nzero, t, hi) == times(plus, nzero, t, lo)]
             for hi, lo in set(constraints)
         }
         cands = [allowed[c] for c in constraints]
@@ -1208,10 +1182,7 @@ def dual_basis_projectivity(P, pairs):
     S = P.base
     SM = pairs[0][1].target if pairs else semiring_module(S)
     for p in P.elements():
-        acc = P.zero
-        for (pl, fl) in pairs:
-            acc = P.add(acc, P.act(pl, scalar_of(SM, fl(p))))
-        if acc != p:
+        if fs_eval(P, ((P.act(pl, scalar_of(SM, fl(p))), 1) for pl, fl in pairs)) != p:
             return False, p
     return True, None
 

@@ -7,8 +7,8 @@ from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
 
-from .errors import FormatError, UnsupportedError, negative_count
-from .util import Memo, Report, ordkey, sorted_elems, unpreserved
+from .errors import FormatError, UnsupportedError
+from .util import Memo, Report, ordkey, sorted_elems, times, unpreserved
 
 SAMPLE_BUDGET = 10_000
 
@@ -100,13 +100,7 @@ class Semiring:
         return self.elements is not None
 
     def times_int(self, x, k):
-        """k-fold sum x + ... + x computed in the semiring (k a non-negative int)."""
-        if k < 0:
-            raise negative_count(k)
-        acc = self.zero
-        for _ in range(k):
-            acc = self.add(acc, x)
-        return acc
+        return times(self.add, self.zero, x, k)
 
     def sample_elements(self, rng, count):
         if self.is_finite:

@@ -25,14 +25,13 @@ from .semimodules import (
     Subsemimodule,
     cancellative_reflection,
     direct_sum,
-    fold,
     identity_map,
     map_predicates,
     scalar_of,
     scalar_to,
     subtractive_closure,
 )
-from .util import Memo, fs_eval, fs_make
+from .util import Memo, fold, fs_eval, fs_make
 
 
 def _through(maps, terms):

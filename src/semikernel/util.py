@@ -4,6 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 
+from .errors import negative_count
+
 
 def ordkey(x):
     """Total order key over the mixed element values the kernel uses.
@@ -40,13 +42,33 @@ def fs_make(pairs):
     return tuple(sorted(((s, k) for s, k in acc.items() if k), key=lambda p: ordkey(p[0])))
 
 
-def fs_eval(M, pairs):
-    """The sum of k * x over (x, k) pairs in M (a semimodule or a semiring),
-    folded left from M.zero in iteration order."""
-    acc = M.zero
+def fold(add, zero, pairs):
+    """The sum of k * x over the (x, k) pairs, folded left from zero in
+    iteration order, add being the sum on elements or on positions; a term
+    with k = 1 adds x itself."""
+    acc = zero
     for x, k in pairs:
-        acc = M.add(acc, M.times_int(x, k))
+        acc = add(acc, x if k == 1 else times(add, zero, x, k))
     return acc
+
+
+def times(add, zero, x, k):
+    """k * x by binary doubling, which stops at the last bit of k."""
+    if k < 0:
+        raise negative_count(k)
+    acc = zero
+    while k:
+        if k & 1:
+            acc = add(acc, x)
+        k >>= 1
+        if k:
+            x = add(x, x)
+    return acc
+
+
+def fs_eval(M, pairs):
+    """fold in M, a semimodule or a semiring."""
+    return fold(M.add, M.zero, pairs)
 
 
 def unpreserved(f, op, top, pairs, scalar=False):

@@ -489,7 +489,9 @@ def loaded_layers(tmp_path, declarations):
 def test_validate_loads_only_the_layers_it_needs(tmp_path):
     loaded = loaded_layers(tmp_path, DOC["declarations"][1:3])  # C4 over NAT
     assert not loaded & set(LAYERS_ABOVE_SEMIMODULES)
-    assert "semicorings" in loaded_layers(tmp_path, DOC["declarations"][4:5])  # a gallery coring
+    coring = loaded_layers(tmp_path, DOC["declarations"][4:5])  # a gallery coring
+    assert "semicorings" in coring
+    assert not coring & {"semicomodules", "pairings"}
 
 
 HEAVY = """

@@ -1,11 +1,13 @@
 """Free atoms add and act through their base semiring's memo tables, and
-Atom.times_int doubles only while bits of k remain."""
+times_int (of atoms, semirings and semimodules) doubles only while bits
+of k remain."""
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from semikernel.atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
+from semikernel.semimodules import Semimodule
 from semikernel.semirings import bool_semiring, ideals, nat, natcap, semiring_from_tables, tropcap, zmod
 
 
@@ -70,9 +72,23 @@ ATOMS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(ATOMS))
+# semirings and semimodules sum k * x by the same doubling
+SUMMERS = {
+    **ATOMS,
+    "SEMIRING-BOOL": (bool_semiring, 1),
+    "SEMIRING-ZMOD(3)": (lambda: zmod(3), 2),
+    "SEMIRING-NAT": (nat, 3),
+    "SEMIRING-TROPCAP(2)": (lambda: tropcap(2), 1),
+    "SEMIMODULE": (
+        lambda: Semimodule(nat(), [NatAtom(nat()), CyclicAtom(nat(), 6), QmodzAtom(nat())]),
+        (3, 5, Fraction(2, 7)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMERS))
 def test_times_int_is_repeated_addition(kind):
-    make, a = ATOMS[kind]
+    make, a = SUMMERS[kind]
     atom = make()
     acc = atom.zero
     for k in range(21):

@@ -40,7 +40,6 @@ from semikernel.semimodules import (
     Semimodule,
     enumerate_modules,
     find_isomorphism,
-    fold,
     free_semimodule,
     hom_enumerate,
     identity_map,
@@ -51,7 +50,7 @@ from semikernel.semimodules import (
 )
 from semikernel.semirings import bool_semiring, zmod
 from semikernel.tensors import tensor, tensor_multi
-from semikernel.util import ordkey, unpreserved_rows
+from semikernel.util import fold, fs_make, ordkey, unpreserved_rows
 from test_counit_positions import reference_counit
 
 B, Z2, Z3 = bool_semiring(), zmod(2), zmod(3)
@@ -229,6 +228,27 @@ def test_the_cases_reach_every_verdict():
     outcomes = [_outcome(reference_coequalizer, f, g, M, M) for _, (f, g, M) in MUTANT_LIMITS]
     assert any(o[0] == "raises" and "not well defined" in o[2] for o in outcomes)
     assert any(o[0] == "value" for o in outcomes)
+
+
+def test_coactions_on_a_carrier_without_coordinates_fail_coassociativity_as_the_reference():
+    """sweedler_id's carrier has no coordinates, so check_comodule pushes
+    coassociativity through the lazy M (x) C (x) C.  Of the 256 coactions on
+    its two elements whose terms m' (x) c have multiplicity 0 or 1, 48 fail
+    there, each with the reference's checks; rho(e0) = e1 (x) e1 with
+    rho(e1) = 0 fails at e0."""
+    C = gallery_coring("sweedler_id")
+    els = C.carrier.elements()
+    pairs = list(itertools.product(els, els))
+    sums = [fs_make((p, 1) for p, keep in zip(pairs, mask) if keep) for mask in itertools.product((0, 1), repeat=4)]
+    failed = {}
+    for rho in itertools.product(sums, repeat=2):
+        M = Semicomodule(C, C.carrier, dict(zip(els, rho)))
+        checks = _checks(M)
+        assert checks == reference_checks(M)
+        if not checks[-1][1]:
+            failed[rho] = checks[-1]
+    assert len(failed) == 48
+    assert failed[((((els[1], els[1]), 1),), ())] == ("coassociative", False, els[0]) == ("coassociative", False, ((0,),))
 
 
 # ---------------------------------------------------------------- certificate

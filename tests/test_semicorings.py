@@ -297,6 +297,20 @@ def test_morphism_checks():
     assert not semicoring_morphism_check(collapse, GL, GL).ok
 
 
+def test_a_map_that_breaks_the_comult_square_fails_at_its_first_element():
+    """The identity into grouplike_bool_2 with Delta(e1) set to Delta(e2)
+    is counital but not comultiplicative: the square fails first at e1."""
+    GL = gallery_coring("grouplike_bool_2")
+    e = GL.carrier.elements()
+    target = GL.mutate(delta={e[1]: GL.delta[e[2]]})
+    ident = LinearMap(GL.carrier, target.carrier, lambda x: x, name="id")
+    rep = semicoring_morphism_check(ident, GL, target)
+    assert [(c.name, c.ok, c.witness) for c in rep.checks] == [
+        ("comult-square", False, ((0, 1),)),
+        ("counit-triangle", True, None),
+    ]
+
+
 def _scalar_to_sw(SW, a):
     for c in SW.carrier.elements():
         if SW.eps[c] == a:
