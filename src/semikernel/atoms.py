@@ -2,23 +2,87 @@
 
 A semimodule carrier is a direct sum of atoms.  Finite atoms (CYCLIC, BOOL,
 TABLE, FREE) expose full element lists; NAT and QMODZ are effective, with
-exact integers and reduced fractions in [0,1) as canonical forms.  Each atom
-provides a generating set with a complete additive (Cayley-style)
-presentation, which is what the tensor saturation consumes.  TABLE atoms
-hold their addition and action on integer indices: rows of positions.
+exact integers and reduced fractions in [0,1) as canonical forms.  TABLE
+atoms hold their addition and action on integer indices: rows of positions.
+Every finite atom presents (A, +) one way, `presentation`: its greedy
+generators (`greedy`) and relations read off its Cayley graph, which the
+tensor saturation consumes (an 8-element table that is F₂³ has 3
+generators, not 7).  FREE lifts its base's presentation of (S, +)
+coordinate by coordinate; NAT has one generator and QMODZ none.
 """
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import repeat
 
-from .errors import FormatError, UnsupportedError, negative_count
+from .errors import FormatError, negative_count
 from .util import sorted_elems, times
 
 
+def greedy(add, zero, n):
+    """Additive generators of a finite carrier on positions range(n) (add(i,
+    j) the position of a sum, zero that of zero), and the steps (y, x, k),
+    y = x + gens[k], that first reach each non-zero y.  Each position, in
+    order, that sums of the earlier ones miss is a generator, reached from
+    zero; the walk then adds every generator to everything reached, so
+    every x is zero or comes before the steps from it."""
+    reached = {zero}
+    gens, steps = [], []
+    for e in range(n):
+        if e not in reached:
+            reached.add(e)
+            steps.append((e, zero, len(gens)))
+            gens.append(e)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for k, g in enumerate(gens):
+                    y = add(x, g)
+                    if y not in reached:
+                        reached.add(y)
+                        steps.append((y, x, k))
+                        frontier.append(y)
+    return gens, steps
+
+
+def presentation(add, zero, n):
+    """(gens, words, relations) of the finite commutative monoid on positions
+    range(n) (add, zero as for greedy), read off its Cayley graph over the
+    greedy generators (Froidure & Pin 1997; Rosales & García-Sánchez 1999).
+    words[x] is the least word of value x in the (degree, word) order the
+    word problem orients by, found by walking words in that order, each
+    least word w of x adding w + e_k (value x + gens[k]).  A word met again
+    whose divisors w - e_j are all least gives the relation (w, words[value]).
+    Least words are closed under divisors, so every other word lies above
+    such a w and rewrites to a smaller one: the relations present it."""
+    gens = greedy(add, zero, n)[0]
+    words, least, relations = [None] * n, set(), []
+    walk = [(0, (0,) * len(gens), zero)]
+    met = {walk[0][1]}
+    while walk:
+        d, w, x = heappop(walk)
+        if words[x] is None:
+            words[x] = w
+            least.add(w)
+            for k, g in enumerate(gens):
+                v = w[:k] + (w[k] + 1,) + w[k + 1:]
+                if v not in met:
+                    met.add(v)
+                    heappush(walk, (d + 1, v, add(x, g)))
+        elif all(w[:j] + (c - 1,) + w[j + 1:] in least for j, c in enumerate(w) if c):
+            relations.append((w, words[x]))
+    return gens, words, relations
+
+
+def _support(word):
+    """A word as a multiset {k: multiplicity} of its generators."""
+    return {k: c for k, c in enumerate(word) if c}
+
+
 class Atom:
-    __slots__ = ("base",)  # atoms are many and small: no per-instance __dict__
+    __slots__ = ("base", "_presented")  # atoms are many and small: no per-instance __dict__
     kind = "?"
     finite = True
 
@@ -28,16 +92,34 @@ class Atom:
     def times_int(self, a, k):
         return times(self.add, self.zero, a, k)
 
-    # generating data: list of (key, element); None when not finitely generated
+    def _positions(self):
+        """A finite atom's elements, the position of each and its sum on positions."""
+        els = self.elements()
+        index = {e: i for i, e in enumerate(els)}
+        return els, index, lambda i, j: index[self.add(els[i], els[j])]
+
+    def _presentation(self):
+        """(generators, index, words, relations) of a finite atom: presentation
+        on _positions, with the generators as elements, built on first call."""
+        try:
+            return self._presented
+        except AttributeError:
+            carrier, index, add = self._positions()
+            gens, words, relations = presentation(add, index[self.zero], len(carrier))
+            self._presented = [carrier[g] for g in gens], index, words, relations
+            return self._presented
+
+    # generating data: (k, the k-th greedy generator); None if not finitely generated
     def gens(self):
-        return None
+        return list(enumerate(self._presentation()[0])) if self.finite else None
 
     def decompose(self, a):
-        raise UnsupportedError(f"{self.kind}: no generator decomposition")
+        _, index, words, _ = self._presentation()
+        return _support(words[index[a]])
 
     def cayley(self):
         """Complete relation list among generators, as (multiset, multiset) pairs."""
-        return []
+        return [(_support(l), _support(r)) for l, r in self._presentation()[3]]
 
     def act_left(self, s, a):
         return self.act(a, s)
@@ -83,6 +165,9 @@ class NatAtom(Atom):
     def decompose(self, a):
         return {"g": a} if a else {}
 
+    def cayley(self):
+        return []
+
     def solve_mult(self, hi, lo):
         return [0] if hi != lo else None
 
@@ -118,15 +203,6 @@ class CyclicAtom(Atom):
     def act(self, a, s):
         return (a * s) % self.n
 
-    def gens(self):
-        return [("g", 1 % self.n)]
-
-    def decompose(self, a):
-        return {"g": a} if a else {}
-
-    def cayley(self):
-        return [({"g": self.n}, {})]
-
     def describe(self):
         return {"kind": self.kind, "n": self.n}
 
@@ -149,15 +225,6 @@ class BoolAtom(Atom):
 
     def act(self, a, s):
         return a if s != 0 else 0
-
-    def gens(self):
-        return [("g", 1)]
-
-    def decompose(self, a):
-        return {"g": 1} if a else {}
-
-    def cayley(self):
-        return [({"g": 2}, {"g": 1})]
 
 
 class QmodzAtom(Atom):
@@ -320,59 +387,12 @@ class TableAtom(Atom):
             return self.times_int(a, s)
         return self._carrier[self._act[(self._index or self.index)[a]][self.base.index[s]]]
 
-    def gens(self):
-        return [(a, a) for a in self._elements if a != self.zero]
-
-    def decompose(self, a):
-        return {a: 1} if a != self.zero else {}
-
-    def cayley(self):
-        rels = []
-        nz = [a for a in self._elements if a != self.zero]
-        for i, a in enumerate(nz):
-            for b in nz[i:]:
-                lhs = {a: 2} if a == b else {a: 1, b: 1}
-                rels.append((lhs, self.decompose(self.add(a, b))))
-        return rels
+    def _positions(self):
+        rows = self._rows
+        return self._carrier, self.index, lambda i, j: rows[i][j]
 
     def describe(self):
         return {"kind": self.kind, "size": len(self._elements)}
-
-
-class PresentedTableAtom(TableAtom):
-    """Finite table atom that remembers a small generating presentation.
-
-    Elements are canonical multiplicity vectors over the generators; the
-    stored relations generate the defining congruence, so downstream tensors
-    can present this atom by its few generators instead of all elements.
-    The saturation tensor builds it from rows of positions, with the
-    classes in the order the quotient walk found them.
-    """
-
-    __slots__ = ("_gen_nfs", "_relations")
-    kind = "TABLE"
-
-    def __init__(self, base, elements, add_table, action, gen_nfs, relations):
-        super().__init__(base, elements, add_table, action)
-        self._gen_nfs = list(gen_nfs)  # canonical form of each generator
-        self._relations = relations  # [(vec, vec)] over the generators
-
-    def gens(self):
-        return [(i, nf) for i, nf in enumerate(self._gen_nfs)]
-
-    def decompose(self, a):
-        return {i: k for i, k in enumerate(a) if k}
-
-    def cayley(self):
-        out = []
-        for l, r in self._relations:
-            out.append(
-                (
-                    {i: k for i, k in enumerate(l) if k},
-                    {i: k for i, k in enumerate(r) if k},
-                )
-            )
-        return out
 
 
 class Radix:
@@ -467,24 +487,19 @@ class FreeAtom(Atom):
         s = self.base.one if s is None else s
         return tuple(s if j == i else self.base.zero for j in range(len(self.basis)))
 
+    # (S, +) presented in each coordinate: generator (i, k) is gens[k] e_i
     def gens(self):
-        nz = [s for s in self.base.elements if s != self.base.zero]
-        return [((i, s), self.unit(i, s)) for i in range(len(self.basis)) for s in nz]
+        S = self.base
+        gens = S.presentation()[0]
+        return [((i, k), self.unit(i, S.elements[g])) for i in range(len(self.basis)) for k, g in enumerate(gens)]
 
     def decompose(self, a):
-        return {(i, s): 1 for i, s in enumerate(a) if s != self.base.zero}
+        words, index = self.base.presentation()[1], self.base.index
+        return {(i, k): c for i, s in enumerate(a) for k, c in enumerate(words[index[s]]) if c}
 
     def cayley(self):
-        rels = []
-        nz = [s for s in self.base.elements if s != self.base.zero]
-        for i in range(len(self.basis)):
-            for j, s in enumerate(nz):
-                for t in nz[j:]:
-                    lhs = {(i, s): 2} if s == t else {(i, s): 1, (i, t): 1}
-                    u = self.base.add(s, t)
-                    rhs = {(i, u): 1} if u != self.base.zero else {}
-                    rels.append((lhs, rhs))
-        return rels
+        tagged = ((i, rel) for i in range(len(self.basis)) for rel in self.base.presentation()[2])
+        return [tuple({(i, k): c for k, c in enumerate(w) if c} for w in rel) for i, rel in tagged]
 
     def describe(self):
         return {"kind": self.kind, "basis": list(self.basis)}

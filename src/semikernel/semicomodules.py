@@ -17,12 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .atoms import CyclicAtom, QmodzAtom
+from .atoms import CyclicAtom, QmodzAtom, greedy
 from .errors import CertificateError, FormatError, UnsupportedError
 from .semimodules import (
     LinearMap,
     Semimodule,
-    _greedy_positions,
     _hom_map,
     _hom_positions,
     _homs,
@@ -284,7 +283,7 @@ def _colinear(M: Semicomodule, N: Semicomodule):
     mx = M.carrier.indexed()
     on = range(len(mx.elements))
     if M.additivity_witness is None and N.additivity_witness is None:
-        on = [mx.zero, *_greedy_positions(mx)[0]]
+        on = [mx.zero, *greedy(mx.plus, mx.zero, len(mx.elements))[0]]
     return [(i, f) for i, f in enumerate(_hom_positions(M.carrier, N.carrier)) if _square(M, N, f, on)]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .atoms import CyclicAtom, FreeAtom, NatAtom
+from .atoms import CyclicAtom, FreeAtom, NatAtom, greedy
 from .errors import FormatError, UnsupportedError
 from .semimodules import (
     LinearMap,
@@ -117,12 +117,10 @@ def _coassoc_elements(C):
     complete check because linearity of the comultiplication is verified
     exhaustively first.
     """
-    els = C.carrier.elements()
-    if len(els) <= 32:
-        return els, True
-    from .semimodules import _greedy_gens
-
-    return _greedy_gens(C.carrier), False
+    ix = C.carrier.indexed()
+    if len(ix.elements) <= 32:
+        return ix.elements, True
+    return [ix.elements[g] for g in greedy(ix.plus, ix.zero, len(ix.elements))[0]], False
 
 
 def eps_acting(C, car, coring=False):

@@ -8,7 +8,7 @@ import math
 import random
 from functools import lru_cache
 
-from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact
+from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact, greedy
 from .errors import FormatError, UndecidedError, UnsupportedError
 from .presentations import DEFAULT_BUDGET
 from .util import Record, Report, fold, fs_eval, sorted_elems, times, unpreserved
@@ -96,23 +96,11 @@ class Semimodule:
         return out
 
     def decompose(self, x):
-        out = {}
-        for i, (a, v) in enumerate(zip(self.atoms, x)):
-            for key, k in a.decompose(v).items():
-                out[(i, key)] = k
-        return out
+        return {(i, key): k for i, (a, v) in enumerate(zip(self.atoms, x)) for key, k in a.decompose(v).items()}
 
     def cayley(self):
-        rels = []
-        for i, a in enumerate(self.atoms):
-            for lhs, rhs in a.cayley():
-                rels.append(
-                    (
-                        {(i, k): m for k, m in lhs.items()},
-                        {(i, k): m for k, m in rhs.items()},
-                    )
-                )
-        return rels
+        tagged = ((i, rel) for i, a in enumerate(self.atoms) for rel in a.cayley())
+        return [tuple({(i, k): m for k, m in side.items()} for side in rel) for i, rel in tagged]
 
     def __repr__(self):
         size = len(self.elements()) if self.is_finite else "effective"
@@ -144,7 +132,7 @@ class Indexed:
     these per query.
 
     `coordinates`, built on first read, certifies that M is free: (gens,
-    digits), gens the greedy generators (_greedy_positions) and digits(c)
+    digits), gens the greedy generators (atoms.greedy) and digits(c)
     the base positions k_i with c = sum gens[i] * base.elements[k_i], kept
     only if that is a bijection S^n -> M; None unless the base is finite
     and commutative and M has no left action of its own.
@@ -204,7 +192,7 @@ class Indexed:
         times = S.tables()[1]
         if any(row != list(col) for row, col in zip(times, zip(*times))):  # S is not commutative
             return None
-        gens = _greedy_positions(self)[0]
+        gens = greedy(self.plus, self.zero, len(self.elements))[0]
         if len(S.elements) ** len(gens) != len(self.elements):
             return None
         digits = {}
@@ -979,40 +967,6 @@ def short_exact_sequence(L: Subsemimodule):
 
 # ---------------------------------------------------------------- hom sets
 
-def _greedy_positions(ix):
-    """Additive generating set of an indexed carrier, as positions, and the
-    steps (y, x, k) with y = x + gens[k] that first reach each non-zero
-    position y: each position, in order, that the sums of the ones before it
-    do not reach is a generator, reached from zero, and the walk then adds
-    every generator to everything reached.  Every x is zero or comes before
-    the steps from it; the walk is not breadth first.  Hom extension walks
-    sums of generators only, so the scalar action is not used."""
-    reached = {ix.zero}
-    gens, steps = [], []
-    for e in range(len(ix.elements)):
-        if e not in reached:
-            reached.add(e)
-            steps.append((e, ix.zero, len(gens)))
-            gens.append(e)
-            frontier = list(reached)
-            while frontier:
-                x = frontier.pop()
-                row = ix.add[x]
-                for k, g in enumerate(gens):
-                    y = row[g]
-                    if y not in reached:
-                        reached.add(y)
-                        steps.append((y, x, k))
-                        frontier.append(y)
-    return gens, steps
-
-
-def _greedy_gens(M):
-    """Additive generating set of a finite M, in element order."""
-    ix = M.indexed()
-    return [ix.elements[g] for g in _greedy_positions(ix)[0]]
-
-
 def hom_enumerate(M, N):
     """All linear maps M -> N for finite M; N finite or with solvable atoms.
 
@@ -1047,10 +1001,10 @@ def _generator_walk(mx):
     """For the greedy generators gens of an indexed carrier: each one's
     cyclic constraint (i + p, i), with (i + p)g = ig, and the steps
     (y, x, k) with y = x + gens[k] that first reach each non-zero position
-    in the walk of _greedy_positions, so every x comes before the steps
-    from it."""
+    in the walk of atoms.greedy, so every x comes before the steps from
+    it."""
     add, zero = mx.add, mx.zero
-    gens, steps = _greedy_positions(mx)
+    gens, steps = greedy(mx.plus, zero, len(mx.elements))
     constraints = []
     for g in gens:
         seen, cur = {}, zero
@@ -1101,7 +1055,7 @@ def _hom_positions(M, N):
     their images are pruned by each generator's cyclic constraint: with
     (i + p)g = ig, an image t needs (i + p)t = it.  Every other element's
     image is folded along the step x -> x + g by which the greedy walk of
-    _greedy_positions first reached it, and a candidate is kept if it is
+    atoms.greedy first reached it, and a candidate is kept if it is
     additive and preserves the action.  A free source instead folds the sum of basis image *
     coordinate over its non-zero coordinates, in order: every assignment of
     basis images extends uniquely, so it needs no check.  The candidates

@@ -7,6 +7,7 @@ from functools import lru_cache
 from math import gcd
 from types import SimpleNamespace
 
+from .atoms import presentation
 from .errors import FormatError, UnsupportedError
 from .util import Memo, Report, ordkey, sorted_elems, times, unpreserved
 
@@ -66,7 +67,7 @@ class Semiring:
         if self.one == self.zero:
             raise FormatError(f"{name}: 1 = 0 is not allowed")
         self._checks = None  # (axiom report, flags), computed on first read
-        self._tables = None
+        self._tables = self._presentation = None
         self._lock = threading.Lock()
         # (x, y) -> x + y and x * y, filled on first use: a free atom's coordinatewise operations
         self.add_memo = Memo(lambda pair: add(*pair))
@@ -86,6 +87,13 @@ class Semiring:
         if self._tables is None:
             self._tables = _position_tables(self, self.index)
         return self._tables
+
+    def presentation(self):
+        """(S, +) of a finite S presented on positions (atoms.presentation), built on first call."""
+        if self._presentation is None:
+            plus = self.tables()[0]
+            self._presentation = presentation(lambda i, j: plus[i][j], self.index[self.zero], len(plus))
+        return self._presentation
 
     @property
     def axiom_report(self):

@@ -105,6 +105,11 @@ def _is_monogenic(atom):
     return atom.kind in ("NAT", "CYCLIC", "BOOL")
 
 
+def _generator(atom):
+    """The generator of a monogenic atom: 1, or 0 in C_1, which has no generator."""
+    return (atom.gens() or [(None, atom.zero)])[0][1]
+
+
 class StructuredMap:
     """Linear map between structured modules, stored per source atom.
 
@@ -239,8 +244,7 @@ def structured_identity(M):
     descrs = []
     for i, atom in enumerate(M.atoms):
         if _is_monogenic(atom):
-            gen_coord = atom.gens()[0][1]
-            descrs.append(("gen", M.inject(i, gen_coord)))
+            descrs.append(("gen", M.inject(i, _generator(atom))))
         elif atom.kind == "QMODZ":
             descrs.append(("qmz", {i: 1}))
         else:
@@ -256,8 +260,8 @@ def structured_map_tensor(f: StructuredMap, g: StructuredMap, Tsrc: RuleTensor, 
         A, B = X.atoms[i], Z.atoms[j]
         src_atom = Tsrc.result.atoms[idx]
         if _is_monogenic(src_atom) and _is_monogenic(A) and _is_monogenic(B):
-            ga = X.inject(i, A.gens()[0][1])
-            gb = Z.inject(j, B.gens()[0][1])
+            ga = X.inject(i, _generator(A))
+            gb = Z.inject(j, _generator(B))
             img = Tdst.pure(f(ga), g(gb))
             descrs.append(("gen", img))
         elif src_atom.kind == "QMODZ":

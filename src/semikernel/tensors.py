@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .atoms import FreeAtom, PresentedTableAtom, compact
+from .atoms import FreeAtom, TableAtom, compact
 from .errors import FormatError, InternalInvariantError, UnsupportedError
 from .presentations import Budget, MonoidPresentation
 from .semimodules import (
@@ -31,12 +31,28 @@ from .semimodules import (
     scalar_to,
     subtractive_closure,
 )
-from .util import Memo, fold, fs_eval, fs_make
+from .util import Memo, fold, fs_eval, fs_make, unpreserved_rows
 
 
 def _through(maps, terms):
     """Terms [((m_1..m_k), mult)] with maps[i] applied in slot i (None: identity)."""
     return ((tuple(m if f is None else f(m) for f, m in zip(maps, ms)), k) for ms, k in terms)
+
+
+def _unadditive(f):
+    """The first pair (x, y) of f's source, in element order, with f(x + y)
+    != f(x) + f(y), scanned on the positions of source and target
+    (util.unpreserved_rows); None if there is none, if either carrier is
+    infinite, if an image lies off the target (the check on the induced map
+    names it), or if f fixes every position of one carrier."""
+    M, N = f.source, f.target
+    if not (M.is_finite and N.is_finite):
+        return None
+    mx, nx = M.indexed(), N.indexed()
+    images = [nx.of(f(x)) for x in mx.elements]
+    if None in images or M is N and images == list(range(len(images))):
+        return None
+    return unpreserved_rows(images, mx.add, nx.plus, mx.elements)
 
 
 class TensorProduct:
@@ -90,7 +106,10 @@ class TensorProduct:
     def map_of(self, maps, target):
         """The induced map on tensors from per-slot linear maps.
 
-        Well-definedness is re-verified; failure is a bug trap, not user error.
+        Well-definedness is re-verified; failure is a bug trap, not user
+        error.  An element is pushed from its generators alone, and a slot
+        map that is not additive can still respect every relation among
+        them, so each slot map's additivity is scanned first (_unadditive).
         """
         if len(maps) != len(self.factors):
             raise FormatError("one map per tensor slot required")
@@ -99,6 +118,10 @@ class TensorProduct:
             return target.push(self.rep(x), maps)
 
         name = "(" + "x".join(f.name for f in maps) + ")"
+        for f in maps:
+            w = _unadditive(f)
+            if w is not None:
+                raise InternalInvariantError(f"tensor map not well defined: {name}: not linear: {('additive', w)}")
         try:
             return LinearMap(self.result, target.result, fn, name=name, check=True)
         except FormatError as e:
@@ -156,27 +179,17 @@ class SaturationTensor(TensorProduct):
         self.factors = tuple(factors)
         self.over = over
         self.budget = budget if budget is not None else Budget()
-        gens_per = []
-        for m in factors:
-            g = m.gens()
+        gens_per = [m.gens() for m in factors]
+        for m, g in zip(factors, gens_per):
             if g is None:
-                raise UnsupportedError(
-                    f"{m.name}: not finitely generated; use the rule-based route"
-                )
-            gens_per.append(g)
-        self.gen_tags = [
-            tuple(t for t, _ in gl) for gl in gens_per
-        ]
-        self.gen_elems = [
-            {t: e for t, e in gl} for gl in gens_per
-        ]
+                raise UnsupportedError(f"{m.name}: not finitely generated; use the rule-based route")
+        self.gen_tags = [tuple(t for t, _ in gl) for gl in gens_per]
+        self.gen_elems = [dict(gl) for gl in gens_per]
         self.pure_gens = list(itertools.product(*self.gen_tags))
         self.index = {g: i for i, g in enumerate(self.pure_gens)}
         self.n = len(self.pure_gens)
         self._act_pieces = {}
-        relations = self._relations()
-        self.pres = MonoidPresentation(self.n, relations, budget=self.budget)
-        self._raw_relations = relations
+        self.pres = MonoidPresentation(self.n, self._relations(), budget=self.budget)
         if lazy:
             self.result = None
         else:
@@ -232,12 +245,12 @@ class SaturationTensor(TensorProduct):
                     l_slots = [lhs if j == i else ctx[j] for j in range(k)]
                     r_slots = [rhs if j == i else ctx[j] for j in range(k)]
                     rels.append((self._vec(l_slots), self._vec(r_slots)))
-        # balance between adjacent slots (0 and 1 give coinciding sides)
-        scalars = [
-            s
-            for s in (self.over.elements or ())
-            if s != self.over.zero and s != self.over.one
-        ]
+        # balance between adjacent slots on the additive generators of S
+        # other than 1 (whose sides coincide): both sides are additive in the
+        # scalar, so every other scalar's balance follows
+        S = self.over
+        gens = S.presentation()[0] if S.elements is not None else ()
+        scalars = [S.elements[g] for g in gens if S.elements[g] != S.one]
         for i in range(k - 1):
             ctx_pools = [
                 [{t: 1} for t in self.gen_tags[j]] if j not in (i, i + 1) else [None]
@@ -286,18 +299,17 @@ class SaturationTensor(TensorProduct):
             for i, row in enumerate(rows):  # compact in place: one list at a time beside the arrays
                 rows[i] = compact(row, n)
         r_ring, r_fn = right_action if right_action is not None else (self.over, None)
-        gen_nfs = [classes[j] for j in steps[0]]
         action = None
         if r_ring.elements is not None:
             # The action is additive, (p + e_g) s = p s + e_g s, so its rows
             # are folded along the same tree from the action on each
             # generator, worked out once.
             pos = {x: i for i, x in enumerate(classes)}
-            gen_act = [[pos[self._act_slot(x, s, -1, r_fn)] for s in r_ring.elements] for x in gen_nfs]
+            gen_act = [[pos[self._act_slot(classes[j], s, -1, r_fn)] for s in r_ring.elements] for j in steps[0]]
             action = [[0] * len(r_ring.elements)]  # 0 s = 0, the class of 0
             for p, g in parent[1:]:
                 action.append([rows[a][b] for a, b in zip(action[p], gen_act[g])])
-        atom = PresentedTableAtom(r_ring, classes, rows, action, gen_nfs, self._raw_relations)
+        atom = TableAtom(r_ring, classes, rows, action)
 
         def act_l(s, x):
             return (self._act_slot(x[0], s, 0, left_action),)

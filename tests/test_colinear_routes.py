@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from semikernel.atoms import greedy
 from semikernel.gallery import gallery_coring
 from semikernel.semicomodules import (
     Semicomodule,
@@ -20,7 +21,7 @@ from semikernel.semicomodules import (
     comodule_hom_check,
     coring_as_comodule,
 )
-from semikernel.semimodules import _greedy_gens, free_semimodule, hom_enumerate, identity_map, semiring_module
+from semikernel.semimodules import free_semimodule, hom_enumerate, identity_map, semiring_module
 from semikernel.semirings import bool_semiring
 from semikernel.tensors import TensorProduct
 
@@ -86,7 +87,9 @@ def test_mutants_take_the_fallback():
     # the identity into the rho(top) mutant passes on zero and the generators
     CC, _, top_mutant = families["grouplike_bool_2"][:3]
     identity = identity_map(CC.carrier)
-    assert comodule_hom_check(identity, CC, top_mutant, [CC.carrier.zero, *_greedy_gens(CC.carrier)])
+    ix = CC.carrier.indexed()
+    gens = [ix.elements[g] for g in greedy(ix.plus, ix.zero, len(ix.elements))[0]]
+    assert comodule_hom_check(identity, CC, top_mutant, [CC.carrier.zero, *gens])
     assert not comodule_hom_check(identity, CC, top_mutant)
 
 

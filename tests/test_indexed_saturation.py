@@ -186,7 +186,7 @@ def _chain_module(k):
 )
 def test_sparse_reduce_matches_dense_on_tensor_presentations(mods, lazy):
     T = SaturationTensor(mods, mods[0].base, lazy=lazy)
-    relations = T._raw_relations
+    relations = T._relations()
     sparse, dense = _both(T.n, relations, 10**7)
     rng = random.Random(T.n)
     vectors = _vectors(rng, T.n, 300, top=3)

@@ -388,6 +388,24 @@ def test_coideal_check_of_a_two_element_k_in_poly1(g, verdicts):
     assert tuple(out[k] for k in keys) == verdicts
 
 
+# the six of the fifteen 2-element submodules of poly1_zmod2_3 that are coideals
+POLY1_COIDEALS = [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("g", POLY1_COIDEALS, ids=str)
+def test_quotients_of_poly1_by_two_element_coideals_check_in_a_second(g):
+    """Each quotient is F_2^3 as an 8-element table, presented on its 3
+    greedy generators, so its tensor square saturates on 9 pure generators
+    (on all 7 x 7 non-zero pairs it ran out of its budget after 8-14 s)."""
+    C = gallery_coring("poly1_zmod2_3")
+    K = span(C.carrier, [(g,)])
+    start = time.process_time()
+    Q, pi = quotient_semicoring(C, K)
+    assert check_semicoring(Q).ok
+    assert time.process_time() - start < 1
+    assert len(Q.carrier.elements()) == 8 and len(Q.carrier.gens()) == 3
+
+
 def test_grouplike_empty_point_set_is_zero_coalgebra():
     C = grouplike_semicoalgebra(B, [])
     assert len(C.carrier.elements()) == 1
