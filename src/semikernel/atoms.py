@@ -17,7 +17,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import repeat
 
-from .errors import FormatError, negative_count
+from .errors import FormatError, UndecidedError, negative_count
+from .presentations import DEFAULT_BUDGET
 from .util import sorted_elems, times
 
 
@@ -105,6 +106,8 @@ class Atom:
             return self._presented
         except AttributeError:
             carrier, index, add = self._positions()
+            if len(carrier) > DEFAULT_BUDGET:  # the walk is not budgeted: refuse it as hom search does
+                raise UndecidedError(f"{self.kind}: {len(carrier)} elements to present, above the cap {DEFAULT_BUDGET}")
             gens, words, relations = presentation(add, index[self.zero], len(carrier))
             self._presented = [carrier[g] for g in gens], index, words, relations
             return self._presented
@@ -199,6 +202,10 @@ class CyclicAtom(Atom):
 
     def add(self, a, b):
         return (a + b) % self.n
+
+    def _positions(self):  # elements are their own positions: nothing is listed before the cap
+        n = self.n
+        return range(n), range(n), lambda i, j: (i + j) % n
 
     def act(self, a, s):
         return (a * s) % self.n

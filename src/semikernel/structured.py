@@ -106,8 +106,8 @@ def _is_monogenic(atom):
 
 
 def _generator(atom):
-    """The generator of a monogenic atom: 1, or 0 in C_1, which has no generator."""
-    return (atom.gens() or [(None, atom.zero)])[0][1]
+    """The generator of a monogenic atom: 1, or 0 in C_1."""
+    return 1 % atom.n if atom.kind == "CYCLIC" else 1
 
 
 class StructuredMap:

@@ -13,14 +13,16 @@ one may never spend more budget units.
 """
 import itertools
 import random
+import time
 
 import pytest
 
 from semikernel.atoms import FreeAtom, TableAtom
+from semikernel.errors import UndecidedError
 from semikernel.presentations import Budget, MonoidPresentation
-from semikernel.semimodules import enumerate_modules, free_semimodule
-from semikernel.semirings import bool_semiring, ideals, natcap, tropcap, zmod
-from semikernel.tensors import SaturationTensor
+from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule
+from semikernel.semirings import bool_semiring, ideals, nat, natcap, tropcap, zmod
+from semikernel.tensors import SaturationTensor, tensor
 
 BASES = {"BOOL": bool_semiring(), "ZMOD2": zmod(2), "ZMOD3": zmod(3)}
 # the shapes of the tensor-saturate workload (perfbench/tensor_saturate.py)
@@ -202,3 +204,13 @@ def test_presentation_of_the_base_has_its_size(S):
     quotient = MonoidPresentation(len(gens), relations).enumerate_quotient()
     assert len(quotient.order) == len(S.elements)
     assert sorted(quotient.order) == sorted(words)
+
+
+def test_a_carrier_above_the_cap_is_undecided_before_it_is_listed():
+    """The presentation walk spends no budget, so a carrier of more than
+    DEFAULT_BUDGET elements is refused; C_n is numbered by its own elements,
+    so the refusal lists none of them."""
+    start = time.process_time()
+    with pytest.raises(UndecidedError, match=r"^CYCLIC: 10000000 elements to present, above the cap 1000000$"):
+        tensor(cyclic_module(nat(), 10**7), cyclic_module(nat(), 6))
+    assert time.process_time() - start < 1
