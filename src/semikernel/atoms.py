@@ -7,7 +7,8 @@ atoms hold their addition and action on integer indices: rows of positions.
 Every finite atom presents (A, +) one way, `presentation`: its greedy
 generators (`greedy`) and relations read off its Cayley graph, which the
 tensor saturation consumes (an 8-element table that is F₂³ has 3
-generators, not 7).  FREE lifts its base's presentation of (S, +)
+generators, not 7).  CYCLIC states what the walk finds, 1 with n·1 = 0, so
+C_n is never walked; FREE lifts its base's presentation of (S, +)
 coordinate by coordinate; NAT has one generator and QMODZ none.
 """
 from __future__ import annotations
@@ -17,8 +18,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import repeat
 
-from .errors import FormatError, UndecidedError, negative_count
-from .presentations import DEFAULT_BUDGET
+from .errors import FormatError, negative_count
 from .util import sorted_elems, times
 
 
@@ -100,16 +100,15 @@ class Atom:
         return els, index, lambda i, j: index[self.add(els[i], els[j])]
 
     def _presentation(self):
-        """(generators, index, words, relations) of a finite atom: presentation
-        on _positions, with the generators as elements, built on first call."""
+        """(generators, word, relations) of a finite atom: presentation on
+        _positions, with the generators as elements and word(a) the least
+        word of a, built on first call."""
         try:
             return self._presented
         except AttributeError:
             carrier, index, add = self._positions()
-            if len(carrier) > DEFAULT_BUDGET:  # the walk is not budgeted: refuse it as hom search does
-                raise UndecidedError(f"{self.kind}: {len(carrier)} elements to present, above the cap {DEFAULT_BUDGET}")
             gens, words, relations = presentation(add, index[self.zero], len(carrier))
-            self._presented = [carrier[g] for g in gens], index, words, relations
+            self._presented = [carrier[g] for g in gens], lambda a: words[index[a]], relations
             return self._presented
 
     # generating data: (k, the k-th greedy generator); None if not finitely generated
@@ -117,12 +116,11 @@ class Atom:
         return list(enumerate(self._presentation()[0])) if self.finite else None
 
     def decompose(self, a):
-        _, index, words, _ = self._presentation()
-        return _support(words[index[a]])
+        return _support(self._presentation()[1](a))
 
     def cayley(self):
         """Complete relation list among generators, as (multiset, multiset) pairs."""
-        return [(_support(l), _support(r)) for l, r in self._presentation()[3]]
+        return [(_support(l), _support(r)) for l, r in self._presentation()[2]]
 
     def act_left(self, s, a):
         return self.act(a, s)
@@ -203,9 +201,11 @@ class CyclicAtom(Atom):
     def add(self, a, b):
         return (a + b) % self.n
 
-    def _positions(self):  # elements are their own positions: nothing is listed before the cap
+    def _presentation(self):
+        """What the walk finds, in closed form, so C_n is never walked: 1
+        with n·1 = 0, and the word a of a (C_1 has no generator)."""
         n = self.n
-        return range(n), range(n), lambda i, j: (i + j) % n
+        return ([1], lambda a: (a,), [((n,), (0,))]) if n > 1 else ([], lambda a: (), [])
 
     def act(self, a, s):
         return (a * s) % self.n

@@ -141,8 +141,8 @@ def cmd_tensor(ctx, left, right):
 
     def run():
         # a factor that is not finitely generated (Q/Z) leaves only the rule lane
-        finite = M.gens() is not None and N.gens() is not None
-        T = tensor(M, N, budget=budget) if finite else rule_tensor(M, N)
+        saturate = all(a.kind != "QMODZ" for a in M.atoms + N.atoms)
+        T = tensor(M, N, budget=budget) if saturate else rule_tensor(M, N)
         if isinstance(T, FreeTensor):
             # listing a free tensor spends nothing, so check its size first
             size = len(T.over.elements) ** len(T.pairs)

@@ -31,28 +31,12 @@ from .semimodules import (
     scalar_to,
     subtractive_closure,
 )
-from .util import Memo, fold, fs_eval, fs_make, unpreserved_rows
+from .util import Memo, fold, fs_eval, fs_make, unpreserved
 
 
 def _through(maps, terms):
     """Terms [((m_1..m_k), mult)] with maps[i] applied in slot i (None: identity)."""
     return ((tuple(m if f is None else f(m) for f, m in zip(maps, ms)), k) for ms, k in terms)
-
-
-def _unadditive(f):
-    """The first pair (x, y) of f's source, in element order, with f(x + y)
-    != f(x) + f(y), scanned on the positions of source and target
-    (util.unpreserved_rows); None if there is none, if either carrier is
-    infinite, if an image lies off the target (the check on the induced map
-    names it), or if f fixes every position of one carrier."""
-    M, N = f.source, f.target
-    if not (M.is_finite and N.is_finite):
-        return None
-    mx, nx = M.indexed(), N.indexed()
-    images = [nx.of(f(x)) for x in mx.elements]
-    if None in images or M is N and images == list(range(len(images))):
-        return None
-    return unpreserved_rows(images, mx.add, nx.plus, mx.elements)
 
 
 class TensorProduct:
@@ -109,7 +93,8 @@ class TensorProduct:
         Well-definedness is re-verified; failure is a bug trap, not user
         error.  An element is pushed from its generators alone, and a slot
         map that is not additive can still respect every relation among
-        them, so each slot map's additivity is scanned first (_unadditive).
+        them, so each slot map but an identity is first checked additive
+        on every pair of a finite source, the scan LinearMap.check makes.
         """
         if len(maps) != len(self.factors):
             raise FormatError("one map per tensor slot required")
@@ -119,7 +104,11 @@ class TensorProduct:
 
         name = "(" + "x".join(f.name for f in maps) + ")"
         for f in maps:
-            w = _unadditive(f)
+            M = f.source
+            xs = M.elements() if M.is_finite else ()
+            if M is f.target and all(f(x) == x for x in xs):
+                continue
+            w = unpreserved(f, M.add, f.target.add, ((x, y) for x in xs for y in xs))
             if w is not None:
                 raise InternalInvariantError(f"tensor map not well defined: {name}: not linear: {('additive', w)}")
         try:

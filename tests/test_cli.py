@@ -147,6 +147,23 @@ def test_tensor_of_qmodz_takes_rule_lane(tmp_path, left, right, cardinality):
     assert json.loads(rec["detail"])["cardinality"] == cardinality
 
 
+@pytest.mark.parametrize("atoms", [["CYCLIC", "QMODZ"], ["QMODZ", "CYCLIC"]])
+def test_tensor_with_qmodz_takes_rule_lane_in_either_atom_order(tmp_path, atoms):
+    """C_n (+) Q/Z, n = 10^7, tensored with NAT: the Q/Z atom sends the query
+    to the rule lane before any atom is presented, whatever the atom order."""
+    spec = {"CYCLIC": {"kind": "CYCLIC", "n": 10**7}, "QMODZ": {"kind": "QMODZ"}}
+    doc = dict(QZ_DOC, declarations=QZ_DOC["declarations"] + [
+        {"kind": "semimodule", "name": "CQ", "base": "N0", "atoms": [spec[a] for a in atoms]},
+    ])
+    p = tmp_path / "cq.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--format", "jsonl", "tensor", str(p), "CQ", "N1"])
+    assert r.returncode == 0, r.stderr
+    rec = json.loads(r.stdout.splitlines()[0])
+    assert rec["verdict"] == "pass"
+    assert json.loads(rec["detail"])["cardinality"] is None
+
+
 def test_reports_byte_stable(doc_path):
     outs = []
     for _ in range(2):
