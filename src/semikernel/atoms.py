@@ -22,16 +22,16 @@ from .errors import FormatError, negative_count
 from .util import sorted_elems, times
 
 
-def greedy(add, zero, n):
-    """Additive generators of a finite carrier on positions range(n) (add(i,
-    j) the position of a sum, zero that of zero), and the steps (y, x, k),
-    y = x + gens[k], that first reach each non-zero y.  Each position, in
-    order, that sums of the earlier ones miss is a generator, reached from
-    zero; the walk then adds every generator to everything reached, so
-    every x is zero or comes before the steps from it."""
+def greedy(add, zero, order):
+    """Additive generators of a finite carrier whose positions are listed
+    in `order` (add(i, j) the position of a sum, zero that of zero), and
+    the steps (y, x, k), y = x + gens[k], that first reach each non-zero y.
+    Each position, in order, that sums of the earlier ones miss is a
+    generator, reached from zero; the walk then adds every generator to
+    everything reached, so every x is zero or comes before the steps."""
     reached = {zero}
     gens, steps = [], []
-    for e in range(n):
+    for e in order:
         if e not in reached:
             reached.add(e)
             steps.append((e, zero, len(gens)))
@@ -58,7 +58,7 @@ def presentation(add, zero, n):
     whose divisors w - e_j are all least gives the relation (w, words[value]).
     Least words are closed under divisors, so every other word lies above
     such a w and rewrites to a smaller one: the relations present it."""
-    gens = greedy(add, zero, n)[0]
+    gens = greedy(add, zero, range(n))[0]
     words, least, relations = [None] * n, set(), []
     walk = [(0, (0,) * len(gens), zero)]
     met = {walk[0][1]}
@@ -89,6 +89,9 @@ class Atom:
 
     def elements(self):
         raise NotImplementedError
+
+    def size(self):  # |A| of a finite atom; a large one does not list itself
+        return len(self.elements())
 
     def times_int(self, a, k):
         return times(self.add, self.zero, a, k)
@@ -197,6 +200,9 @@ class CyclicAtom(Atom):
 
     def elements(self):
         return list(range(self.n))
+
+    def size(self):
+        return self.n
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -416,7 +422,7 @@ class Radix:
 
     def __init__(self, base, rank):
         self.base, self.rank, self.q = base, rank, len(base.elements)
-        (plus, times), digits, number = base.tables(), self._digits, self._number
+        (plus, times), digits, number = base.tables(), self.digits, self.number
         self.zero = number([base.index[base.zero]] * rank)
         if times == [[0, 0], [0, 1]] and plus in ([[0, 1], [1, 1]], [[0, 1], [1, 0]]):
             self.add = int.__or__ if plus[1][1] else int.__xor__
@@ -426,27 +432,31 @@ class Radix:
             self.act = lambda i, k: number([times[a][k] for a in digits(i)])
             self.act_left = lambda i, k: number([times[k][a] for a in digits(i)])
 
-    def _number(self, digits):
+    def number(self, digits):
         n = 0
         for d in digits:
             n = n * self.q + d
         return n
 
-    def _digits(self, i):
+    def digits(self, i):
         out = [0] * self.rank
         for k in range(self.rank - 1, -1, -1):
             i, out[k] = divmod(i, self.q)
         return out
+
+    def units(self):  # the positions of e_1, ..., e_rank
+        one, zero = self.base.index[self.base.one], self.base.index[self.base.zero]
+        return tuple(self.number([one if j == i else zero for j in range(self.rank)]) for i in range(self.rank))
 
     def position(self, x):
         """The position of the coefficient tuple x; None if x is not one."""
         if type(x) is not tuple or len(x) != self.rank:
             return None
         digits = list(map(self.base.index.get, x))
-        return None if None in digits else self._number(digits)
+        return None if None in digits else self.number(digits)
 
     def element(self, i):
-        return tuple(map(self.base.elements.__getitem__, self._digits(i)))
+        return tuple(map(self.base.elements.__getitem__, self.digits(i)))
 
 
 class FreeAtom(Atom):
@@ -480,6 +490,9 @@ class FreeAtom(Atom):
         for _ in self.basis:
             out = [t + (s,) for t in out for s in self.base.elements]
         return out
+
+    def size(self):
+        return len(self.base.elements) ** len(self.basis)
 
     def add(self, a, b):
         return tuple(map(self.base.add_memo.__getitem__, zip(a, b)))

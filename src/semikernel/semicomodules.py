@@ -4,10 +4,10 @@ Coactions are stored as formal sums of (carrier element, coring element)
 pairs.  Colinearity squares, including those of the factor and lift maps
 that the (co)equalizer verifiers test, are folded on integer positions
 (Semicomodule.compiled, Semimodule.indexed).  When the coring's carrier
-is free with certified coordinates, C = S^n (Indexed.coordinates), M (x) C
-is held as M^n on M's positions and M (x) C (x) C as (M^n)^n, and the
-coequalizer's induced coaction is checked as the colinearity square of
-its projection, so neither word problem is solved (M (x)_S S^n = M^n;
+is certified free, C = S^n (Indexed.coordinates), M (x) C is held as M^n
+on M's positions and M (x) C (x) C as (M^n)^n, and the coequalizer's
+induced coaction is checked as the colinearity square of its projection,
+so neither word problem is solved (M (x)_S S^n = M^n;
 Brzezinski & Wisbauer, Corings and Comodules, 2003).  Other carriers
 normalize through the computed tensors.  The structured lane mirrors
 every check symbolically for infinite carriers.
@@ -188,7 +188,11 @@ def check_comodule(M) -> Report:
         accs = (fs_eval(car, ((car.act(m1, C.eps[c1]), k) for (m1, c1), k in M.coaction[m])) for m in els)
     else:
         accs = (els[fold(ix.plus, ix.zero, ((ix.act[m1][ep[c1]], k) for m1, c1, k in t))] for t in c.terms)
-    w = next(((m, acc) for m, acc in zip(els, accs) if acc != m), None)
+    try:  # only the element sum can raise: the carrier cannot add what an epsilon value off S made
+        w = next(((m, acc) for m, acc in zip(els, accs) if acc != m), None)
+    except (KeyError, TypeError, ValueError) as e:
+        c = next(c for c in C.carrier.elements() if C.eps[c] not in (S.index or ()))
+        raise FormatError(f"{C.name}: {car.name} cannot add its elements acted on by eps({c!r}) = {C.eps[c]!r}") from e
     rep.add("counit-law", w is None, w)
     rep.add("coaction-splits", w is None, w)
 
@@ -283,7 +287,7 @@ def _colinear(M: Semicomodule, N: Semicomodule):
     mx = M.carrier.indexed()
     on = range(len(mx.elements))
     if M.additivity_witness is None and N.additivity_witness is None:
-        on = [mx.zero, *greedy(mx.plus, mx.zero, len(mx.elements))[0]]
+        on = [mx.zero, *greedy(mx.plus, mx.zero, range(len(mx.elements)))[0]]
     return [(i, f) for i, f in enumerate(_hom_positions(M.carrier, N.carrier)) if _square(M, N, f, on)]
 
 

@@ -8,7 +8,6 @@ generating set otherwise (sound because linearity is checked exhaustively).
 """
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .atoms import CyclicAtom, FreeAtom, NatAtom, greedy
@@ -120,7 +119,7 @@ def _coassoc_elements(C):
     ix = C.carrier.indexed()
     if len(ix.elements) <= 32:
         return ix.elements, True
-    return [ix.elements[g] for g in greedy(ix.plus, ix.zero, len(ix.elements))[0]], False
+    return [ix.elements[g] for g in greedy(ix.plus, ix.zero, range(len(ix.elements)))[0]], False
 
 
 def eps_acting(C, car, coring=False):
@@ -395,72 +394,25 @@ def _bimodule_over(B, A, phi):
     return M
 
 
-def _free_basis(A, B, phi):
-    """A basis of A as a free B-module along phi, or None.
-
-    Keeps downstream tensor presentations small (a handful of generators
-    rather than every element)."""
-    nb = len(B.elements)
-    na = len(A.elements)
-    k, power = 0, 1
-    while power < na:
-        power *= nb
-        k += 1
-    if power != na or k == 0:
-        return None
-    nonzero = [a for a in A.elements if a != A.zero]
-    for combo in itertools.combinations(nonzero, k):
-        reached = {}
-        ok = True
-        for coeffs in itertools.product(B.elements, repeat=k):
-            v = fs_eval(A, ((A.mul(phi(c), e), 1) for c, e in zip(coeffs, combo)))
-            if v in reached:
-                ok = False
-                break
-            reached[v] = coeffs
-        if ok and len(reached) == na:
-            return list(combo), reached
-    return None
-
-
 def sweedler_semicoring(phi, name=None):
     """The canonical semicoring on A (x)_B A for a semialgebra map phi: B -> A."""
     B, A = phi.source, phi.target
-    basis = _free_basis(A, B, phi.fn)
-    if basis is not None:
-        ebasis, coeffs_of = basis
-
-        def from_m(m):
-            return fs_eval(A, ((A.mul(phi.fn(c), e), 1) for c, e in zip(m[0], ebasis)))
-
-        def to_m(a):
-            return (coeffs_of[a],)
-
-        ABA = Semimodule(B, [FreeAtom(B, range(len(ebasis)))], name=f"{A.name}|{B.name}")
-    else:
-        ABA = _bimodule_over(B, A, phi.fn)
-
-        def from_m(m):
-            return m[0]
-
-        def to_m(a):
-            return (a,)
-
+    ABA = _bimodule_over(B, A, phi.fn)
     T = SaturationTensor(
         [ABA, ABA],
         B,
-        left_action=lambda a, m: to_m(A.mul(a, from_m(m))),
-        right_action=(A, lambda m, a: to_m(A.mul(from_m(m), a))),
+        left_action=lambda a, m: (A.mul(a, m[0]),),
+        right_action=(A, lambda m, a: (A.mul(m[0], a),)),
         name=name or f"{A.name}(x)_{B.name}{A.name}",
     )
     car = T.result
-    one = to_m(A.one)
+    one = (A.one,)
     delta = {}
     eps = {}
     for x in car.elements():
         reps = T.rep(x)
         delta[x] = fs_make([((T.pure(ma, one), T.pure(one, mb)), mult) for (ma, mb), mult in reps])
-        eps[x] = fs_eval(A, ((A.mul(from_m(ma), from_m(mb)), mult) for (ma, mb), mult in reps))
+        eps[x] = fs_eval(A, ((A.mul(ma[0], mb[0]), mult) for (ma, mb), mult in reps))
     return Semicoring(A, car, delta, eps, name=name or f"Sw({A.name}/{B.name})")
 
 

@@ -8,10 +8,10 @@ import math
 import random
 from functools import lru_cache
 
-from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, compact, greedy
+from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, Radix, TableAtom, compact, greedy
 from .errors import FormatError, UndecidedError, UnsupportedError
 from .presentations import DEFAULT_BUDGET
-from .util import Record, Report, fold, fs_eval, sorted_elems, times, unpreserved
+from .util import Record, Report, fs_eval, sorted_elems, times, unpreserved, unpreserved_rows
 
 SAMPLES = 64  # sample size of the checks on effective carriers
 
@@ -131,11 +131,16 @@ class Indexed:
     functions are methods, not closures: a hom search keeps hundreds of
     these per query.
 
-    `coordinates`, built on first read, certifies that M is free: (gens,
-    digits), gens the greedy generators (atoms.greedy) and digits(c)
-    the base positions k_i with c = sum gens[i] * base.elements[k_i], kept
-    only if that is a bijection S^n -> M; None unless the base is finite
-    and commutative and M has no left action of its own.
+    `coordinates`, built on first read, is the kernel's one certificate
+    that M is free: (gens, digits) with c = sum gens[i] * base.elements[k_i]
+    for (k_i) = digits(c), a module isomorphism S^n -> M; else None, as
+    over an infinite base or with a left action of M's own.  A single free
+    atom gives its unit vectors and Radix digits over any finite base,
+    listing nothing.  Any other M, over a commutative base, gives its
+    greedy generators, positions that are no sum of two others first, if
+    M -> S^n, gens[i] -> e_i, is bijective and preserves every row of the
+    sum and the action: a table that breaks the laws is never certified.
+    The gens commute with the scalars, so digits serve M (x)_S C = M^n.
     """
 
     __slots__ = ("module", "radix", "zero", "_elements", "_index", "_add", "_act", "_left", "_coordinates")
@@ -182,23 +187,31 @@ class Indexed:
     @property
     def coordinates(self):
         if self._coordinates is False:
-            self._coordinates = self._free_coordinates()
+            self._coordinates = self._certified()
         return self._coordinates
 
-    def _free_coordinates(self):
-        S = self.module.base
-        if S.elements is None or self.module._act_left is not None:
+    def _certified(self):
+        M, S = self.module, self.module.base
+        if S.elements is None or M._act_left is not None:
             return None
+        if self.radix is not None:  # S^r itself
+            return self.radix.units(), self.radix.digits
         times = S.tables()[1]
         if any(row != list(col) for row, col in zip(times, zip(*times))):  # S is not commutative
             return None
-        gens = greedy(self.plus, self.zero, len(self.elements))[0]
-        if len(S.elements) ** len(gens) != len(self.elements):
+        add, n = self.add, len(self.elements)
+        sums = {s for x, row in enumerate(add) for y, s in enumerate(row) if s != x and s != y}  # no basis vectors
+        gens, steps = greedy(self.plus, self.zero, sorted(range(n), key=sums.__contains__))
+        if len(S.elements) ** len(gens) != n:
             return None
-        digits = {}
-        for s in itertools.product(range(len(S.elements)), repeat=len(gens)):
-            digits.setdefault(fold(self.plus, self.zero, ((self.act[g][k], 1) for g, k in zip(gens, s))), s)
-        return (tuple(gens), digits.__getitem__) if len(digits) == len(self.elements) else None
+        free = Radix(S, len(gens))
+        psi, units = [free.zero] * n, free.units()
+        for y, x, k in steps:  # psi: M -> S^r sends gens[k] to e_k
+            psi[y] = free.add(psi[x], units[k])
+        if len(set(psi)) < n or unpreserved_rows(psi, add, free.add, psi):
+            return None
+        linear = unpreserved_rows(psi, self.act, free.act, psi, S.elements) is None
+        return (tuple(gens), list(map(free.digits, psi)).__getitem__) if linear else None
 
     def _rows(self, op, cols=None):
         """Compact rows of op(i, k), one per position i, over k in range(cols),
@@ -1004,7 +1017,7 @@ def _generator_walk(mx):
     in the walk of atoms.greedy, so every x comes before the steps from
     it."""
     add, zero = mx.add, mx.zero
-    gens, steps = greedy(mx.plus, zero, len(mx.elements))
+    gens, steps = greedy(mx.plus, zero, range(len(mx.elements)))
     constraints = []
     for g in gens:
         seen, cur = {}, zero
@@ -1056,18 +1069,18 @@ def _hom_positions(M, N):
     (i + p)g = ig, an image t needs (i + p)t = it.  Every other element's
     image is folded along the step x -> x + g by which the greedy walk of
     atoms.greedy first reached it, and a candidate is kept if it is
-    additive and preserves the action.  A free source instead folds the sum of basis image *
-    coordinate over its non-zero coordinates, in order: every assignment of
-    basis images extends uniquely, so it needs no check.  The candidates
-    are counted before any is built, and more than DEFAULT_BUDGET of them
-    raise UndecidedError.
+    additive and preserves the action.  A free source (Indexed.coordinates)
+    instead folds the sum of basis image * digit over its non-zero digits,
+    in order: every assignment of basis images extends uniquely, so it
+    needs no check.  The candidates are counted before any is built, and
+    more than DEFAULT_BUDGET of them raise UndecidedError.
     """
     mx, nx = M.indexed(), N.indexed()
     madd, nadd, nact, nzero = mx.add, nx.add, nx.act, nx.zero
     S = M.base
-    free = len(M.atoms) == 1 and isinstance(M.atoms[0], FreeAtom)
+    free = mx.coordinates
     if free:
-        cands = [range(len(nx.elements))] * len(M.atoms[0].basis)
+        cands = [range(len(nx.elements))] * len(free[0])
     else:
         constraints, steps = _generator_walk(mx)
         plus = lambda i, j: nadd[i][j]
@@ -1081,7 +1094,7 @@ def _hom_positions(M, N):
         raise UndecidedError(f"hom search {M.name} -> {N.name}: {count} candidates, above the cap {DEFAULT_BUDGET}")
     out = []
     if free:
-        terms = [[(i, S.index[c]) for i, c in enumerate(x[0]) if c != S.zero] for x in mx.elements]
+        terms = [[(i, k) for i, k in enumerate(free[1](x)) if k != S.index[S.zero]] for x in range(len(mx.elements))]
         for images in itertools.product(*cands):
             f = []
             for t in terms:

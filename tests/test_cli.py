@@ -571,3 +571,44 @@ def test_non_associative_table_semiring_exits_3_on_load(tmp_path):
     r = run_cli(["report", str(p)])
     assert r.returncode == 3, (r.stdout, r.stderr)
     assert "semiring axioms fail" in r.stderr
+
+
+def test_validate_with_more_pairs_than_budget_units_is_undecided(tmp_path):
+    """check_semimodule_axioms lists the |M|^2 pairs of a finite M: C_2000
+    has 4,000,000, more than the default budget's 1,000,000 units, so the
+    record is undecided (exit 2) before any pair is listed; C_4 still passes."""
+    doc = {
+        "declarations": QZ_DOC["declarations"][:1] + [
+            {"kind": "semimodule", "name": "C2000", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 2000}]},
+            QZ_DOC["declarations"][2],
+        ],
+        "commands": [{"cmd": "validate", "target": "C4"}, {"cmd": "validate", "target": "C2000"}],
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--format", "jsonl", "report", str(p)], timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert [(rec["subject"], rec["verdict"]) for rec in _records(r.stdout)] == [("C4", "pass"), ("C2000", "undecided")]
+    assert _records(r.stdout)[1]["detail"] == (
+        "C2000 has 4000000 pairs to check, more than the 1000000 budget units left"
+    )
+
+
+def test_tensor_of_a_table_that_is_not_a_commutative_monoid_exits_3(tmp_path):
+    """The saturation route presumes the semimodule laws, so a TABLE factor
+    is checked first: with 1 + 2 = 1 and 2 + 1 = 2 the count would depend on
+    the presentation, and the answer is an input error naming the law."""
+    table = {"kind": "TABLE", "elements": [0, 1, 2], "add": [[0, 1, 2], [1, 1, 1], [2, 2, 2]]}
+    doc = {
+        "declarations": QZ_DOC["declarations"][:1] + [
+            {"kind": "semimodule", "name": "T", "base": "N0", "atoms": [table]},
+            {"kind": "semimodule", "name": "Z2", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 2}]},
+        ],
+        "commands": [{"cmd": "tensor", "left": "Z2", "right": "T"}],
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["report", str(p)])
+    assert r.returncode == 3, (r.stdout, r.stderr)
+    assert r.stderr == "input error: T: semimodule axioms fail: ('add-commutative', ((1,), (2,)))\n"

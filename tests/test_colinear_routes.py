@@ -88,7 +88,7 @@ def test_mutants_take_the_fallback():
     CC, _, top_mutant = families["grouplike_bool_2"][:3]
     identity = identity_map(CC.carrier)
     ix = CC.carrier.indexed()
-    gens = [ix.elements[g] for g in greedy(ix.plus, ix.zero, len(ix.elements))[0]]
+    gens = [ix.elements[g] for g in greedy(ix.plus, ix.zero, range(len(ix.elements)))[0]]
     assert comodule_hom_check(identity, CC, top_mutant, [CC.carrier.zero, *gens])
     assert not comodule_hom_check(identity, CC, top_mutant)
 

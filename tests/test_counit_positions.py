@@ -11,6 +11,7 @@ of the hom-search ambients and the epsilon-mutants of the small gallery
 corings, an epsilon value off the base among them.
 """
 import itertools
+import re
 
 import pytest
 
@@ -38,7 +39,8 @@ SMALL = ("sweedler_id", "coext_bool", "coext_zmod2", "grouplike_bool_2")
 def reference_counit(M):
     """The first (m, sum) of the counit triangle on elements, or None.  An
     epsilon value off the base that the carrier cannot act by is a
-    FormatError naming the first such c, in the coring's element order."""
+    FormatError naming the first such c, in the coring's element order, and
+    so is a sum the carrier cannot form of the values it acts by."""
     car, C = M.carrier, M.coring
     for c in C.carrier.elements():
         v = C.eps[c]
@@ -48,7 +50,12 @@ def reference_counit(M):
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"{C.name}: {car.name} cannot be acted on by eps({c!r}) = {v!r}") from e
     for m in car.elements():
-        acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
+        try:
+            acc = fs_eval(car, ((car.act(m1, C.eps[c1]), mult) for (m1, c1), mult in M.coaction[m]))
+        except (KeyError, TypeError, ValueError) as e:
+            c = next(c for c in C.carrier.elements() if C.eps[c] not in C.base.elements)
+            what = f"{car.name} cannot add its elements acted on by"
+            raise FormatError(f"{C.name}: {what} eps({c!r}) = {C.eps[c]!r}") from e
         if acc != m:
             return m, acc
     return None
@@ -112,6 +119,25 @@ CASES += [(f"{name}[3k+2]", _restated(M)) for name, M in CASES if name.startswit
 @pytest.mark.parametrize("M", [M for _, M in CASES], ids=[n for n, _ in CASES])
 def test_counit_on_positions_matches_the_element_loop(M):
     assert _outcome(_kernel_counit, M) == _outcome(reference_counit, M)
+
+
+# each c of a coring over itself that a coaction term has on its right,
+# where epsilon(c) = "z" acts through Python's operators but cannot be added
+UNADDABLE = [
+    ("grouplike_bool_2", ((0, 1),)), ("grouplike_bool_2", ((1, 0),)),
+    ("coext_bool", ((0,), 1)), ("coext_bool", ((1,), 0)),
+]
+
+
+@pytest.mark.parametrize("name, c", UNADDABLE)
+def test_an_epsilon_the_carrier_cannot_add_is_a_format_error(name, c):
+    """A free carrier 'acts' by "z" through Python's operators, so the
+    action check lets it through, but BOOL cannot add the "z" coefficients
+    it makes: the element sum raises a FormatError naming eps(c), not a
+    bare TypeError."""
+    C = gallery_coring(name).mutate(eps={c: "z"})
+    with pytest.raises(FormatError, match=re.escape(f"cannot add its elements acted on by eps({c!r}) = 'z'")):
+        check_comodule(coring_as_comodule(C))
 
 
 def test_the_cases_reach_both_routes_and_both_verdicts():

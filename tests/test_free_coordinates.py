@@ -23,6 +23,7 @@ from semikernel.errors import CertificateError, FormatError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
 from semikernel.presentations import MonoidPresentation
 from semikernel import semicomodules
+from semikernel.semicorings import _linear_semicoalgebra
 from semikernel.semicomodules import (
     Semicomodule,
     check_comodule,
@@ -48,10 +49,11 @@ from semikernel.semimodules import (
     sub_table,
     table_module,
 )
-from semikernel.semirings import bool_semiring, zmod
+from semikernel.semirings import bool_semiring, natcap, tropcap, zmod
 from semikernel.tensors import tensor, tensor_multi
 from semikernel.util import fold, fs_make, ordkey, unpreserved_rows
 from test_counit_positions import reference_counit
+from test_semicorings import _noncommutative
 
 B, Z2, Z3 = bool_semiring(), zmod(2), zmod(3)
 GL, CX = gallery_coring("grouplike_bool_2"), gallery_coring("coext_bool")
@@ -265,6 +267,74 @@ def _round_trips(M):
     return n
 
 
+def _linear_bijection(M):
+    """The digits of Indexed.coordinates of M as a map M -> S^n, checked
+    bijective, additive and S-linear on every position; returns n."""
+    ix, S = M.indexed(), M.base
+    gens, digits = ix.coordinates
+    plus, times = S.tables()
+    n, q = len(ix.elements), len(S.elements)
+    d = [tuple(digits(c)) for c in range(n)]
+    assert len(set(d)) == n == q ** len(gens)
+    for p, r in itertools.product(range(n), repeat=2):
+        assert d[ix.plus(p, r)] == tuple(plus[a][b] for a, b in zip(d[p], d[r]))
+    for p, k in itertools.product(range(n), range(q)):
+        assert d[ix.scale(p, k)] == tuple(times[a][k] for a in d[p])
+    return len(gens)
+
+
+@pytest.mark.parametrize("S", [B, Z2, Z3, natcap(2), tropcap(2), _noncommutative()], ids=lambda S: S.name)
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_free_atom_is_certified_by_its_unit_vectors(S, rank):
+    """Over any finite base, commutative or not, and over bases (TROPCAP)
+    whose sum the greedy generators cannot read a basis off."""
+    F = free_semimodule(S, rank)
+    ix = F.indexed()
+    assert [ix.element(g) for g in ix.coordinates[0]] == F.basis
+    assert _linear_bijection(F) == rank
+    assert _round_trips(F) == len(S.elements) ** rank
+
+
+@pytest.mark.parametrize("S", [B, Z2], ids=lambda S: S.name)
+def test_a_module_of_four_or_fewer_elements_is_certified_exactly_when_free(S):
+    frees = [free_semimodule(S, r) for r in range(3)]
+    ranks = []
+    for M in enumerate_modules(S, 4):
+        same = (r for r, F in enumerate(frees) if len(F.elements()) == len(M.elements()))
+        rank = next((r for r in same if find_isomorphism(M, frees[r])), None)
+        if rank is None:
+            assert M.indexed().coordinates is None, M
+        else:
+            assert _linear_bijection(M) == rank, M
+            ranks.append(rank)
+    # over BOOL, M4#3 is B^2 with its top element before the unit vectors
+    assert ranks == [0, 1, 2]
+
+
+def _b2_table(changes=()):
+    """B^2 as a table on 0, 1, 2, 3 = 0, (1,0), (0,1), (1,1), with the sums
+    x + y = y + x and actions x * y set to v for each (x, op, y, v) in changes."""
+    els = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    add = {(x, y): els.index(tuple(map(max, els[x], els[y]))) for x in range(4) for y in range(4)}
+    act = {(x, s): x * s for x in range(4) for s in B.elements}
+    for x, op, y, v in changes:
+        (add if op == "+" else act)[(x, y)] = v
+        if op == "+":
+            add[(y, x)] = v
+    return table_module(B, range(4), add, act, name="T")
+
+
+def test_a_table_that_breaks_the_laws_is_not_certified():
+    assert _linear_bijection(_b2_table()) == 2
+    # M4#4, the 4-chain, is not free
+    assert enumerate_modules(B, 4)[4].indexed().coordinates is None
+    # not associative: (1 + 1) + 2 = 3 but 1 + (1 + 2) = 1 + 3 = 2, though
+    # 1 and 2 span the other two elements one to one
+    assert _b2_table([(1, "+", 3, 2)]).indexed().coordinates is None
+    # not linear: 3 * 1 = 1
+    assert _b2_table([(3, "*", 1, 1)]).indexed().coordinates is None
+
+
 @pytest.mark.parametrize("S", [B, Z2, Z3], ids=lambda S: S.name)
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_free_modules_have_coordinates(S, rank):
@@ -285,16 +355,28 @@ def test_gallery_carriers_have_coordinates(name):
 
 def test_carriers_without_coordinates():
     assert gallery_coring("sweedler_id").carrier.indexed().coordinates is None
-    frees = [free_semimodule(B, r) for r in range(3)]
-    seen = 0
-    for M in enumerate_modules(B, 4):
-        if not any(len(F.elements()) == len(M.elements()) and find_isomorphism(M, F) for F in frees):
-            assert M.indexed().coordinates is None, M
-            seen += 1
-    assert seen
     F = free_semimodule(B, 2)
     left = Semimodule(B, F.atoms, name="left", act_left=lambda s, x: F.act(x, s))
     assert left.indexed().coordinates is None
+
+
+def _noncommutative_comodules():
+    """Comodules over the group-like coring on two points over the upper
+    triangular BOOL matrices, which is certified free though its base is
+    not commutative: Delta itself, and x -> x (x) e_p and x -> e_p (x) x."""
+    S = _noncommutative()
+    C = _linear_semicoalgebra(S, ["p", "q"], "GL(T2)", [[(0, S.one, 0)], [(1, S.one, 1)]], [S.one, S.one])
+    e_p = ((S.one, S.zero),)
+    els = C.carrier.elements()
+    return [Semicomodule(C, C.carrier, dict(C.delta), name="Delta"),
+            Semicomodule(C, C.carrier, {x: (((x, e_p), 1),) for x in els}, name="x(x)e_p"),
+            Semicomodule(C, C.carrier, {x: (((e_p, x), 1),) for x in els}, name="e_p(x)x")]
+
+
+@pytest.mark.parametrize("M", _noncommutative_comodules(), ids=lambda M: M.name)
+def test_a_comodule_over_a_noncommutative_free_coring_matches_the_saturation_route(M):
+    assert _certified(M)
+    assert _checks(M) == reference_checks(M)
 
 
 # ---------------------------------------------------------------- work

@@ -188,6 +188,26 @@ def test_the_oracle_pairs_are_not_vacuous():
     assert [len(ref_hom(M, N)) for M, N in MIXED] == [16, 4, 8, 36, 6, 36, 1, 2, 1, 16, 8, 8]
 
 
+# TABLE sources that Indexed.coordinates certifies free: BOOL's M4#3 = B^2
+# (its top element comes before the unit vectors) and ZMOD(2)'s M4#2 = Z2^2
+CERTIFIED = [
+    (M, N)
+    for S, M in ((B, enumerate_modules(B, 4)[3]), (Z2, enumerate_modules(Z2, 4)[2]))
+    for N in enumerate_modules(S, 4) + [free_semimodule(S, 2)]
+]
+
+
+@pytest.mark.parametrize("M, N", CERTIFIED, ids=[f"{M.base.name}:{M.name}->{N.name}" for M, N in CERTIFIED])
+def test_a_certified_table_source_takes_the_free_path(monkeypatch, M, N):
+    """The free path folds the basis images by the digits: no generator
+    walk and no additivity filter, and the same maps as the element route."""
+    import semikernel.semimodules as sm
+
+    assert M.indexed().coordinates is not None
+    monkeypatch.setattr(sm, "_generator_walk", None)  # the walk is not called
+    assert [f.mapping for f in hom_enumerate(M, N)] == ref_hom(M, N)
+
+
 def test_hom_search_counts_its_candidates_before_building_any():
     """words1_L2's carrier is free of rank 7 on 128 elements, so a search
     over itself has 128^7 candidates: it is refused at once, naming the
