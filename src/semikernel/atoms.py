@@ -3,7 +3,7 @@
 A semimodule carrier is a direct sum of atoms.  Finite atoms (CYCLIC, BOOL,
 TABLE, FREE) expose full element lists; NAT and QMODZ are effective, with
 exact integers and reduced fractions in [0,1) as canonical forms.  TABLE
-atoms hold their addition and action on integer indices: rows of positions.
+atoms hold their addition and actions on integer indices: rows of positions.
 Every finite atom presents (A, +) one way, `presentation`: its greedy
 generators (`greedy`) and relations read off its Cayley graph, which the
 tensor saturation consumes (an 8-element table that is F₂³ has 3
@@ -319,13 +319,14 @@ class TableAtom(Atom):
     The zero is the first left identity in ordkey order.  The action is a
     dict (element, base element) -> element, checked pair by pair in ordkey
     order, or rows of positions in carrier order, for finite bases; None
-    over NAT (iterated addition).
+    over NAT (iterated addition).  A left action s * a, given and checked
+    the same way, is kept only if its rows differ from the action's.
     """
 
-    __slots__ = ("zero", "_index", "_carrier", "_elements", "_rows", "_act")
+    __slots__ = ("zero", "_index", "_carrier", "_elements", "_rows", "_act", "_left")
     kind = "TABLE"
 
-    def __init__(self, base, elements, add_table, action=None):
+    def __init__(self, base, elements, add_table, action=None, left=None):
         self.base = base
         if isinstance(add_table, dict):
             carrier = ordered = tuple(sorted_elems(elements))
@@ -350,11 +351,13 @@ class TableAtom(Atom):
         if action is None:
             if base.name != "NAT":
                 raise FormatError("TABLE without action table needs base NAT")
-            self._act = None
+            self._act = self._left = None
         else:
             if base.elements is None:
                 raise FormatError("TABLE action table needs a finite base")
             self._act = self._rows_of(action, index, base.elements, "action")
+            left = self._act if left is None else self._rows_of(left, index, base.elements, "left action")
+            self._left = None if left == self._act else left
 
     @property
     def index(self):  # a property, not __getattr__, which would slow every attribute read
@@ -399,6 +402,11 @@ class TableAtom(Atom):
         if self._act is None:
             return self.times_int(a, s)
         return self._carrier[self._act[(self._index or self.index)[a]][self.base.index[s]]]
+
+    def act_left(self, s, a):
+        if self._left is None:
+            return self.act(a, s)
+        return self._carrier[self._left[(self._index or self.index)[a]][self.base.index[s]]]
 
     def _positions(self):
         rows = self._rows
@@ -523,3 +531,13 @@ class FreeAtom(Atom):
 
     def describe(self):
         return {"kind": self.kind, "basis": list(self.basis)}
+
+
+def two_sided(atom):
+    """Whether the atom's left action differs from its right one, the one
+    test of a bimodule: a table with left rows of its own, or a free atom
+    over a non-commutative base (s * x against x * s in each coordinate)."""
+    if isinstance(atom, FreeAtom):
+        times = atom.base.tables()[1]
+        return any(row != list(col) for row, col in zip(times, zip(*times)))
+    return isinstance(atom, TableAtom) and atom._left is not None

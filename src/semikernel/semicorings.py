@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .atoms import CyclicAtom, FreeAtom, NatAtom, greedy
+from .atoms import CyclicAtom, FreeAtom, NatAtom, TableAtom, greedy
 from .errors import FormatError, UnsupportedError
 from .semimodules import (
     LinearMap,
@@ -24,7 +24,6 @@ from .semimodules import (
     semiring_module,
     span,
     subtractive_closure,
-    table_module,
 )
 from .semirings import semiring_from_tables
 from .structured import (
@@ -33,7 +32,7 @@ from .structured import (
     structured_identity,
     structured_map_tensor,
 )
-from .tensors import SaturationTensor, tensor, tensor_multi
+from .tensors import tensor, tensor_multi
 from .util import Report, fold, fs_eval, fs_make, ordkey, unpreserved_rows
 
 
@@ -389,23 +388,24 @@ def _bimodule_over(B, A, phi):
     """A as a (B,B)-bisemimodule via restriction along phi: B -> A."""
     add_table = {(a, b): A.add(a, b) for a in A.elements for b in A.elements}
     action = {(a, s): A.mul(a, phi(s)) for a in A.elements for s in B.elements}
-    M = table_module(B, A.elements, add_table, action, name=f"{A.name} as {B.name}-mod")
-    M._act_left = lambda s, x: (A.mul(phi(s), x[0]),)
-    return M
+    left = {(a, s): A.mul(phi(s), a) for a in A.elements for s in B.elements}
+    return Semimodule(B, [TableAtom(B, A.elements, add_table, action, left)], name=f"{A.name} as {B.name}-mod")
 
 
 def sweedler_semicoring(phi, name=None):
-    """The canonical semicoring on A (x)_B A for a semialgebra map phi: B -> A."""
+    """The canonical semicoring on A (x)_B A for a semialgebra map phi: B -> A:
+    the B-tensor of A, its A-actions m (x) n a and a m (x) n pushed through it."""
     B, A = phi.source, phi.target
     ABA = _bimodule_over(B, A, phi.fn)
-    T = SaturationTensor(
-        [ABA, ABA],
-        B,
-        left_action=lambda a, m: (A.mul(a, m[0]),),
-        right_action=(A, lambda m, a: (A.mul(m[0], a),)),
-        name=name or f"{A.name}(x)_{B.name}{A.name}",
-    )
-    car = T.result
+    T = tensor(ABA, ABA)
+
+    def acted(maps):  # the table {(class, a): its push through maps(a)}
+        return {(x[0], a): T.push(T.rep(x), maps(a))[0] for x in T.result.elements() for a in A.elements}
+
+    right = acted(lambda a: (None, lambda n: (A.mul(n[0], a),)))
+    left = acted(lambda a: (lambda m: (A.mul(a, m[0]),), None))
+    atom = T.result.atoms[0]
+    car = Semimodule(A, [TableAtom(A, atom._carrier, atom._rows, right, left)], name=name or f"{A.name}(x)_{B.name}{A.name}")
     one = (A.one,)
     delta = {}
     eps = {}

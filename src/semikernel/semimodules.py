@@ -8,7 +8,7 @@ import math
 import random
 from functools import lru_cache
 
-from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, Radix, TableAtom, compact, greedy
+from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, Radix, TableAtom, compact, greedy, two_sided
 from .errors import FormatError, UndecidedError, UnsupportedError
 from .presentations import DEFAULT_BUDGET
 from .util import Record, Report, fs_eval, sorted_elems, times, unpreserved, unpreserved_rows
@@ -18,19 +18,18 @@ SAMPLES = 64  # sample size of the checks on effective carriers
 
 class Semimodule:
     """Direct sum of atoms over a base semiring; elements are tuples, one
-    coordinate per atom.  The right action is the atoms'; a left action may
-    be given (tensor carriers need genuinely two-sided structure).
+    coordinate per atom.  Both actions are the atoms'; atoms.two_sided
+    says which atoms act differently on the left.
     """
 
     # attributes set after construction (basis, ...) go to __dict__
-    __slots__ = ("base", "atoms", "name", "zero", "_act_left", "_elements", "_indexed", "__dict__")
+    __slots__ = ("base", "atoms", "name", "zero", "_elements", "_indexed", "__dict__")
 
-    def __init__(self, base, atoms, name="M", act_left=None):
+    def __init__(self, base, atoms, name="M"):
         self.base = base
         self.atoms = tuple(atoms)
         self.name = name
         self.zero = tuple(a.zero for a in self.atoms)
-        self._act_left = act_left
         self._elements = None
         self._indexed = None
 
@@ -63,8 +62,6 @@ class Semimodule:
         return tuple(a.act(u, s) for a, u in zip(self.atoms, x))
 
     def act_left(self, s, x):
-        if self._act_left is not None:
-            return self._act_left(s, x)
         return tuple(a.act_left(s, u) for a, u in zip(self.atoms, x))
 
     def times_int(self, x, k):
@@ -134,7 +131,7 @@ class Indexed:
     `coordinates`, built on first read, is the kernel's one certificate
     that M is free: (gens, digits) with c = sum gens[i] * base.elements[k_i]
     for (k_i) = digits(c), a module isomorphism S^n -> M; else None, as
-    over an infinite base or with a left action of M's own.  A single free
+    over an infinite base or for a bimodule (atoms.two_sided).  A single free
     atom gives its unit vectors and Radix digits over any finite base,
     listing nothing.  Any other M, over a commutative base, gives its
     greedy generators, positions that are no sum of two others first, if
@@ -192,13 +189,13 @@ class Indexed:
 
     def _certified(self):
         M, S = self.module, self.module.base
-        if S.elements is None or M._act_left is not None:
+        if S.elements is None:
             return None
         if self.radix is not None:  # S^r itself
             return self.radix.units(), self.radix.digits
         times = S.tables()[1]
-        if any(row != list(col) for row, col in zip(times, zip(*times))):  # S is not commutative
-            return None
+        if any(map(two_sided, M.atoms)) or any(row != list(col) for row, col in zip(times, zip(*times))):
+            return None  # a bimodule, or S is not commutative
         add, n = self.add, len(self.elements)
         sums = {s for x, row in enumerate(add) for y, s in enumerate(row) if s != x and s != y}  # no basis vectors
         gens, steps = greedy(self.plus, self.zero, sorted(range(n), key=sums.__contains__))
@@ -238,9 +235,7 @@ class Indexed:
 
     @property
     def scale_left(self):
-        if self.radix is None or self.module._act_left is not None:
-            return self._scale_left
-        return self.radix.act_left
+        return self._scale_left if self.radix is None else self.radix.act_left
 
     def _plus(self, i, j):  # a carrier without a Radix has its rows from the start
         return self._add[i][j]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .atoms import FreeAtom, TableAtom, compact
+from .atoms import FreeAtom, TableAtom, compact, two_sided
 from .errors import FormatError, InternalInvariantError, UnsupportedError
 from .presentations import Budget, MonoidPresentation
 from .semimodules import (
@@ -159,12 +159,11 @@ class SaturationTensor(TensorProduct):
     """General tensor by congruence saturation over reduced generators.
 
     With lazy=True only the word problem is solved (raw_pure/nf/equal work);
-    the quotient module is never enumerated.  left_action (s, m) -> s m acts
-    on the first factor; right_action is (ring, fn) with fn (m, s) -> m s on
-    the last factor, and its ring becomes the result's base.
+    the quotient module is never enumerated.  The base acts on the right of
+    the last factor and on the left of the first.
     """
 
-    def __init__(self, factors, over, budget=None, name=None, left_action=None, right_action=None, lazy=False):
+    def __init__(self, factors, over, budget=None, name=None, lazy=False):
         self.factors = tuple(factors)
         self.over = over
         self.budget = budget if budget is not None else Budget()
@@ -182,7 +181,7 @@ class SaturationTensor(TensorProduct):
         if lazy:
             self.result = None
         else:
-            self._build_result(self.pres.enumerate_quotient(), name, left_action, right_action)
+            self._build_result(self.pres.enumerate_quotient(), name)
 
     # lazy interface: raw vectors plus normalization
     def zero_vec(self):
@@ -268,7 +267,7 @@ class SaturationTensor(TensorProduct):
 
     # result assembly --------------------------------------------------------
 
-    def _build_result(self, quotient, name, left_action, right_action):
+    def _build_result(self, quotient, name):
         classes, steps, parent = quotient
         # The addition table on indices into classes, folded along the
         # spanning tree one row at a time: with b reached as p + e_g, the row
@@ -287,57 +286,47 @@ class SaturationTensor(TensorProduct):
                 rows.append(list(map(step_by_gen[g].__getitem__, rows[p])))
             for i, row in enumerate(rows):  # compact in place: one list at a time beside the arrays
                 rows[i] = compact(row, n)
-        r_ring, r_fn = right_action if right_action is not None else (self.over, None)
-        action = None
-        if r_ring.elements is not None:
-            # The action is additive, (p + e_g) s = p s + e_g s, so its rows
-            # are folded along the same tree from the action on each
-            # generator, worked out once.
+        S, actions = self.over, []
+        if S.elements is not None:
+            # An action is additive, (p + e_g) s = p s + e_g s, so its rows
+            # are folded along the same tree from the action on each generator,
+            # worked out once: the right action on the last slot, and the left
+            # one on the first only if some factor is a bimodule (else both agree).
             pos = {x: i for i, x in enumerate(classes)}
-            gen_act = [[pos[self._act_slot(classes[j], s, -1, r_fn)] for s in r_ring.elements] for j in steps[0]]
-            action = [[0] * len(r_ring.elements)]  # 0 s = 0, the class of 0
-            for p, g in parent[1:]:
-                action.append([rows[a][b] for a, b in zip(action[p], gen_act[g])])
-        atom = TableAtom(r_ring, classes, rows, action)
+            for slot in (-1, 0) if any(two_sided(a) for m in self.factors for a in m.atoms) else (-1,):
+                gen_act = [[pos[self._act_slot(classes[j], s, slot)] for s in S.elements] for j in steps[0]]
+                act = [[0] * len(S.elements)]  # 0 s = 0, the class of 0
+                for p, g in parent[1:]:
+                    act.append([rows[a][b] for a, b in zip(act[p], gen_act[g])])
+                actions.append(act)
+        atom = TableAtom(S, classes, rows, *actions)
+        self.result = Semimodule(S, [atom], name=name or "(x)".join(m.name for m in self.factors))
 
-        def act_l(s, x):
-            return (self._act_slot(x[0], s, 0, left_action),)
-
-        self.result = Semimodule(
-            r_ring,
-            [atom],
-            name=name or "(x)".join(m.name for m in self.factors),
-            act_left=act_l,
-        )
-
-    def _act_slot(self, vec, s, slot, custom_fn):
+    def _act_slot(self, vec, s, slot):
         """Action applied in one tensor slot of every generator of a class vector.
 
         The action on a pure generator is worked out once per scalar, slot
         and action, as sparse (index, multiplicity) pairs, and then reused.
         """
         slot = slot % len(self.factors)
-        pieces = self._act_pieces.setdefault((s, slot, custom_fn), {})
+        pieces = self._act_pieces.setdefault((s, slot), {})
         out = [0] * self.n
         for idx, mult in enumerate(vec):
             if not mult:
                 continue
             piece = pieces.get(idx)
             if piece is None:
-                piece = pieces[idx] = self._act_gen(idx, s, slot, custom_fn)
+                piece = pieces[idx] = self._act_gen(idx, s, slot)
             for i, c in piece:
                 out[i] += c * mult
         return self.pres.reduce(out)
 
-    def _act_gen(self, idx, s, slot, custom_fn):
+    def _act_gen(self, idx, s, slot):
         k = len(self.factors)
         tags = self.pure_gens[idx]
         m = self.gen_elems[slot][tags[slot]]
         fac = self.factors[slot]
-        if custom_fn is not None:
-            acted = custom_fn(m, s) if slot == k - 1 else custom_fn(s, m)
-        else:
-            acted = fac.act(m, s) if slot == k - 1 else fac.act_left(s, m)
+        acted = fac.act(m, s) if slot == k - 1 else fac.act_left(s, m)
         dec = fac.decompose(acted)
         piece = self._vec([dec if j == slot else {tags[j]: 1} for j in range(k)])
         return [(i, c) for i, c in enumerate(piece) if c]
@@ -361,12 +350,7 @@ class SaturationTensor(TensorProduct):
 
 
 def _is_free_over(m, S):
-    return (
-        len(m.atoms) == 1
-        and isinstance(m.atoms[0], FreeAtom)
-        and m.atoms[0].base is S
-        and m._act_left is None
-    )
+    return len(m.atoms) == 1 and isinstance(m.atoms[0], FreeAtom) and m.atoms[0].base is S
 
 
 def tensor(M, N, over=None, budget=None, force_saturation=False):

@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 
-from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom
+from .atoms import BoolAtom, CyclicAtom, FreeAtom, NatAtom, QmodzAtom, TableAtom, two_sided
 from .errors import FormatError
 from .semimodules import LinearMap, Semimodule
 from .semirings import Semiring, builtin_semiring, semiring_from_tables
@@ -161,6 +161,8 @@ def _atom_to_jsonable(a):
         return {"kind": "FREE", "basis": [elem_to_json(b) for b in a.basis]}
     if isinstance(a, TableAtom):
         els = a.elements()
+        if two_sided(a):  # a document holds the right action only
+            raise FormatError(f"unserializable atom TABLE({len(els)}): its left action differs from its right")
         out = {
             "kind": "TABLE",
             "elements": [elem_to_json(e) for e in els],

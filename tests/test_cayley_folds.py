@@ -5,10 +5,16 @@
 The kernel reads a step off the Cayley graph when the spanning tree already
 determines it and folds the action rows along that tree (Froidure & Pin,
 Algorithms for computing finite semigroups, 1997); both must give the same
-Quotient, classes, addition rows and action rows, entry for entry.
+Quotient, classes, addition rows and action rows, entry for entry.  The
+left action, on the first slot, is folded only when some factor acts
+differently on the left (`atoms.two_sided`), and kept only if it differs
+from the right one; the reference works it out on every class regardless.
 """
+import itertools
+
 import pytest
 
+from semikernel.atoms import two_sided
 from semikernel.errors import UndecidedError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring
 from semikernel.presentations import Budget, MonoidPresentation, Quotient
@@ -16,11 +22,13 @@ from semikernel.semicorings import sweedler_semicoring
 from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule
 from semikernel.semirings import SemiringMorphism, bool_semiring, nat, semiring_from_tables, tropcap, zmod
 from semikernel.tensors import SaturationTensor, tensor, tensor_multi
+from test_semicorings import _noncommutative
 
 B = bool_semiring()
 N = nat()
 Z2 = zmod(2)
 Z3 = zmod(3)
+T2 = _noncommutative()  # the upper triangular BOOL matrices
 
 
 def reference_walk(pres):
@@ -40,27 +48,28 @@ def reference_walk(pres):
     return Quotient(order, steps, parent)
 
 
-def reference_action(T, classes, ring, fn):
-    """The action row of every class, each worked out and reduced on its own."""
+def reference_action(T, classes, slot):
+    """The action row of every class in one slot (-1 the right action on
+    the last, 0 the left on the first), each worked out and reduced on its own."""
     pos = {x: i for i, x in enumerate(classes)}
-    return [[pos[T._act_slot(x, s, -1, fn)] for s in ring.elements] for x in classes]
+    return [[pos[T._act_slot(x, s, slot)] for s in T.over.elements] for x in classes]
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every eager saturation tensor built in the test, with its right action."""
+    """Every eager saturation tensor built in the test."""
     out = []
     build = SaturationTensor._build_result
 
-    def record(self, quotient, name, left_action, right_action):
-        build(self, quotient, name, left_action, right_action)
-        out.append((self, right_action))
+    def record(self, quotient, name):
+        build(self, quotient, name)
+        out.append(self)
 
     monkeypatch.setattr(SaturationTensor, "_build_result", record)
     return out
 
 
-def assert_same_as_reference(T, right_action):
+def assert_same_as_reference(T):
     ref = reference_walk(T.pres)
     assert T.pres.enumerate_quotient() == ref
     classes = ref.order
@@ -73,11 +82,14 @@ def assert_same_as_reference(T, right_action):
     for a, row in enumerate(atom._rows):
         sums = [T.pres.reduce(tuple(map(int.__add__, classes[a], b))) for b in classes]
         assert list(row) == [pos[w] for w in sums], a
-    ring, fn = right_action if right_action is not None else (T.over, None)
-    if ring.elements is None:
-        assert atom._act is None
-    else:
-        assert [list(row) for row in atom._act] == reference_action(T, classes, ring, fn)
+    if T.over.elements is None:
+        assert atom._act is None and atom._left is None
+        return
+    right = [list(row) for row in atom._act]
+    assert right == reference_action(T, classes, -1)
+    assert (right if atom._left is None else [list(row) for row in atom._left]) == reference_action(T, classes, 0)
+    if not any(two_sided(a) for M in T.factors for a in M.atoms):
+        assert atom._left is None
 
 
 def _free(S, *ranks):
@@ -96,13 +108,20 @@ def _free(S, *ranks):
         (Z3, (2, 2)),
         (Z3, (1, 2, 1)),
         (B, (1, 2, 2)),
+        (T2, (1, 1)),
+        (T2, (2, 1)),
+        (T2, (1, 2)),
     ],
     ids=lambda x: getattr(x, "name", None) or "x".join(map(str, x)),
 )
 def test_free_tensors_fold_like_the_reference(built, S, ranks):
     T = _free(S, *ranks)
-    assert [t for t, _ in built] == [T]
-    assert_same_as_reference(T, None)
+    assert built == [T]
+    assert_same_as_reference(T)
+    # a free factor over the non-commutative T2 acts on the left by s x, not
+    # x s: the result keeps left rows, and they differ from its right ones
+    atom = T.result.atoms[0]
+    assert (atom._left is not None and atom._left != atom._act) is (S is T2)
 
 
 def test_module_pairs_fold_like_the_reference(built):
@@ -111,8 +130,8 @@ def test_module_pairs_fold_like_the_reference(built):
         for M2 in mods:
             tensor_multi([M, M2], force_saturation=True)
     assert len(built) == len(mods) ** 2
-    for T, right_action in built:
-        assert_same_as_reference(T, right_action)
+    for T in built:
+        assert_same_as_reference(T)
 
 
 def test_cyclic_tensors_over_nat_have_no_action_table(built):
@@ -120,9 +139,9 @@ def test_cyclic_tensors_over_nat_have_no_action_table(built):
         for b in range(2, 7):
             tensor(cyclic_module(N, a), cyclic_module(N, b))
     assert len(built) == 25
-    for T, right_action in built:
+    for T in built:
         assert T.result.atoms[0]._act is None
-        assert_same_as_reference(T, right_action)
+        assert_same_as_reference(T)
 
 
 def test_gallery_coring_squares_fold_like_the_reference(built):
@@ -133,8 +152,8 @@ def test_gallery_coring_squares_fold_like_the_reference(built):
         C = gallery_coring(n)
         tensor(C.carrier, C.carrier, over=C.base, force_saturation=True)
     assert len(built) == len(names)
-    for T, right_action in built:
-        assert_same_as_reference(T, right_action)
+    for T in built:
+        assert_same_as_reference(T)
 
 
 def _bool_pairs():
@@ -144,7 +163,7 @@ def _bool_pairs():
     return semiring_from_tables("BxB", els, add, mul, (0, 0), (1, 1))
 
 
-@pytest.mark.parametrize(
+SWEEDLER = pytest.mark.parametrize(
     "phi",
     [
         lambda: SemiringMorphism(B, B, lambda x: x),
@@ -153,11 +172,37 @@ def _bool_pairs():
     ],
     ids=["id", "BxB", "tropcap1"],
 )
+
+
+@SWEEDLER
 def test_sweedler_right_action_folds_like_the_reference(built, phi):
-    sweedler_semicoring(phi())
-    (T, right_action), = built
-    assert right_action is not None and right_action[0].elements is not None
-    assert_same_as_reference(T, right_action)
+    """Sweedler's A (x)_B A is a plain B-tensor of the (B,B)-bisemimodule A."""
+    f = phi()
+    sweedler_semicoring(f)
+    T, = built
+    assert T.over is f.source and T.over.elements is not None
+    assert_same_as_reference(T)
+
+
+@SWEEDLER
+def test_sweedler_carriers_act_on_both_sides_like_the_reference(built, phi):
+    """The carrier's A-actions m (x) n a and a m (x) n: on every class, the
+    push of its representing sum with a acting in the last or the first
+    slot; on every pure tensor, the pure tensor of m, n a or of a m, n.
+    Only id's carrier, A (x)_A A = A over a commutative A, is acted on
+    alike on both sides, and it keeps no left rows."""
+    f = phi()
+    A, car = f.target, sweedler_semicoring(f).carrier
+    T, = built
+    for a in A.elements:
+        right, left = (None, lambda n: (A.mul(n[0], a),)), (lambda m: (A.mul(a, m[0]),), None)
+        for x in car.elements():
+            assert car.act(x, a) == T.push(T.rep(x), right)
+            assert car.act_left(a, x) == T.push(T.rep(x), left)
+        for m, n in itertools.product(A.elements, repeat=2):
+            assert car.act(T.pure((m,), (n,)), a) == T.pure((m,), (A.mul(n, a),))
+            assert car.act_left(a, T.pure((m,), (n,))) == T.pure((A.mul(a, m),), (n,))
+    assert two_sided(car.atoms[0]) is (A is not f.source)
 
 
 def test_walk_reduces_only_the_steps_it_cannot_read(monkeypatch):

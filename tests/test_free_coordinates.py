@@ -19,11 +19,12 @@ import itertools
 
 import pytest
 
+from semikernel.atoms import TableAtom, two_sided
 from semikernel.errors import CertificateError, FormatError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
 from semikernel.presentations import MonoidPresentation
 from semikernel import semicomodules
-from semikernel.semicorings import _linear_semicoalgebra
+from semikernel.semicorings import _linear_semicoalgebra, sweedler_semicoring
 from semikernel.semicomodules import (
     Semicomodule,
     check_comodule,
@@ -49,7 +50,7 @@ from semikernel.semimodules import (
     sub_table,
     table_module,
 )
-from semikernel.semirings import bool_semiring, natcap, tropcap, zmod
+from semikernel.semirings import SemiringMorphism, bool_semiring, natcap, tropcap, zmod
 from semikernel.tensors import tensor, tensor_multi
 from semikernel.util import fold, fs_make, ordkey, unpreserved_rows
 from test_counit_positions import reference_counit
@@ -232,12 +233,13 @@ def test_the_cases_reach_every_verdict():
     assert any(o[0] == "value" for o in outcomes)
 
 
-def test_coactions_on_a_carrier_without_coordinates_fail_coassociativity_as_the_reference():
-    """sweedler_id's carrier has no coordinates, so check_comodule pushes
-    coassociativity through the lazy M (x) C (x) C.  Of the 256 coactions on
-    its two elements whose terms m' (x) c have multiplicity 0 or 1, 48 fail
-    there, each with the reference's checks; rho(e0) = e1 (x) e1 with
-    rho(e1) = 0 fails at e0."""
+def test_coactions_on_sweedler_id_fail_coassociativity_as_the_reference():
+    """sweedler_id's carrier, B (x)_B B = B, is certified of rank 1, so
+    check_comodule folds coassociativity in coordinates.  Of the 256
+    coactions on its two elements whose terms m' (x) c have multiplicity 0
+    or 1, 48 fail there, each with the reference's checks, which push
+    through the lazy M (x) C (x) C; rho(e0) = e1 (x) e1 with rho(e1) = 0
+    fails at e0."""
     C = gallery_coring("sweedler_id")
     els = C.carrier.elements()
     pairs = list(itertools.product(els, els))
@@ -353,11 +355,55 @@ def test_gallery_carriers_have_coordinates(name):
     assert _round_trips(car) == len(car.elements())
 
 
+def _sweedler_tropcap1():
+    """Sweedler's coring of BOOL -> TROPCAP(1), 0 -> oo and 1 -> 0: its
+    6-element carrier is acted on differently on each side by TROPCAP(1)."""
+    return sweedler_semicoring(SemiringMorphism(B, tropcap(1), {0: "oo", 1: 0}.__getitem__))
+
+
 def test_carriers_without_coordinates():
-    assert gallery_coring("sweedler_id").carrier.indexed().coordinates is None
-    F = free_semimodule(B, 2)
-    left = Semimodule(B, F.atoms, name="left", act_left=lambda s, x: F.act(x, s))
-    assert left.indexed().coordinates is None
+    car = _sweedler_tropcap1().carrier
+    assert two_sided(car.atoms[0]) and car.indexed().coordinates is None
+    # B^2 as a table, and the same table with left rows of its own (0 * x = x):
+    # only the first is certified, though both act on the right alike
+    els = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    add = {(x, y): tuple(map(max, x, y)) for x in els for y in els}
+    act = {(x, s): tuple(c * s for c in x) for x in els for s in B.elements}
+    left = {(x, s): act[(x, 1 - s)] for x in els for s in B.elements}
+    assert Semimodule(B, [TableAtom(B, els, add, act)]).indexed().coordinates is not None
+    two = Semimodule(B, [TableAtom(B, els, add, act, left)], name="two-sided")
+    assert two_sided(two.atoms[0]) and two.indexed().coordinates is None
+
+
+def _saturated(M, N):
+    return tensor(M, N, force_saturation=True).result
+
+
+@pytest.mark.parametrize(
+    "make, rank",
+    [
+        (lambda: _saturated(free_semimodule(B, 2), free_semimodule(B, 1)), 2),
+        (lambda: _saturated(free_semimodule(Z2, 2), free_semimodule(Z2, 1)), 2),
+        (lambda: _saturated(free_semimodule(Z3, 2), free_semimodule(Z3, 1)), 2),
+        (lambda: _saturated(enumerate_modules(B, 4)[3], free_semimodule(B, 1)), 2),
+        (lambda: gallery_coring("coext_bool").cc().result, 4),
+        (lambda: gallery_coring("sweedler_id").carrier, 1),
+        (lambda: gallery_coring("sweedler_id").cc().result, 1),
+        (lambda: _sweedler_tropcap1().cc().result, None),
+    ],
+    ids=["BOOL^2(x)BOOL", "ZMOD(2)^2(x)ZMOD(2)", "ZMOD(3)^2(x)ZMOD(3)", "M4#3(x)BOOL", "coext_bool:CxC", "sweedler_id", "sweedler_id:CxC", "tropcap1:CxC"],
+)
+def test_saturation_results_are_certified_when_free(make, rank):
+    """A saturation result is a plain table, acted on alike on both sides
+    when its factors are, and certified when it is free.  The C (x) C of
+    Sweedler's tropcap1 coring keeps left rows: it gets no certificate."""
+    M = make()
+    assert any(map(two_sided, M.atoms)) is (rank is None)
+    if rank is None:
+        assert M.indexed().coordinates is None
+    else:
+        assert _linear_bijection(M) == rank
+        assert _round_trips(M) == len(M.elements())
 
 
 def _noncommutative_comodules():
@@ -428,6 +474,7 @@ def test_a_criterion_9_query_solves_only_the_equalizer_word_problem(monkeypatch,
 
 
 def test_a_carrier_without_coordinates_still_saturates(monkeypatch):
+    C = _sweedler_tropcap1()
     counts = _count(monkeypatch)
-    assert check_comodule(coring_as_comodule(gallery_coring("sweedler_id"))).ok
+    assert check_comodule(coring_as_comodule(C)).ok
     assert counts["mcc"] == 1

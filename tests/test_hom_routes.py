@@ -31,6 +31,7 @@ from semikernel.semimodules import (
 )
 from semikernel.atoms import FreeAtom
 from semikernel.semirings import bool_semiring, nat, tropcap, zmod
+from semikernel.tensors import tensor
 from semikernel.util import ordkey
 
 B = bool_semiring()
@@ -189,10 +190,15 @@ def test_the_oracle_pairs_are_not_vacuous():
 
 
 # TABLE sources that Indexed.coordinates certifies free: BOOL's M4#3 = B^2
-# (its top element comes before the unit vectors) and ZMOD(2)'s M4#2 = Z2^2
+# (its top element comes before the unit vectors), ZMOD(2)'s M4#2 = Z2^2
+# and the saturation result B^2 (x) B^1
 CERTIFIED = [
     (M, N)
-    for S, M in ((B, enumerate_modules(B, 4)[3]), (Z2, enumerate_modules(Z2, 4)[2]))
+    for S, M in (
+        (B, enumerate_modules(B, 4)[3]),
+        (Z2, enumerate_modules(Z2, 4)[2]),
+        (B, tensor(free_semimodule(B, 2), free_semimodule(B, 1), force_saturation=True).result),
+    )
     for N in enumerate_modules(S, 4) + [free_semimodule(S, 2)]
 ]
 

@@ -1,12 +1,13 @@
 import json
+import re
 
 import pytest
 
 from semikernel.errors import FormatError
 from semikernel.gallery import gallery_coring
-from semikernel.semicorings import check_semicoring
+from semikernel.semicorings import check_semicoring, sweedler_semicoring
 from semikernel.semimodules import cyclic_module, free_semimodule, identity_map, semiring_module
-from semikernel.semirings import bool_semiring, nat, zmod
+from semikernel.semirings import SemiringMorphism, bool_semiring, nat, tropcap, zmod
 from semikernel.textio import (
     elem_from_json,
     elem_to_json,
@@ -52,6 +53,17 @@ def test_coring_roundtrip_gallery():
         C2 = parse_coring(body, {})
         assert serialize(C2) == serialize(C)
         assert check_semicoring(C2).ok
+
+
+def test_a_carrier_acted_on_differently_on_the_left_is_not_serialized():
+    """A document holds a carrier's right action only.  The carrier of
+    Sweedler's coring of BOOL -> TROPCAP(1) is acted on differently on the
+    left, so it is refused, naming its atom, rather than read back as a
+    coring that fails its counit law."""
+    C = sweedler_semicoring(SemiringMorphism(B, tropcap(1), {0: "oo", 1: 0}.__getitem__))
+    assert check_semicoring(C).ok
+    with pytest.raises(FormatError, match=re.escape("unserializable atom TABLE(6): its left action differs")):
+        serialize(C)
 
 
 def test_tensor_serialization_includes_pure_table():
