@@ -13,7 +13,7 @@ from .semimodules import (
     scalar_of,
     semiring_module,
     span,
-    subcarrier_module,
+    sub_table,
     subtractive_closure,
     table_module,
 )
@@ -40,10 +40,9 @@ class MeasuringPairing:
     def amodule(self):
         """The pairing semiring as a right module over the base."""
         A = self.base
-        els = list(self.asemiring.elements)
-        add_table = {(a, b): self.asemiring.add(a, b) for a in els for b in els}
+        els = self.asemiring.elements
         action = {(a, s): self.asemiring.mul(a, self.eta[s]) for a in els for s in A.elements}
-        return table_module(A, els, add_table, action, name=f"{self.asemiring.name} as {A.name}-mod")
+        return table_module(A, els, self.asemiring.tables()[0], action, name=f"{self.asemiring.name} as {A.name}-mod")
 
     def verify(self) -> Report:
         rep = Report(f"measuring pairing {self.name}")
@@ -211,9 +210,7 @@ def induced_action(P: MeasuringPairing, M: Semicomodule):
             action[(m, a)] = fs_eval(
                 car, ((car.act(m1, P.ev[(a, c1)]), mult) for (m1, c1), mult in M.coaction[m])
             )
-    add_table = {(x, y): car.add(x, y) for x in els for y in els}
-    out = table_module(P.asemiring, els, add_table, action, name=f"{M.name} induced")
-    return out
+    return table_module(P.asemiring, els, car.indexed().add, action, name=f"{M.name} induced")
 
 
 def colinear_are_linear_check(P, M, N) -> bool:
@@ -267,7 +264,7 @@ def rational_part(P: MeasuringPairing, M, alpha_report=None) -> RationalPart:
         t = tensor_of.get(tuple(M.act(m, a) for a in aels))
         if t is not None:
             rho[m] = t
-    E = subcarrier_module(M_A, [m[0] for m in rho], name=f"Rat({M.name})")
+    E = sub_table(M_A, rho, f"Rat({M.name})", raw=lambda m: m[0])
     incl = LinearMap(E, M_A, lambda x: x, name="rat-incl")
     lift, _, TE = lift_coaction(E, P.coring, incl, T)
     coaction = lift(
@@ -556,7 +553,7 @@ def finiteness_closure(P: MeasuringPairing, M: Semicomodule, F):
     if not (rep["injective"] and rep["subtractive"]):
         raise CertificateError("alpha condition not certified")
     N = span(MA, [(f,) for f in F])
-    E = subcarrier_module(MA_A, [n[0] for n in N.elements], name="N")
+    E = sub_table(MA_A, N.elements, "N", raw=lambda m: m[0])
     incl = LinearMap(E, car, lambda x: x[0], name="incl")
     lift, _, TE = lift_coaction(E, P.coring, incl, M.mc())
     coaction = lift(

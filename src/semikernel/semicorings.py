@@ -19,6 +19,7 @@ from .semimodules import (
     _homs,
     congruence_mod,
     quotient_by_congruence,
+    retable_module,
     scalar_of,
     scalar_to,
     semiring_module,
@@ -386,10 +387,9 @@ def boolean_word_semicoalgebra(L, variant, name=None):
 
 def _bimodule_over(B, A, phi):
     """A as a (B,B)-bisemimodule via restriction along phi: B -> A."""
-    add_table = {(a, b): A.add(a, b) for a in A.elements for b in A.elements}
     action = {(a, s): A.mul(a, phi(s)) for a in A.elements for s in B.elements}
     left = {(a, s): A.mul(phi(s), a) for a in A.elements for s in B.elements}
-    return Semimodule(B, [TableAtom(B, A.elements, add_table, action, left)], name=f"{A.name} as {B.name}-mod")
+    return Semimodule(B, [TableAtom(B, A.elements, A.tables()[0], action, left)], name=f"{A.name} as {B.name}-mod")
 
 
 def sweedler_semicoring(phi, name=None):
@@ -404,8 +404,7 @@ def sweedler_semicoring(phi, name=None):
 
     right = acted(lambda a: (None, lambda n: (A.mul(n[0], a),)))
     left = acted(lambda a: (lambda m: (A.mul(a, m[0]),), None))
-    atom = T.result.atoms[0]
-    car = Semimodule(A, [TableAtom(A, atom._carrier, atom._rows, right, left)], name=name or f"{A.name}(x)_{B.name}{A.name}")
+    car = retable_module(T.result, A, right, name=name or f"{A.name}(x)_{B.name}{A.name}", left=left)
     one = (A.one,)
     delta = {}
     eps = {}

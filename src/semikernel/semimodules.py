@@ -331,37 +331,40 @@ def table_module(S, elements, add_table, action=None, name="T"):
     return Semimodule(S, [TableAtom(S, elements, add_table, action)], name=name)
 
 
-def retable_module(M, new_base, action_raw, name=None):
-    """Same single-table carrier as M, re-based with a new raw-level action.
-
-    Element shapes are preserved, so inclusions between the two are identities.
-    """
+def retable_module(M, new_base, action_raw, name=None, left=None):
+    """Same single-table carrier as M, re-based with a new raw-level action
+    (and left action, see TableAtom): the new table keeps M's carrier and
+    sum rows.  Element shapes are preserved, so inclusions between the two
+    are identities."""
     if len(M.atoms) != 1 or not isinstance(M.atoms[0], TableAtom):
         raise FormatError("retable needs a single-table carrier")
     ta = M.atoms[0]
-    raws = ta.elements()
-    add = {(a, b): ta.add(a, b) for a in raws for b in raws}
-    return table_module(new_base, raws, add, action_raw, name=name or M.name)
+    return Semimodule(new_base, [TableAtom(new_base, ta._carrier, ta._rows, action_raw, left)], name=name or M.name)
+
+
+def _read_table(M, reps, to, elements, name):
+    """The table module on `elements`, the k-th standing for M's position
+    reps[k], whose rows are M.indexed()'s read through `to`, the new
+    position of each position of M (-1 off the carrier, which the table
+    refuses): sums and actions, and left actions when an atom of M is
+    two-sided."""
+    ix = M.indexed()
+    rows = [[to[ix.add[r][q]] for q in reps] for r in reps]
+    action = None if M.base.elements is None else [[to[j] for j in ix.act[r]] for r in reps]
+    left = [[to[j] for j in ix.left[r]] for r in reps] if any(map(two_sided, M.atoms)) else None
+    return Semimodule(M.base, [TableAtom(M.base, elements, rows, action, left)], name=name)
 
 
 def sub_table(M, members, name, raw=lambda m: m):
     """The submodule of a finite M on the given members, as a table module
     on the raw elements raw(m): by default M's own, so that the table's
-    elements wrap them in a 1-tuple.  Sums and actions are read from
-    M.indexed(); one outside the members raises the table's FormatError."""
+    elements wrap them in a 1-tuple.  Read from M's rows (_read_table): a
+    sum or action outside the members raises the table's FormatError."""
     ix = M.indexed()
     pos = sorted(ix.index[m] for m in members)
     local = {p: k for k, p in enumerate(pos)}
-    rows = [[local.get(ix.add[a][b], -1) for b in pos] for a in pos]
-    action = None if M.base.elements is None else [[local.get(j, -1) for j in ix.act[a]] for a in pos]
-    return table_module(M.base, [raw(ix.elements[p]) for p in pos], rows, action, name=name)
-
-
-def subcarrier_module(M, raw_elements, name="sub"):
-    """A table module on a subset of a single-atom carrier, elements shared."""
-    if len(M.atoms) != 1:
-        raise FormatError("subcarrier needs a single-atom carrier")
-    return sub_table(M, [(r,) for r in raw_elements], name, raw=lambda m: m[0])
+    to = [local.get(i, -1) for i in range(len(ix.elements))]
+    return _read_table(M, pos, to, [raw(ix.elements[p]) for p in pos], name)
 
 
 def direct_sum(mods, name=None):
@@ -701,12 +704,14 @@ def _class_ids(c: Congruence):
 
 
 def congruence_is_compatible(c: Congruence):
-    """Check +/action compatibility; returns (ok, witness)."""
+    """Check compatibility with +, the action and, when an atom of the
+    ambient is two-sided, the left action; returns (ok, witness)."""
     M = c.ambient
     ix = M.indexed()
     els = ix.elements
     cid, _ = _class_ids(c)
     scalars = M.base.elements
+    left = any(map(two_sided, M.atoms))
     for cls in c.classes:
         a, *rest = sorted(ix.index[e] for e in cls)
         for b in rest:
@@ -720,22 +725,25 @@ def congruence_is_compatible(c: Congruence):
             for s, u, v in acts:
                 if cid[u] != cid[v]:
                     return False, (els[a], els[b], s)
+            for s, u, v in zip(scalars, ix.left[a], ix.left[b]) if left else ():
+                if cid[u] != cid[v]:
+                    return False, (s, els[a], els[b])
     return True, None
 
 
 def quotient_by_congruence(M, c: Congruence):
     """Quotient module plus the (surjective) projection; each class is
-    represented by its least element."""
-    if c.kind == "custom":
+    represented by its least element and the table is read from M's rows
+    (_read_table).  A custom congruence, or any on a two-sided M, is checked
+    first: span and congruence_mod close under the right action only."""
+    if c.kind == "custom" or any(map(two_sided, M.atoms)):
         ok, w = congruence_is_compatible(c)
         if not ok:
             raise FormatError(f"congruence not compatible, witness {w}")
     ix = M.indexed()
     els = ix.elements
     cid, reps = _class_ids(c)
-    rows = [[cid[ix.add[r][q]] for q in reps] for r in reps]
-    action = None if M.base.elements is None else [[cid[j] for j in ix.act[r]] for r in reps]
-    Q = table_module(M.base, [els[r] for r in reps], rows, action, name=f"{M.name}/~")
+    Q = _read_table(M, reps, cid, [els[r] for r in reps], f"{M.name}/~")
     pi = LinearMap(M, Q, lambda x: (els[reps[cid[ix.index[x]]]],), name="pi")
     return Q, pi
 

@@ -149,14 +149,8 @@ def to_jsonable(value):
 
 
 def _atom_to_jsonable(a):
-    if isinstance(a, NatAtom):
-        return {"kind": "NAT"}
-    if isinstance(a, CyclicAtom):
-        return {"kind": "CYCLIC", "n": a.n}
-    if isinstance(a, BoolAtom):
-        return {"kind": "BOOL"}
-    if isinstance(a, QmodzAtom):
-        return {"kind": "QMODZ"}
+    if isinstance(a, (NatAtom, CyclicAtom, BoolAtom, QmodzAtom)):
+        return a.describe()
     if isinstance(a, FreeAtom):
         return {"kind": "FREE", "basis": [elem_to_json(b) for b in a.basis]}
     if isinstance(a, TableAtom):

@@ -6,7 +6,15 @@ import pytest
 from semikernel.errors import FormatError
 from semikernel.gallery import gallery_coring
 from semikernel.semicorings import check_semicoring, sweedler_semicoring
-from semikernel.semimodules import cyclic_module, free_semimodule, identity_map, semiring_module
+from semikernel.semimodules import (
+    bool_module,
+    cyclic_module,
+    free_semimodule,
+    identity_map,
+    qmodz_module,
+    semiring_module,
+    table_module,
+)
 from semikernel.semirings import SemiringMorphism, bool_semiring, nat, tropcap, zmod
 from semikernel.textio import (
     elem_from_json,
@@ -39,8 +47,16 @@ def test_semiring_roundtrip():
 
 
 def test_module_roundtrip():
-    for M in (semiring_module(B), free_semimodule(B, 2), cyclic_module(nat(), 4)):
+    """One module of each atom kind reads back to the same document."""
+    N = nat()
+    chain = table_module(B, range(3), {(a, b): max(a, b) for a in range(3) for b in range(3)},
+                         {(a, s): a * s for a in range(3) for s in B.elements})
+    mods = (semiring_module(B), free_semimodule(B, 2), free_semimodule(N, 2), cyclic_module(N, 4),
+            bool_module(N), qmodz_module(N), chain)
+    assert {a.kind for M in mods for a in M.atoms} == {"FREE", "NAT", "CYCLIC", "BOOL", "QMODZ", "TABLE"}
+    for M in mods:
         body = json.loads(serialize(M))
+        assert [a["kind"] for a in body["atoms"]] == [a.kind for a in M.atoms]
         base = parse_semiring(body["base"])
         M2 = parse_semimodule(body, base)
         assert serialize(M2) == serialize(M)
