@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .atoms import CyclicAtom, QmodzAtom, greedy
-from .errors import CertificateError, FormatError, UnsupportedError
+from .errors import CertificateError, FormatError, InternalInvariantError, UnsupportedError
 from .semimodules import (
     LinearMap,
     Semimodule,
@@ -26,9 +26,9 @@ from .semimodules import (
     _hom_positions,
     _homs,
     hom_enumerate,
-    identity_map,
     module_congruence_closure,
     quotient_by_congruence,
+    right_module,
     span,
     sub_table,
 )
@@ -352,9 +352,9 @@ def comodule_coequalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicom
     the computed Q (x) C otherwise.
     """
     C = N.coring
-    pairs = [(f(m), g(m)) for m in M.carrier.elements()]
-    cong = module_congruence_closure(N.carrier, pairs)
-    Q, pi = quotient_by_congruence(N.carrier, cong)
+    R = right_module(N.carrier)
+    cong = module_congruence_closure(R, [(f(m), g(m)) for m in M.carrier.elements()])
+    Q, pi = quotient_by_congruence(R, cong)
     classes = [sorted(cls, key=ordkey) for cls in cong.classes]
     coaction = {pi(cls[0]): fs_make(((pi(m1), c1), k) for (m1, c1), k in N.coaction[cls[0]]) for cls in classes}
     out = Semicomodule(C, Q, coaction, name=f"Coeq({f.name},{g.name})")
@@ -400,7 +400,7 @@ def comodule_equalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomod
     sub = span(M.carrier, eq_els)
     if sub.elements != frozenset(eq_els):
         raise FormatError("equalizer subset is not a submodule")  # cannot happen
-    E = sub_table(M.carrier, eq_els, name=f"Eq({f.name},{g.name})")
+    E = sub_table(right_module(M.carrier), eq_els, name=f"Eq({f.name},{g.name})")
     iota = LinearMap(E, M.carrier, lambda x: x[0], name="eq-incl")
     if certificate is not None and not certificate.get("mono_flat_on_family", False):
         raise CertificateError(
@@ -423,32 +423,42 @@ def comodule_equalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomod
 
 
 def lift_coaction(E, C, incl, T):
-    """Lift a coaction on a subobject E through incl (x) C: E (x) C -> T.
+    """Lift a coaction on a subobject E through incl (x) C: E (x) C -> T,
+    on the positions of T.result.indexed().
 
-    Returns (lift, collision, E (x) C).  collision is the first element of
-    E (x) C, in element order, whose image repeats an earlier one (None if
-    there is none).  lift(target, fail) returns the coaction sending each e
-    of E to the formal sum of the one preimage of target(e), and raises
-    fail(e) at the first e whose target has no preimage or several.  The
-    lift runs only when called, so a caller can refuse a collapse first.
+    Returns (lift, collision, E (x) C).  Each class of E (x) C goes to the
+    position of its representing sum with incl applied (T.position);
+    collision is the first class, in element order, whose position repeats
+    an earlier one (None if there is none).  lift(target, fail) returns the
+    coaction sending each e of E to the formal sum of the one preimage of
+    target(e), and raises fail(e) at the first e whose target has no
+    preimage or several.  The lift runs only when called, so a caller can
+    refuse a collapse first.  The checks of TensorProduct.map_of stay, as
+    row scans and a bug trap: incl additive on E's rows, then the map's
+    zero, sum rows and action rows (its images are positions of T).
     """
     TE = tensor(E, C.carrier, over=C.base)
-    FI = TE.map_of([incl, identity_map(C.carrier)], T)
+    ex, mx, R, P = E.indexed(), incl.target.indexed(), TE.result.indexed(), T.result.indexed()
+    img = [T.position(((incl(m), c), k) for (m, c), k in TE.rep(x)) for x in R.elements]
+    laws = (("additive", unpreserved_rows([mx.of(incl(e)) for e in ex.elements], ex.add, mx.plus, ex.elements)),
+            ("zero", None if img[R.zero] == P.zero else TE.result.zero),
+            ("additive", unpreserved_rows(img, R.add, P.plus, R.elements)),
+            ("action", unpreserved_rows(img, R.act, P.scale, R.elements, C.base.elements or ())))
+    bad = next((law for law in laws if law[1] is not None), None)
+    if bad is not None:
+        raise InternalInvariantError(f"tensor map not well defined: ({incl.name}xid): not linear: {bad}")
     pre = {}
-    collision = None
-    for x in TE.result.elements():
-        y = FI(x)
-        if y in pre and collision is None:
-            collision = x
+    for x, y in enumerate(img):
         pre.setdefault(y, []).append(x)
+    collision = next((R.elements[x] for x, y in enumerate(img) if pre[y][0] != x), None)
 
     def lift(target, fail):
         coaction = {}
         for e in E.elements():
-            cands = pre.get(target(e), ())
+            cands = pre.get(P.of(target(e)), ())
             if len(cands) != 1:
                 raise fail(e)
-            coaction[e] = fs_make(TE.rep(cands[0]))
+            coaction[e] = fs_make(TE.rep(R.elements[cands[0]]))
         return coaction
 
     return lift, collision, TE

@@ -342,6 +342,16 @@ def retable_module(M, new_base, action_raw, name=None, left=None):
     return Semimodule(new_base, [TableAtom(new_base, ta._carrier, ta._rows, action_raw, left)], name=name or M.name)
 
 
+def right_module(M):
+    """M without its left rows, as a right comodule's carrier: a two-sided
+    table re-based on its own carrier, sum and action rows, so that maps
+    between the two are identities on elements; any other M as it is."""
+    ta = M.atoms[0]
+    if len(M.atoms) != 1 or not isinstance(ta, TableAtom) or ta._left is None:
+        return M
+    return retable_module(M, M.base, ta._act)
+
+
 def _read_table(M, reps, to, elements, name):
     """The table module on `elements`, the k-th standing for M's position
     reps[k], whose rows are M.indexed()'s read through `to`, the new

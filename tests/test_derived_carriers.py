@@ -3,12 +3,25 @@
 The carrier of Sweedler's coring A (x)_B A is an (A, A)-bisemimodule.  A
 sub table or a quotient is read from its rows, left rows included, and a
 subset or congruence that the left action does not respect is refused.
+A right comodule on such a carrier uses its right action alone, so its
+(co)equalizers are formed on the carrier without its left rows.
 """
+import itertools
 import re
 
 import pytest
 
+from semikernel.atoms import two_sided
 from semikernel.errors import FormatError
+from semikernel.semicomodules import (
+    check_comodule,
+    colinear_maps,
+    comodule_coequalizer,
+    comodule_equalizer,
+    coring_as_comodule,
+    verify_coequalizer_universal,
+    verify_equalizer_universal,
+)
 from semikernel.semicorings import check_semicoring, coideal_check, quotient_semicoring, sweedler_semicoring
 from semikernel.semimodules import (
     Congruence,
@@ -17,6 +30,8 @@ from semikernel.semimodules import (
     enumerate_submodules,
     module_congruence_closure,
     quotient_by_congruence,
+    right_module,
+    span,
     sub_table,
 )
 from semikernel.semirings import SemiringMorphism, bool_semiring, tropcap
@@ -98,3 +113,53 @@ def test_a_right_submodule_that_is_not_left_closed_is_refused(coring):
     for L in open_:
         with pytest.raises(FormatError, match=re.escape("TABLE left action not closed")):
             sub_table(C.carrier, L.elements, "E")
+
+
+# ---------------------------------------------------------------- comodule limits
+
+def test_right_module_drops_only_the_left_rows():
+    car = _bxb().carrier
+    R = right_module(car)
+    assert two_sided(car.atoms[0]) and not two_sided(R.atoms[0])
+    assert R.elements() == car.elements() and R.zero == car.zero
+    els, scalars = car.elements(), car.base.elements
+    assert all(R.add(x, y) == car.add(x, y) for x in els for y in els)
+    assert all(R.act(x, a) == car.act(x, a) for x in els for a in scalars)
+    assert right_module(R) is R
+
+
+@pytest.fixture(scope="module")
+def bxb_comodule():
+    A = coring_as_comodule(_bxb())
+    return A, list(itertools.product(colinear_maps(A, A), repeat=2))
+
+
+def test_limits_a_left_action_would_refuse_are_comodules_over_bxb(bxb_comodule):
+    """The equalizers that are not left-closed and the coequalizer
+    congruences that break the left action, 84 of the 256 pairs each, are
+    formed on the right module alone and are comodules."""
+    A, pairs = bxb_comodule
+    C, car = A.coring, A.carrier
+    els = car.elements()
+    open_ = [(f, g) for f, g in pairs if not _left_closed(C, span(car, [m for m in els if f(m) == g(m)]))]
+    broken = [(f, g) for f, g in pairs
+              if not congruence_is_compatible(module_congruence_closure(car, [(f(m), g(m)) for m in els]))[0]]
+    assert len(pairs) == 256 and len(open_) == len(broken) == 84
+    for f, g in open_:
+        eq, iota = comodule_equalizer(f, g, A, A)
+        assert check_comodule(eq).ok and all(iota(e) == e[0] for e in eq.carrier.elements())
+    for f, g in broken:
+        coeq, pi = comodule_coequalizer(f, g, A, A)
+        assert check_comodule(coeq).ok and all(pi(f(m)) == pi(g(m)) for m in els)
+
+
+def test_every_limit_over_the_tropcap1_sweedler_coring_is_universal():
+    A = coring_as_comodule(_tropcap1())
+    ends = colinear_maps(A, A)
+    assert len(ends) == 6
+    for f, g in itertools.product(ends, ends):
+        eq, iota = comodule_equalizer(f, g, A, A)
+        coeq, pi = comodule_coequalizer(f, g, A, A)
+        assert check_comodule(eq).ok and check_comodule(coeq).ok
+        assert verify_equalizer_universal(f, g, A, A, eq, iota, [eq, A]) == (True, None)
+        assert verify_coequalizer_universal(f, g, A, A, coeq, pi, [coeq, A]) == (True, None)

@@ -8,7 +8,9 @@ class.  The references below are the route they replaced, through the
 computed tensors: rho(m) at its position in the computed M (x) C, the
 coassociativity pushes through the lazy M (x) C (x) C, the coequalizer's
 coaction pushed through the computed Q (x) C (`TensorProduct.descend`) and
-the equalizer's lifted from the computed M (x) C.  Both must give the same
+the equalizer's lifted from the computed M (x) C through
+`TensorProduct.map_of` (`reference_lift`), which the kernel's
+`lift_coaction` replaced with a lookup on positions.  Both must give the same
 checks (name, verdict, witness), coactions and failure messages on every
 certified gallery coring over itself, the cofree X (x) C for X = B^1, B^2
 and the 3-chain, every (co)equalizer of the three hom-search ambients, and
@@ -16,14 +18,15 @@ the Delta and epsilon mutants of grouplike_bool_2, coext_bool and
 coext_zmod2 with their coequalizers against the identity.
 """
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from semikernel.atoms import TableAtom, two_sided
-from semikernel.errors import CertificateError, FormatError
+from semikernel.errors import CertificateError, FormatError, InternalInvariantError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
 from semikernel.presentations import MonoidPresentation
-from semikernel import semicomodules
+from semikernel import pairings, semicomodules
 from semikernel.semicorings import _linear_semicoalgebra, sweedler_semicoring
 from semikernel.semicomodules import (
     Semicomodule,
@@ -40,6 +43,7 @@ from semikernel.semicomodules import (
 from semikernel.semimodules import (
     LinearMap,
     Semimodule,
+    cyclic_module,
     enumerate_modules,
     find_isomorphism,
     free_semimodule,
@@ -50,9 +54,11 @@ from semikernel.semimodules import (
     sub_table,
     table_module,
 )
-from semikernel.semirings import SemiringMorphism, bool_semiring, natcap, tropcap, zmod
-from semikernel.tensors import tensor, tensor_multi
+from semikernel.semirings import SemiringMorphism, bool_semiring, nat, natcap, tropcap, zmod
+from semikernel.tensors import TensorProduct, tensor, tensor_multi
 from semikernel.util import fold, fs_make, ordkey, unpreserved_rows
+import test_pairings
+import test_semicomodules
 from test_counit_positions import reference_counit
 from test_semicorings import _noncommutative
 
@@ -114,12 +120,38 @@ def reference_coequalizer(f, g, M, N):
     return coaction
 
 
+def reference_lift(E, C, incl, T):
+    """lift_coaction element by element: each class of the computed
+    E (x) C pushed through TensorProduct.map_of, which checks the induced
+    map with LinearMap.check, and preimages kept by element of T."""
+    TE = tensor(E, C.carrier, over=C.base)
+    FI = TE.map_of([incl, identity_map(C.carrier)], T)
+    pre = {}
+    collision = None
+    for x in TE.result.elements():
+        y = FI(x)
+        if y in pre and collision is None:
+            collision = x
+        pre.setdefault(y, []).append(x)
+
+    def lift(target, fail):
+        coaction = {}
+        for e in E.elements():
+            cands = pre.get(target(e), ())
+            if len(cands) != 1:
+                raise fail(e)
+            coaction[e] = fs_make(TE.rep(cands[0]))
+        return coaction
+
+    return lift, collision, TE
+
+
 def reference_equalizer(f, g, M, N):
     """The equalizer's coaction, rho(m) pushed through the computed M (x) C."""
     C = M.coring
     E = sub_table(M.carrier, [m for m in M.carrier.elements() if f(m) == g(m)], name="E")
     T = tensor(M.carrier, C.carrier, over=C.base)
-    lift, collision, TE = lift_coaction(E, C, LinearMap(E, M.carrier, lambda x: x[0]), T)
+    lift, collision, TE = reference_lift(E, C, LinearMap(E, M.carrier, lambda x: x[0]), T)
     if collision is not None:
         raise CertificateError(f"tensoring does not preserve the equalizer inclusion (collapse at {collision})")
     coaction = lift(
@@ -200,6 +232,78 @@ def test_criterion_9_limits_match_the_saturation_route(case):
     coaction, checks = reference_equalizer(f, g, A, A)
     assert eq.coaction == coaction
     assert _checks(eq) == checks
+
+
+def _lift_outcome(route, E, C, incl, T, target):
+    """(collision, the lifted coaction or the lift's failure), or the
+    message the route raises."""
+    try:
+        lift, collision, _ = route(E, C, incl, T)
+    except InternalInvariantError as e:
+        return "raises", str(e)
+    return collision, _outcome(lift, target, lambda e: CertificateError(f"no lift at {e}"))
+
+
+def _assert_lifts_match(E, C, incl, T, target):
+    kernel = _lift_outcome(lift_coaction, E, C, incl, T, target)
+    assert kernel == _lift_outcome(reference_lift, E, C, incl, T, target)
+    return kernel
+
+
+@pytest.mark.parametrize("case", [c for _, c in LIMITS], ids=[n for n, _ in LIMITS])
+def test_the_equalizer_lift_matches_the_reference_lift(case):
+    f, g, A = case
+    E = sub_table(A.carrier, [m for m in A.carrier.elements() if f(m) == g(m)], name="E")
+    incl = LinearMap(E, A.carrier, lambda x: x[0], name="eq-incl")
+    collision, (kind, *_) = _assert_lifts_match(E, A.coring, incl, A.mc(), lambda e: A.rho_norm(e[0]))
+    assert collision is None and kind == "value"
+
+
+def test_the_rational_part_and_closure_lifts_match_the_reference_lift(monkeypatch):
+    """Every lift that the rational-part and finiteness-closure tests make
+    through pairings.lift_coaction, recorded with its target."""
+    cases, lift_coaction_of = [], pairings.lift_coaction
+
+    def recorded(E, C, incl, T):
+        lift, collision, TE = lift_coaction_of(E, C, incl, T)
+
+        def lift_recorded(target, fail):
+            cases.append((E, C, incl, T, target))
+            return lift(target, fail)
+
+        return lift_recorded, collision, TE
+
+    monkeypatch.setattr(pairings, "lift_coaction", recorded)
+    for test in (test_pairings.test_rational_part_roundtrip_gallery, test_pairings.test_rational_part_proper_subobject,
+                 test_pairings.test_coring_is_rational_part_of_dual, test_pairings.test_finiteness_closure_cases,
+                 test_semicomodules.test_rational_part_lift_pushes_back_to_the_coaction,
+                 test_semicomodules.test_finiteness_closure_lift_pushes_back_to_the_coaction):
+        test()
+    assert len(cases) == 14
+    for case in cases:
+        assert _assert_lifts_match(*case)[1][0] == "value"
+
+
+@pytest.mark.parametrize(
+    "images, outcome",
+    [({0: 0, 2: 2, 4: 4, 6: 6}, "collision"), ({0: 0, 2: 2, 4: 2, 6: 6}, "raises"), ({0: 2, 2: 4, 4: 6, 6: 0}, "raises")],
+    ids=["inclusion", "not-additive", "sends-zero-elsewhere"],
+)
+def test_the_nat_lifts_match_the_reference_lift(images, outcome):
+    """2Z/8 in Z/8 over NAT tensored with Z/4 (test_semicomodules' collision
+    and trap inputs): the inclusion collapses, and the two maps that are
+    not linear are trapped with the same message."""
+    Nat = nat()
+    C8, C4 = cyclic_module(Nat, 8), cyclic_module(Nat, 4)
+    els = [(0,), (2,), (4,), (6,)]
+    E = table_module(Nat, els, {(a, b): C8.add(a, b) for a in els for b in els})
+    incl = LinearMap(E, C8, lambda x: (images[x[0][0]],), name="incl")
+    T = tensor(C8, C4)
+    got = _assert_lifts_match(E, SimpleNamespace(carrier=C4, base=Nat), incl, T, lambda e: T.result.zero)
+    if outcome == "raises":
+        assert got == ("raises", got[1]) and got[1].startswith("tensor map not well defined: (inclxid): not linear: ('additive'")
+    else:
+        assert got[0] is not None and got[1][0] == "raises"
 
 
 def _mutant_coequalizers():
@@ -429,9 +533,10 @@ def test_a_comodule_over_a_noncommutative_free_coring_matches_the_saturation_rou
 
 def _count(monkeypatch):
     """Count MonoidPresentation builds (all, and those of the equalizer's
-    E (x) C inside lift_coaction) and Semicomodule.mcc calls."""
-    counts = {"presentations": 0, "in_lift": 0, "mcc": 0}
-    init, lift, mcc = MonoidPresentation.__init__, semicomodules.lift_coaction, Semicomodule.mcc
+    E (x) C inside lift_coaction), Semicomodule.mcc calls and
+    TensorProduct.map_of calls."""
+    counts = {"presentations": 0, "in_lift": 0, "mcc": 0, "map_of": 0}
+    init, lift, mcc, map_of = MonoidPresentation.__init__, semicomodules.lift_coaction, Semicomodule.mcc, TensorProduct.map_of
 
     def counted_init(self, *args, **kwargs):
         counts["presentations"] += 1
@@ -449,7 +554,12 @@ def _count(monkeypatch):
 
     monkeypatch.setattr(MonoidPresentation, "__init__", counted_init)
     monkeypatch.setattr(semicomodules, "lift_coaction", counted_lift)
+    def counted_map_of(self, *args):
+        counts["map_of"] += 1
+        return map_of(self, *args)
+
     monkeypatch.setattr(Semicomodule, "mcc", counted_mcc)
+    monkeypatch.setattr(TensorProduct, "map_of", counted_map_of)
     return counts
 
 
@@ -470,7 +580,7 @@ def test_a_criterion_9_query_solves_only_the_equalizer_word_problem(monkeypatch,
     counts = _count(monkeypatch)
     _criterion_9_query(ends[0], ends[-1], A)
     assert counts["presentations"] == counts["in_lift"] == 1
-    assert counts["mcc"] == 0
+    assert counts["mcc"] == counts["map_of"] == 0
 
 
 def test_a_carrier_without_coordinates_still_saturates(monkeypatch):
