@@ -343,13 +343,12 @@ def retable_module(M, new_base, action_raw, name=None, left=None):
 
 
 def right_module(M):
-    """M without its left rows, as a right comodule's carrier: a two-sided
-    table re-based on its own carrier, sum and action rows, so that maps
-    between the two are identities on elements; any other M as it is."""
-    ta = M.atoms[0]
-    if len(M.atoms) != 1 or not isinstance(ta, TableAtom) or ta._left is None:
+    """M without its left action: a two-sided single atom as the table of
+    its own elements, sum rows and action rows; any other M as it is."""
+    if len(M.atoms) != 1 or not two_sided(M.atoms[0]):
         return M
-    return retable_module(M, M.base, ta._act)
+    ix = M.indexed()
+    return Semimodule(M.base, [TableAtom(M.base, [e[0] for e in ix.elements], ix.add, ix.act)], name=M.name)
 
 
 def _read_table(M, reps, to, elements, name):

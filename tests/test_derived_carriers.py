@@ -22,7 +22,13 @@ from semikernel.semicomodules import (
     verify_coequalizer_universal,
     verify_equalizer_universal,
 )
-from semikernel.semicorings import check_semicoring, coideal_check, quotient_semicoring, sweedler_semicoring
+from semikernel.semicorings import (
+    _linear_semicoalgebra,
+    check_semicoring,
+    coideal_check,
+    quotient_semicoring,
+    sweedler_semicoring,
+)
 from semikernel.semimodules import (
     Congruence,
     congruence_is_compatible,
@@ -36,6 +42,7 @@ from semikernel.semimodules import (
 )
 from semikernel.semirings import SemiringMorphism, bool_semiring, tropcap
 from test_cayley_folds import _bool_pairs
+from test_semicorings import _noncommutative
 
 B = bool_semiring()
 
@@ -46,6 +53,13 @@ def _bxb():
 
 def _tropcap1():
     return sweedler_semicoring(SemiringMorphism(B, tropcap(1), {0: "oo", 1: 0}.__getitem__))
+
+
+def _gl_t2():
+    """The group-like coring on two points over the upper triangular BOOL
+    matrices: a free carrier over a non-commutative base, so two-sided."""
+    S = _noncommutative()
+    return _linear_semicoalgebra(S, ["p", "q"], "GL(T2)", [[(0, S.one, 0)], [(1, S.one, 1)]], [S.one, S.one])
 
 
 SWEEDLER = pytest.mark.parametrize("coring", [_bxb, _tropcap1], ids=["BxB", "tropcap1"])
@@ -117,8 +131,9 @@ def test_a_right_submodule_that_is_not_left_closed_is_refused(coring):
 
 # ---------------------------------------------------------------- comodule limits
 
-def test_right_module_drops_only_the_left_rows():
-    car = _bxb().carrier
+@pytest.mark.parametrize("coring", [_bxb, _gl_t2], ids=["BxB", "GL(T2)"])
+def test_right_module_drops_only_the_left_action(coring):
+    car = coring().carrier
     R = right_module(car)
     assert two_sided(car.atoms[0]) and not two_sided(R.atoms[0])
     assert R.elements() == car.elements() and R.zero == car.zero
@@ -163,3 +178,19 @@ def test_every_limit_over_the_tropcap1_sweedler_coring_is_universal():
         assert check_comodule(eq).ok and check_comodule(coeq).ok
         assert verify_equalizer_universal(f, g, A, A, eq, iota, [eq, A]) == (True, None)
         assert verify_coequalizer_universal(f, g, A, A, coeq, pi, [coeq, A]) == (True, None)
+
+
+def test_limits_a_left_action_would_refuse_are_comodules_over_a_free_two_sided_carrier():
+    """Delta over GL(T2): the first pair whose equalizer is not left-closed
+    and the first whose coequalizer congruence breaks the left action."""
+    C = _gl_t2()
+    A = coring_as_comodule(C)
+    car, els = A.carrier, A.carrier.elements()
+    pairs = list(itertools.product(colinear_maps(A, A), repeat=2))
+    f, g = next((f, g) for f, g in pairs if not _left_closed(C, span(car, [m for m in els if f(m) == g(m)])))
+    eq, iota = comodule_equalizer(f, g, A, A)
+    assert check_comodule(eq).ok and all(iota(e) == e[0] for e in eq.carrier.elements())
+    f, g = next((f, g) for f, g in pairs
+                if not congruence_is_compatible(module_congruence_closure(car, [(f(m), g(m)) for m in els]))[0])
+    coeq, pi = comodule_coequalizer(f, g, A, A)
+    assert check_comodule(coeq).ok and all(pi(f(m)) == pi(g(m)) for m in els)
