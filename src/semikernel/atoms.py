@@ -19,6 +19,7 @@ from heapq import heappop, heappush
 from itertools import repeat
 
 from .errors import FormatError, negative_count
+from .presentations import Quotient
 from .util import sorted_elems, times
 
 
@@ -77,11 +78,6 @@ def presentation(add, zero, n):
     return gens, words, relations
 
 
-def _support(word):
-    """A word as a multiset {k: multiplicity} of its generators."""
-    return {k: c for k, c in enumerate(word) if c}
-
-
 class Atom:
     __slots__ = ("base", "_presented")  # atoms are many and small: no per-instance __dict__
     kind = "?"
@@ -118,12 +114,13 @@ class Atom:
     def gens(self):
         return list(enumerate(self._presentation()[0])) if self.finite else None
 
-    def decompose(self, a):
-        return _support(self._presentation()[1](a))
+    # a's word: how many times a adds up each generator of gens(), in their order
+    def word(self, a):
+        return self._presentation()[1](a)
 
-    def cayley(self):
-        """Complete relation list among generators, as (multiset, multiset) pairs."""
-        return [(_support(l), _support(r)) for l, r in self._presentation()[2]]
+    def relations(self):
+        """Complete relation list among generators, as pairs of words."""
+        return self._presentation()[2]
 
     def act_left(self, s, a):
         return self.act(a, s)
@@ -166,10 +163,10 @@ class NatAtom(Atom):
     def gens(self):
         return [("g", 1)]
 
-    def decompose(self, a):
-        return {"g": a} if a else {}
+    def word(self, a):
+        return (a,)
 
-    def cayley(self):
+    def relations(self):
         return []
 
     def solve_mult(self, hi, lo):
@@ -292,6 +289,26 @@ def compact(row, n):
     return bytes(row)
 
 
+def through(row, table, n):
+    """The compact row of table[v] for each v of the compact row `row`, all
+    positions below n: one translate while rows are bytes (table bytes too),
+    else a list comprehension, faster than map on a list table."""
+    if n > 256:
+        return array("I", [table[v] for v in row])
+    return row.translate(table.ljust(256, b"\0"))
+
+
+def _closed(table, count, width, n, what):
+    """table as count compact rows of width positions below n each."""
+    try:  # a compact row holds no negative position
+        rows = tuple(compact(row, n) for row in table)
+    except (ValueError, OverflowError):
+        rows = None
+    if rows is None or len(rows) != count or any(len(row) != width or max(row, default=0) >= n for row in rows):
+        raise FormatError(f"TABLE {what} not closed")
+    return rows
+
+
 class TableAtom(Atom):
     """Finite commutative monoid with an explicit scalar action, on positions.
 
@@ -305,59 +322,76 @@ class TableAtom(Atom):
     ordkey order; a carrier given in another order is kept as given next to
     its ordkey-ordered copy.
 
-    The addition comes in one of two forms, converted to rows once:
+    The addition comes in one of three forms:
 
     * a dict (a, b) -> a + b over every pair of elements.  The carrier is
       put in ordkey order, and the conversion checks, pair by pair in that
       order, that each sum is present and is an element, then that the dict
       has no other key;
-    * a list of rows of positions into `elements`, taken in the given order:
-      the form a builder that already computed the sums on indices passes
-      (the saturation tensor's Cayley-graph fold).  The conversion checks
-      that there is one row of n positions in range(n) per element.
+    * a list of rows of positions into `elements`, taken in the given order.
+      The conversion checks that there is one row of n positions in
+      range(n) per element;
+    * a presentations.Quotient, the Cayley graph of the saturation tensor's
+      quotient walk, whose classes are `elements`: normal forms, tuples of
+      ints of one length, whose ordkey order is tuple order.  Each of the
+      n·|gens| steps is checked to be in range(n).  The rows are folded
+      along the spanning tree on the first read of any of them, all at once
+      (`_fold`, `_Unfolded`), and are closed, as the steps are; the
+      cardinality and `elements()` read none.
 
-    The zero is the first left identity in ordkey order.  The action is a
-    dict (element, base element) -> element, checked pair by pair in ordkey
-    order, or rows of positions in carrier order, for finite bases; None
-    over NAT (iterated addition).  A left action s * a, given and checked
-    the same way, is kept only if its rows differ from the action's.
+    The zero is the first left identity in ordkey order; with a Quotient
+    the class of 0, its first class (a monoid has one identity).  The action
+    is a dict (element, base element) -> element, checked pair by pair in
+    ordkey order, or rows of positions in carrier order (with a Quotient,
+    one row per generator), for finite bases; None over NAT (iterated
+    addition).  A left action s * a, given and checked the same way, is
+    kept only if it differs from the action.
     """
 
-    __slots__ = ("zero", "_index", "_carrier", "_elements", "_rows", "_act", "_left")
+    __slots__ = ("zero", "_index", "_carrier", "_elements", "_rows", "_act", "_left", "_graph")
     kind = "TABLE"
 
     def __init__(self, base, elements, add_table, action=None, left=None):
         self.base = base
+        graph = isinstance(add_table, Quotient)
         if isinstance(add_table, dict):
             carrier = ordered = tuple(sorted_elems(elements))
         else:
             carrier = tuple(elements)
-            ordered = tuple(sorted_elems(carrier))
+            ordered = tuple(sorted(carrier) if graph else sorted_elems(carrier))
             if ordered == carrier:
                 ordered = carrier
-        index = {e: i for i, e in enumerate(carrier)}
-        if len(index) != len(carrier):
-            raise FormatError("TABLE elements repeat")
-        self._index, self._carrier, self._elements = None, carrier, ordered
-        self._rows = self._rows_of(add_table, index, carrier, "add")
-        # with every pair present, any further entry has a key outside the carrier
-        if isinstance(add_table, dict) and len(add_table) != len(carrier) ** 2:
-            raise FormatError("TABLE add not closed")
-        identity = compact(range(len(carrier)), len(carrier))
-        zeros = (z for z in ordered if self._rows[index[z]] == identity)
-        self.zero = next(zeros, _ABSENT)
-        if self.zero is _ABSENT:
-            raise FormatError("TABLE has no additive identity")
+        n, self._index, self._carrier, self._elements = len(carrier), None, carrier, ordered
+        if graph:
+            steps, self.zero = _closed(add_table.steps, n, len(add_table.steps[0]), n, "add"), carrier[0]
+            rows_of = lambda table, what: _closed(table, len(steps[0]), len(base.elements), n, what)
+        else:
+            index = {e: i for i, e in enumerate(carrier)}
+            if len(index) != n:
+                raise FormatError("TABLE elements repeat")
+            self._rows = self._rows_of(add_table, index, carrier, "add")
+            # with every pair present, any further entry has a key outside the carrier
+            if isinstance(add_table, dict) and len(add_table) != n ** 2:
+                raise FormatError("TABLE add not closed")
+            identity = compact(range(n), n)
+            self.zero = next((z for z in ordered if self._rows[index[z]] == identity), _ABSENT)
+            if self.zero is _ABSENT:
+                raise FormatError("TABLE has no additive identity")
+            rows_of = lambda table, what: self._rows_of(table, index, base.elements, what)
         if action is None:
             if base.name != "NAT":
                 raise FormatError("TABLE without action table needs base NAT")
-            self._act = self._left = None
+            act = left = None
         else:
             if base.elements is None:
                 raise FormatError("TABLE action table needs a finite base")
-            self._act = self._rows_of(action, index, base.elements, "action")
-            left = self._act if left is None else self._rows_of(left, index, base.elements, "left action")
-            self._left = None if left == self._act else left
+            act = rows_of(action, "action")
+            left = act if left is None else rows_of(left, "left action")
+        if graph:
+            self._graph = steps, add_table.parent, act, None if left == act else left
+            self.__class__ = _Unfolded
+        else:
+            self._act, self._left = act, None if left == act else left
 
     @property
     def index(self):  # a property, not __getattr__, which would slow every attribute read
@@ -371,13 +405,7 @@ class TableAtom(Atom):
         element to its position and `what` names the table."""
         n = len(index)
         if not isinstance(table, dict):
-            try:  # a compact row holds no negative position
-                rows = tuple(compact(row, n) for row in table)
-            except (ValueError, OverflowError):
-                rows = ()
-            if len(rows) != n or any(len(row) != len(columns) or max(row, default=0) >= n for row in rows):
-                raise FormatError(f"TABLE {what} not closed")
-            return rows
+            return _closed(table, n, len(columns), n, what)
         rows = [None] * n
         for a in self._elements:
             row = []
@@ -390,6 +418,25 @@ class TableAtom(Atom):
                 row.append(j)
             rows[index[a]] = compact(row, n)
         return tuple(rows)
+
+    def _fold(self):
+        """The rows of the Cayley form, folded along its spanning tree.
+        With class b reached as p + e_g, row b maps each a to the g-step
+        from row p's a: the forms are convergent, so this is exact and
+        rewrites nothing.  An action is additive, (p + e_g) s = p s + e_g s,
+        so its rows fold along the same tree from the action on each
+        generator, with 0 s = 0, the class of 0."""
+        (steps, parent, *gen_acts), n = self._graph, len(self._carrier)
+        tables = [(bytes if n <= 256 else list)(step) for step in zip(*steps)]  # tables[g][a]: the g-step from a
+        rows = [compact(range(n), n)]
+        for p, g in parent[1:]:
+            rows.append(through(rows[p], tables[g], n))
+        self._rows = tuple(rows)  # the graph stays: a concurrent first read may fold it again
+        for slot, gen in zip(("_act", "_left"), gen_acts):
+            act = None if gen is None else [compact([0] * len(self.base.elements), n)]
+            for p, g in parent[1:] if act else ():
+                act.append(compact([rows[a][b] for a, b in zip(act[p], gen[g])], n))
+            setattr(self, slot, act and tuple(act))
 
     def elements(self):
         return list(self._elements)
@@ -414,6 +461,21 @@ class TableAtom(Atom):
 
     def describe(self):
         return {"kind": self.kind, "size": len(self._elements)}
+
+
+class _Unfolded(TableAtom):
+    """A TableAtom in the Cayley form before its rows are folded: the first
+    read of _rows, _act or _left (slots still unset) folds them and makes
+    the atom a plain TableAtom, whose reads have no __getattr__ to slow them."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("_rows", "_act", "_left"):
+            raise AttributeError(name)
+        self._fold()
+        self.__class__ = TableAtom
+        return getattr(self, name)
 
 
 class Radix:
@@ -521,13 +583,14 @@ class FreeAtom(Atom):
         gens = S.presentation()[0]
         return [((i, k), self.unit(i, S.elements[g])) for i in range(len(self.basis)) for k, g in enumerate(gens)]
 
-    def decompose(self, a):
+    def word(self, a):
         words, index = self.base.presentation()[1], self.base.index
-        return {(i, k): c for i, s in enumerate(a) for k, c in enumerate(words[index[s]]) if c}
+        return tuple(c for s in a for c in words[index[s]])
 
-    def cayley(self):
-        tagged = ((i, rel) for i in range(len(self.basis)) for rel in self.base.presentation()[2])
-        return [tuple({(i, k): c for k, c in enumerate(w) if c} for w in rel) for i, rel in tagged]
+    def relations(self):  # each relation of (S, +) in each coordinate, padded with zeros
+        gens, _, rels = self.base.presentation()
+        r, g = len(self.basis), len(gens)
+        return [tuple((0,) * (i * g) + w + (0,) * ((r - 1 - i) * g) for w in rel) for i in range(r) for rel in rels]
 
     def describe(self):
         return {"kind": self.kind, "basis": list(self.basis)}

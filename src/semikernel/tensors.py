@@ -5,7 +5,10 @@ Two routes with one interface:
 * a saturation route for finitely generated factors: present the tensor by
   pure-tensor generators modulo biadditivity, the factor presentations and
   scalar balance, then solve the word problem (presentations module) and
-  enumerate the quotient;
+  enumerate the quotient.  A pure tensor's raw vector is the Kronecker
+  product of its slots' words (each factor element's word read by
+  position), and the result is a TableAtom in its Cayley form: the walk's
+  graph, whose rows are folded on their first read;
 * a fast route when every factor is a free module over the (finite) base,
   where the tensor is free on the product basis.
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .atoms import FreeAtom, TableAtom, compact, two_sided
+from .atoms import FreeAtom, TableAtom, two_sided
 from .errors import FormatError, InternalInvariantError, UnsupportedError
 from .presentations import Budget, MonoidPresentation
 from .semimodules import (
@@ -171,12 +174,13 @@ class SaturationTensor(TensorProduct):
         for m, g in zip(factors, gens_per):
             if g is None:
                 raise UnsupportedError(f"{m.name}: not finitely generated; use the rule-based route")
-        self.gen_tags = [tuple(t for t, _ in gl) for gl in gens_per]
-        self.gen_elems = [dict(gl) for gl in gens_per]
-        self.pure_gens = list(itertools.product(*self.gen_tags))
-        self.index = {g: i for i, g in enumerate(self.pure_gens)}
+        # gen_elems[j][t] is slot j's t-th generator, units[j][t] its word, and
+        # pure_gens lists the pure tensors of generators as (t_0, ..., t_k-1)
+        self.gen_elems = [[e for _, e in gl] for gl in gens_per]
+        self.units = [[tuple(int(u == t) for u in range(len(gl))) for t in range(len(gl))] for gl in gens_per]
+        self.pure_gens = list(itertools.product(*(range(len(gl)) for gl in gens_per)))
         self.n = len(self.pure_gens)
-        self._act_pieces = {}
+        self.words = [Memo(m.word) for m in factors]  # each factor element's word, read once
         self.pres = MonoidPresentation(self.n, self._relations(), budget=self.budget)
         if lazy:
             self.result = None
@@ -188,8 +192,7 @@ class SaturationTensor(TensorProduct):
         return (0,) * self.n
 
     def raw_pure(self, *ms):
-        slots = [f.decompose(m) for f, m in zip(self.factors, ms)]
-        return self._vec(slots)
+        return self._vec([w[m] for w, m in zip(self.words, ms)])
 
     def nf(self, vec):
         return self.pres.reduce(vec)
@@ -205,15 +208,14 @@ class SaturationTensor(TensorProduct):
 
     # presentation assembly ------------------------------------------------
 
-    def _vec(self, slot_counters):
-        """Cross product of per-slot generator multisets, as a dense vector."""
-        v = [0] * self.n
-        for combo in itertools.product(*[list(c.items()) for c in slot_counters]):
-            tag = tuple(t for t, _ in combo)
-            mult = 1
-            for _, k in combo:
-                mult *= k
-            v[self.index[tag]] += mult
+    def _vec(self, words):
+        """The raw vector of the pure tensor whose slot j has the word
+        words[j]: the words' Kronecker product, as pure_gens runs over the
+        slots' generators in product order, so (t_0, ..., t_k-1) sits at the
+        sum of t_j * stride_j and holds the product of the words[j][t_j]."""
+        v = (1,)
+        for w in words:
+            v = [a * c for a in v for c in w]
         return tuple(v)
 
     def _relations(self):
@@ -221,18 +223,10 @@ class SaturationTensor(TensorProduct):
         k = len(self.factors)
         # factor presentations, tensored with generators of the other slots
         for i, m in enumerate(self.factors):
-            cay = m.cayley()
-            if not cay:
-                continue
-            ctx_pools = [
-                [{t: 1} for t in self.gen_tags[j]] if j != i else [None]
-                for j in range(k)
-            ]
-            for lhs, rhs in cay:
+            ctx_pools = [self.units[j] if j != i else [None] for j in range(k)]
+            for rel in m.relations():
                 for ctx in itertools.product(*ctx_pools):
-                    l_slots = [lhs if j == i else ctx[j] for j in range(k)]
-                    r_slots = [rhs if j == i else ctx[j] for j in range(k)]
-                    rels.append((self._vec(l_slots), self._vec(r_slots)))
+                    rels.append(tuple(self._vec([side if j == i else ctx[j] for j in range(k)]) for side in rel))
         # balance between adjacent slots on the additive generators of S
         # other than 1 (whose sides coincide): both sides are additive in the
         # scalar, so every other scalar's balance follows
@@ -240,113 +234,54 @@ class SaturationTensor(TensorProduct):
         gens = S.presentation()[0] if S.elements is not None else ()
         scalars = [S.elements[g] for g in gens if S.elements[g] != S.one]
         for i in range(k - 1):
-            ctx_pools = [
-                [{t: 1} for t in self.gen_tags[j]] if j not in (i, i + 1) else [None]
-                for j in range(k)
-            ]
+            ctx_pools = [self.units[j] if j not in (i, i + 1) else [None] for j in range(k)]
             for a in scalars:
-                for gl in self.gen_tags[i]:
-                    ml = self.gen_elems[i][gl]
-                    left_dec = self.factors[i].decompose(self.factors[i].act(ml, a))
-                    for gr in self.gen_tags[i + 1]:
-                        mr = self.gen_elems[i + 1][gr]
-                        right_dec = self.factors[i + 1].decompose(
-                            self.factors[i + 1].act_left(a, mr)
-                        )
+                for gl, ml in enumerate(self.gen_elems[i]):
+                    left = self.words[i][self.factors[i].act(ml, a)]
+                    for gr, mr in enumerate(self.gen_elems[i + 1]):
+                        right = self.words[i + 1][self.factors[i + 1].act_left(a, mr)]
                         for ctx in itertools.product(*ctx_pools):
-                            l_slots = [
-                                left_dec if j == i else ({gr: 1} if j == i + 1 else ctx[j])
-                                for j in range(k)
-                            ]
-                            r_slots = [
-                                {gl: 1} if j == i else (right_dec if j == i + 1 else ctx[j])
-                                for j in range(k)
-                            ]
+                            l_slots = [left if j == i else self.units[j][gr] if j == i + 1 else ctx[j] for j in range(k)]
+                            r_slots = [self.units[j][gl] if j == i else right if j == i + 1 else ctx[j] for j in range(k)]
                             rels.append((self._vec(l_slots), self._vec(r_slots)))
         return rels
 
     # result assembly --------------------------------------------------------
 
     def _build_result(self, quotient, name):
-        classes, steps, parent = quotient
-        # The addition table on indices into classes, folded along the
-        # spanning tree one row at a time: with b reached as p + e_g, the row
-        # of b maps each a to the g-step from nf(a + p).  The forms are
-        # convergent, so this is exact and rewrites nothing.
-        step_by_gen = list(zip(*steps))  # step_by_gen[g][i]: the g-step from class i
-        n = len(classes)
-        if n <= 256:  # bytes rows: one translate through each g-step table
-            tables = [bytes(step) + bytes(256 - n) for step in step_by_gen]
-            rows = [bytes(range(n))]
-            for p, g in parent[1:]:
-                rows.append(rows[p].translate(tables[g]))
-        else:
-            rows = [list(range(n))]
-            for p, g in parent[1:]:
-                rows.append(list(map(step_by_gen[g].__getitem__, rows[p])))
-            for i, row in enumerate(rows):  # compact in place: one list at a time beside the arrays
-                rows[i] = compact(row, n)
+        """The result atom in TableAtom's Cayley form: the quotient walk's
+        graph and the action on each generator, the right one on the last
+        slot and the left one on the first only if some factor is a
+        bimodule (else both agree)."""
+        classes, steps, _ = quotient
         S, actions = self.over, []
         if S.elements is not None:
-            # An action is additive, (p + e_g) s = p s + e_g s, so its rows
-            # are folded along the same tree from the action on each generator,
-            # worked out once: the right action on the last slot, and the left
-            # one on the first only if some factor is a bimodule (else both agree).
             pos = {x: i for i, x in enumerate(classes)}
             for slot in (-1, 0) if any(two_sided(a) for m in self.factors for a in m.atoms) else (-1,):
-                gen_act = [[pos[self._act_slot(classes[j], s, slot)] for s in S.elements] for j in steps[0]]
-                act = [[0] * len(S.elements)]  # 0 s = 0, the class of 0
-                for p, g in parent[1:]:
-                    act.append([rows[a][b] for a, b in zip(act[p], gen_act[g])])
-                actions.append(act)
-        atom = TableAtom(S, classes, rows, *actions)
+                actions.append([[pos[self._act_slot(classes[j], s, slot)] for s in S.elements] for j in steps[0]])
+        atom = TableAtom(S, classes, quotient, *actions)
         self.result = Semimodule(S, [atom], name=name or "(x)".join(m.name for m in self.factors))
 
     def _act_slot(self, vec, s, slot):
-        """Action applied in one tensor slot of every generator of a class vector.
-
-        The action on a pure generator is worked out once per scalar, slot
-        and action, as sparse (index, multiplicity) pairs, and then reused.
-        """
-        slot = slot % len(self.factors)
-        pieces = self._act_pieces.setdefault((s, slot), {})
-        out = [0] * self.n
-        for idx, mult in enumerate(vec):
-            if not mult:
-                continue
-            piece = pieces.get(idx)
-            if piece is None:
-                piece = pieces[idx] = self._act_gen(idx, s, slot)
-            for i, c in piece:
-                out[i] += c * mult
+        """The class of vec with s acting in one tensor slot (-1 the right
+        action on the last, 0 the left on the first) of each pure generator."""
+        slot, out = slot % len(self.factors), [0] * self.n
+        fac, last = self.factors[slot], slot == len(self.factors) - 1
+        for ts, mult in zip(self.pure_gens, vec):
+            if mult:
+                m = self.gen_elems[slot][ts[slot]]
+                word = self.words[slot][fac.act(m, s) if last else fac.act_left(s, m)]
+                piece = self._vec([word if j == slot else self.units[j][t] for j, t in enumerate(ts)])
+                out = [o + c * mult for o, c in zip(out, piece)]
         return self.pres.reduce(out)
-
-    def _act_gen(self, idx, s, slot):
-        k = len(self.factors)
-        tags = self.pure_gens[idx]
-        m = self.gen_elems[slot][tags[slot]]
-        fac = self.factors[slot]
-        acted = fac.act(m, s) if slot == k - 1 else fac.act_left(s, m)
-        dec = fac.decompose(acted)
-        piece = self._vec([dec if j == slot else {tags[j]: 1} for j in range(k)])
-        return [(i, c) for i, c in enumerate(piece) if c]
 
     # interface ---------------------------------------------------------------
 
     def pure(self, *ms):
-        slots = [f.decompose(m) for f, m in zip(self.factors, ms)]
-        return (self.pres.reduce(self._vec(slots)),)
+        return (self.pres.reduce(self.raw_pure(*ms)),)
 
     def rep(self, x):
-        vec = x[0]
-        out = []
-        for idx, mult in enumerate(vec):
-            if not mult:
-                continue
-            tags = self.pure_gens[idx]
-            ms = tuple(self.gen_elems[i][t] for i, t in enumerate(tags))
-            out.append((ms, mult))
-        return out
+        return [(tuple(map(list.__getitem__, self.gen_elems, self.pure_gens[idx])), k) for idx, k in enumerate(x[0]) if k]
 
 
 def _is_free_over(m, S):

@@ -9,19 +9,25 @@ Quotient, classes, addition rows and action rows, entry for entry.  The
 left action, on the first slot, is folded only when some factor acts
 differently on the left (`atoms.two_sided`), and kept only if it differs
 from the right one; the reference works it out on every class regardless.
+The result atom reads its element order and its zero off the graph, with
+no ordkey sort and no identity scan, and folds its rows on their first
+read; the order and the zero must be what the sort and the scan give.
 """
 import itertools
+import random
+import time
 
 import pytest
 
-from semikernel.atoms import two_sided
-from semikernel.errors import UndecidedError
+from semikernel.atoms import TableAtom, two_sided
+from semikernel.errors import FormatError, InternalInvariantError, UndecidedError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring
 from semikernel.presentations import Budget, MonoidPresentation, Quotient
 from semikernel.semicorings import sweedler_semicoring
 from semikernel.semimodules import cyclic_module, enumerate_modules, free_semimodule
 from semikernel.semirings import SemiringMorphism, bool_semiring, nat, semiring_from_tables, tropcap, zmod
 from semikernel.tensors import SaturationTensor, tensor, tensor_multi
+from semikernel.util import sorted_elems
 from test_semicorings import _noncommutative
 
 B = bool_semiring()
@@ -79,9 +85,12 @@ def assert_same_as_reference(T):
     # order, each once; a zero class drops out (C_a (x) C_b with gcd 1 has none)
     assert [g for _, g in atom.gens()] == [classes[j] for j in dict.fromkeys(ref.steps[0]) if j]
     pos = {x: i for i, x in enumerate(classes)}
+    reference_rows = [[pos[T.pres.reduce(tuple(map(int.__add__, a, b)))] for b in classes] for a in classes]
+    assert atom.elements() == sorted_elems(atom._carrier)
+    identity = list(range(len(classes)))
+    assert atom.zero == next(z for z in sorted_elems(classes) if reference_rows[pos[z]] == identity)
     for a, row in enumerate(atom._rows):
-        sums = [T.pres.reduce(tuple(map(int.__add__, classes[a], b))) for b in classes]
-        assert list(row) == [pos[w] for w in sums], a
+        assert list(row) == reference_rows[a], a
     if T.over.elements is None:
         assert atom._act is None and atom._left is None
         return
@@ -232,3 +241,67 @@ def test_budget_stops_an_infinite_walk_that_reads_steps():
     with pytest.raises(UndecidedError):
         p.enumerate_quotient()
     assert p.budget.used == 51
+
+
+def _with_bad_steps(monkeypatch, change):
+    """The quotient walk with `change` applied to its step table."""
+    walk = MonoidPresentation.enumerate_quotient
+
+    def bad(self):
+        q = walk(self)
+        steps = [list(row) for row in q.steps]
+        change(steps)
+        return Quotient(q.order, steps, q.parent)
+
+    monkeypatch.setattr(MonoidPresentation, "enumerate_quotient", bad)
+
+
+@pytest.mark.parametrize("S,ranks", [(B, (1, 2)), (B, (3, 3)), (Z3, (1, 2))], ids=["B1xB2", "B3xB3", "Z3-1x2"])
+@pytest.mark.parametrize("entry", ["n", "n+255", "-1"])
+def test_a_step_off_the_classes_is_refused(monkeypatch, built, S, ranks, entry):
+    """A step-table entry outside range(n) raises: the build returns no
+    table, with bytes rows (n <= 256) and with array rows alike."""
+    def change(steps):
+        n = len(steps)
+        steps[n // 2][-1] = {"n": n, "n+255": n + 255, "-1": -1}[entry]
+
+    _with_bad_steps(monkeypatch, change)
+    with pytest.raises((FormatError, InternalInvariantError)):
+        _free(S, *ranks)
+    assert built == []
+
+
+def test_a_generator_action_off_the_classes_is_refused():
+    T = _free(Z2, 2, 2)
+    q = T.pres.enumerate_quotient()
+    n, gens = len(q.order), len(q.steps[0])
+    good = [[0, q.steps[0][g]] for g in range(gens)]
+    TableAtom(Z2, q.order, q, good)
+    for bad in ([[0, n]] + good[1:], good[:-1], [[0]] + good[1:]):
+        with pytest.raises(FormatError):
+            TableAtom(Z2, q.order, q, bad)
+
+
+def test_a_saturated_result_builds_no_row_until_one_is_read(monkeypatch):
+    """ZMOD(3)^3 (x) ZMOD(3)^3 by saturation counts its 19,683 classes and
+    folds no row: its rows would hold 19,683^2 entries.  On B^3 (x) B^3,
+    reading one sum folds every row once, and the sums agree with the word
+    problem; the atom is then a plain TableAtom."""
+    folds = []
+    fold = TableAtom._fold
+    monkeypatch.setattr(TableAtom, "_fold", lambda self: folds.append(self) or fold(self))
+    start = time.process_time()
+    F = free_semimodule(Z3, 3)
+    T = tensor(F, F, force_saturation=True)
+    assert len(T.result.elements()) == 19_683 and T.result.atoms[0].size() == 19_683
+    assert folds == [] and type(T.result.atoms[0]) is not TableAtom
+    assert time.process_time() - start < 5
+    F = free_semimodule(B, 3)
+    T = tensor(F, F, force_saturation=True)
+    R, atom = T.result, T.result.atoms[0]
+    els = R.elements()
+    assert len(els) == 512 and folds == []
+    rng = random.Random(26)
+    for x, y in [rng.sample(els, 2) for _ in range(8)]:
+        assert R.add(x, y) == (T.pres.reduce(tuple(map(int.__add__, x[0], y[0]))),)
+    assert folds == [atom] and type(atom) is TableAtom

@@ -595,6 +595,35 @@ def test_validate_with_more_pairs_than_budget_units_is_undecided(tmp_path):
     )
 
 
+@pytest.mark.parametrize("cmd", ["validate", "tensor"])
+def test_a_42_element_table_that_is_not_associative_is_refused(tmp_path, cmd):
+    """Sum max except 1 + 2 = 2 + 1 = 4, over NAT: (1 + 2) + 3 = 4 but
+    1 + (2 + 3) = 3.  The associativity check once drew one random z per
+    pair above 40 elements, so validate passed and tensor with CYCLIC(2)
+    counted 1 class; validate now fails with the witness (exit 1), and
+    tensor is an input error (exit 3)."""
+    add = [[max(a, b) for b in range(42)] for a in range(42)]
+    add[1][2] = add[2][1] = 4
+    doc = {
+        "declarations": QZ_DOC["declarations"][:1] + [
+            {"kind": "semimodule", "name": "T", "base": "N0", "atoms": [{"kind": "TABLE", "elements": list(range(42)), "add": add}]},
+            {"kind": "semimodule", "name": "Z2", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 2}]},
+        ],
+        "commands": [{"cmd": "validate", "target": "T"} if cmd == "validate" else {"cmd": "tensor", "left": "Z2", "right": "T"}],
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    r = run_cli(["--format", "jsonl", "report", str(p)])
+    witness = "('add-associative', ((1,), (2,), (3,)))"
+    if cmd == "validate":
+        assert r.returncode == 1, (r.stdout, r.stderr)
+        rec, = _records(r.stdout)
+        assert (rec["subject"], rec["verdict"], rec["witness"]) == ("T", "fail", witness)
+    else:
+        assert r.returncode == 3, (r.stdout, r.stderr)
+        assert r.stderr == f"input error: T: semimodule axioms fail: {witness}\n"
+
+
 def test_tensor_of_a_table_that_is_not_a_commutative_monoid_exits_3(tmp_path):
     """The saturation route presumes the semimodule laws, so a TABLE factor
     is checked first: with 1 + 2 = 1 and 2 + 1 = 2 the count would depend on

@@ -10,6 +10,12 @@ corings, the mutation corpus, every rank-2 linear semicoalgebra over BOOL
 and over ZMOD(2), and a coring whose epsilon leaves the base (one that
 the carrier cannot act by is a FormatError); the coaction
 scans of check_comodule are held to the same on the gallery corings.
+check_semimodule_axioms decides associativity by Light's test on rows;
+`reference_nonassociative`, the scan of every element triple, must find
+the same first triple on every module of enumerate_modules(BOOL|ZMOD(2),
+4), on single-entry mutants of their sums, on the six distinct carriers
+of the mutation corpus and on "max except 1 + 2 = 4" tables of up to 260
+elements.
 """
 import itertools
 import re
@@ -20,6 +26,7 @@ from semikernel.errors import FormatError
 from semikernel.gallery import GALLERY_NAMES, gallery_coring, mutation_corpus
 from semikernel.semicomodules import check_comodule, coring_as_comodule
 from semikernel.semicorings import _linear_semicoalgebra, check_semicoring
+from semikernel.semimodules import check_semimodule_axioms, enumerate_modules, table_module
 from semikernel.semirings import bool_semiring, zmod
 from semikernel.util import Report, fs_eval
 
@@ -162,3 +169,64 @@ def test_coaction_scans_of_the_gallery_corings_over_themselves():
         act = reference_unpreserved(M.rho_norm, M.carrier.act, T.act, acts, scalar=True)
         rep = check_comodule(M)
         assert [(c.ok, c.witness) for c in rep.checks[:2]] == [(add is None, add), (act is None, act)]
+
+
+def reference_nonassociative(M):
+    """The first element triple (x, y, z), in M.elements() order, with
+    (x + y) + z != x + (y + z), or None: the law as every triple."""
+    els = M.elements()
+    plus = {(x, y): M.add(x, y) for x in els for y in els}
+    triples = itertools.product(els, repeat=3)
+    return next(((x, y, z) for x, y, z in triples if plus[plus[x, y], z] != plus[x, plus[y, z]]), None)
+
+
+def _assert_same_associativity(M):
+    rep = check_semimodule_axioms(M)
+    check = next(c for c in rep.checks if c.name == "add-associative")
+    w = reference_nonassociative(M)
+    assert (check.ok, check.witness) == (w is None, w), M.name
+    assert not rep.sampled or M.base.elements is None
+    return check
+
+
+@pytest.mark.parametrize("S", [bool_semiring(), zmod(2)], ids=lambda S: S.name)
+def test_associativity_on_small_modules_and_their_mutants(S):
+    """Every module with at most 4 elements, and every table made from one
+    by setting a + b = b + a = c for non-zero a, b (the zero stays the
+    identity, the law may break)."""
+    verdicts = []
+    for M in enumerate_modules(S, 4):
+        assert _assert_same_associativity(M).ok
+        atom = M.atoms[0]
+        els = atom.elements()
+        add = {(a, b): atom.add(a, b) for a in els for b in els}
+        act = {(a, s): atom.act(a, s) for a in els for s in S.elements}
+        nonzero = [a for a in els if a != atom.zero]
+        for (a, b), c in itertools.product(itertools.combinations_with_replacement(nonzero, 2), els):
+            mutant = dict(add)
+            mutant[a, b] = mutant[b, a] = c
+            verdicts.append(_assert_same_associativity(table_module(S, els, mutant, act, name=f"{M.name}[{a}+{b}={c}]")).ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_associativity_on_the_mutation_corpus_carriers():
+    carriers = {}
+    for _, C in mutation_corpus():
+        M = C.carrier
+        carriers.setdefault((M.base.name, repr([a.describe() for a in M.atoms])), M)
+    assert len(carriers) == 6  # poly1 and poly2 share ZMOD(2)^4, words1..3 BOOL^7
+    for M in carriers.values():
+        assert _assert_same_associativity(M).ok
+
+
+@pytest.mark.parametrize("n", [5, 40, 41, 42, 260])
+def test_associativity_of_a_max_table_with_one_wrong_sum(n):
+    """Sum max except 1 + 2 = 2 + 1 = 4: (1 + 2) + 3 = 4 but 1 + (2 + 3) =
+    3.  At 41 elements and more the check once drew one random z per pair
+    and passed; 260 elements take array rows."""
+    els = list(range(n))
+    add = {(a, b): max(a, b) for a in els for b in els}
+    add[1, 2] = add[2, 1] = 4
+    B = bool_semiring()
+    M = table_module(B, els, add, {(a, s): a * s for a in els for s in B.elements})
+    assert _assert_same_associativity(M).witness == ((1,), (2,), (3,))

@@ -66,24 +66,27 @@ def _old_atom(a):
 
 
 class AllElements:
-    """A factor M with every atom presented as before (_old_atom)."""
+    """A factor M with every atom presented as before (_old_atom); a word
+    counts each generator of gens() at its position."""
 
     def __init__(self, M):
         self.name, self.act, self.act_left, self.inject = M.name, M.act, M.act_left, M.inject
         self.atoms = [_old_atom(a) for a in M.atoms]
+        self.tags = [(i, t) for i, (g, _, _) in enumerate(self.atoms) for t, _ in g]
 
     def gens(self):
         return [((i, t), self.inject(i, e)) for i, (g, _, _) in enumerate(self.atoms) for t, e in g]
 
-    def decompose(self, x):
-        return {(i, t): k for i, ((_, dec, _), v) in enumerate(zip(self.atoms, x)) for t, k in dec(v).items()}
+    def _word(self, i, multiset):
+        """The word of {tag: multiplicity} over the generators of atom i."""
+        return tuple(multiset.get(t, 0) if j == i else 0 for j, t in self.tags)
 
-    def cayley(self):
-        return [
-            tuple({(i, t): m for t, m in side.items()} for side in rel)
-            for i, (_, _, rels) in enumerate(self.atoms)
-            for rel in rels
-        ]
+    def word(self, x):
+        decs = [dec(v) for (_, dec, _), v in zip(self.atoms, x)]
+        return tuple(decs[i].get(t, 0) for i, t in self.tags)
+
+    def relations(self):
+        return [tuple(self._word(i, side) for side in rel) for i, (_, _, rels) in enumerate(self.atoms) for rel in rels]
 
 
 class AllElementsTensor(SaturationTensor):
@@ -95,19 +98,19 @@ class AllElementsTensor(SaturationTensor):
     def _relations(self):
         rels, k = [], len(self.factors)
         for i, m in enumerate(self.factors):
-            pools = [[{t: 1} for t in self.gen_tags[j]] if j != i else [None] for j in range(k)]
-            for lhs, rhs in m.cayley():
+            pools = [self.units[j] if j != i else [None] for j in range(k)]
+            for lhs, rhs in m.relations():
                 for ctx in itertools.product(*pools):
                     rels.append(tuple(self._vec([side if j == i else ctx[j] for j in range(k)]) for side in (lhs, rhs)))
         scalars = [s for s in self.over.elements or () if s not in (self.over.zero, self.over.one)]
         for i in range(k - 1):
-            pools = [[{t: 1} for t in self.gen_tags[j]] if j not in (i, i + 1) else [None] for j in range(k)]
-            for a, gl, gr in itertools.product(scalars, self.gen_tags[i], self.gen_tags[i + 1]):
-                left = self.factors[i].decompose(self.factors[i].act(self.gen_elems[i][gl], a))
-                right = self.factors[i + 1].decompose(self.factors[i + 1].act_left(a, self.gen_elems[i + 1][gr]))
+            pools = [self.units[j] if j not in (i, i + 1) else [None] for j in range(k)]
+            for a, gl, gr in itertools.product(scalars, range(len(self.units[i])), range(len(self.units[i + 1]))):
+                left = self.factors[i].word(self.factors[i].act(self.gen_elems[i][gl], a))
+                right = self.factors[i + 1].word(self.factors[i + 1].act_left(a, self.gen_elems[i + 1][gr]))
                 for ctx in itertools.product(*pools):
-                    l_slots = [left if j == i else {gr: 1} if j == i + 1 else ctx[j] for j in range(k)]
-                    r_slots = [{gl: 1} if j == i else right if j == i + 1 else ctx[j] for j in range(k)]
+                    l_slots = [left if j == i else self.units[j][gr] if j == i + 1 else ctx[j] for j in range(k)]
+                    r_slots = [self.units[j][gl] if j == i else right if j == i + 1 else ctx[j] for j in range(k)]
                     rels.append((self._vec(l_slots), self._vec(r_slots)))
         return rels
 
@@ -212,8 +215,8 @@ def test_cyclic_closed_form_is_what_the_walk_finds(n):
     C = cyclic_module(nat(), n).atoms[0]
     gens, words, relations = presentation(lambda i, j: (i + j) % n, 0, n)
     assert C.gens() == list(enumerate(gens))
-    assert [C.decompose(a) for a in range(n)] == [{k: c for k, c in enumerate(w) if c} for w in words]
-    assert C.cayley() == [tuple({k: c for k, c in enumerate(w) if c} for w in rel) for rel in relations]
+    assert [C.word(a) for a in range(n)] == words
+    assert C.relations() == relations
 
 
 def test_a_large_cyclic_factor_is_presented_unwalked():
