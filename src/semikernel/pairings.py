@@ -26,7 +26,8 @@ class MeasuringPairing:
     """A finite semiring 'actions' paired with a semicoring via an evaluation.
 
     kappa(a) = [c -> <a, c>] must land in the left convolution dual and be a
-    semiring morphism; verify() re-derives this against the dual's table.
+    semiring morphism; verify() checks both on ev itself, the product as
+    the convolution over Delta, and builds no dual.
     """
 
     def __init__(self, asemiring, coring, ev, eta, name="P"):

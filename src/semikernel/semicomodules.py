@@ -29,7 +29,6 @@ from .semimodules import (
     module_congruence_closure,
     quotient_by_congruence,
     right_module,
-    span,
     sub_table,
 )
 from .structured import (
@@ -39,7 +38,7 @@ from .structured import (
     structured_map_tensor,
     structured_mono_flat_probe,
 )
-from .semicorings import counterexample_semicoalgebra, eps_acting, noncoassociative
+from .semicorings import counterexample_semicoalgebra, eps_acting, noncoassociative, structured_coassociative
 from .tensors import tensor, tensor_multi
 from .util import Memo, Report, fold, fs_eval, fs_make, ordkey, unpreserved_rows
 
@@ -48,10 +47,10 @@ class Semicomodule:
     """Finite right semicomodule: carrier M over A with coaction into M (x) C.
 
     M (x) C (`mc`, built unless passed in as `mc=`), the lazy M (x) C (x) C
-    (`mcc`), the coaction on positions (`compiled`, which also gives each
-    element's normalized coaction) and the additivity witness are computed
-    once, on first use.  Over a coring with coordinates no check reads mc
-    or mcc.
+    (`mcc`), the coaction on positions (`compiled`) and the additivity
+    witness are computed once, on first use.  Over a coring with
+    coordinates no check reads mc or mcc; `rho_norm` pushes rho(m) through
+    mc and reads nothing compiled.
     """
 
     structured = False
@@ -76,12 +75,8 @@ class Semicomodule:
         return self._mcc
 
     def rho_norm(self, m):
-        """rho(m) normalized in M (x) C (mc()), read off its compiled value."""
-        c, ix, T = self.compiled, self.carrier.indexed(), self.mc()
-        u = c.rhobar[ix.index[m]]
-        if c.coords is None:
-            return T.result.indexed().element(u)
-        return T.push(((ix.element(x), self.coring.carrier.indexed().element(g)), 1) for x, g in zip(u, c.coords[0]))
+        """rho(m) normalized in M (x) C (mc()): its formal sum pushed there."""
+        return self.mc().push(self.coaction[m])
 
     @cached_property
     def compiled(self):
@@ -217,26 +212,15 @@ def check_comodule(M) -> Report:
 
 def _check_comodule_structured(M) -> Report:
     rep = Report(f"comodule {M.name}")
-    C = M.coring
-    car = M.carrier
-    TM = M.mc_tensor
-    rho, delta = M.rho, C._delta
-    idC = structured_identity(C.carrier)
-    idM = structured_identity(car)
-    Ta = rule_tensor(TM.result, C.carrier, over=C.base)
-    Tb = rule_tensor(car, C.cc_tensor.result, over=C.base)
-    if [a.describe() for a in Ta.result.atoms] != [a.describe() for a in Tb.result.atoms]:
-        raise UnsupportedError("triple tensor atom layouts differ")
-    lhs = structured_map_tensor(rho, idC, TM, Ta).compose(rho)
-    rhs = structured_map_tensor(idM, delta, TM, Tb).compose(rho)
-    rep.add("coassociative", lhs.descrs == rhs.descrs, (lhs.descrs, rhs.descrs))
+    C, car, TM, rho = M.coring, M.carrier, M.mc_tensor, M.rho
+    rep.add("coassociative", *structured_coassociative(car, rho, TM, C))
 
     eps = C._eps
     Tr = rule_tensor(car, eps.target, over=C.base)
     if [a.describe() for a in Tr.result.atoms] != [a.describe() for a in car.atoms]:
         raise UnsupportedError("unit tensor layout differs from the carrier")
-    counit = structured_map_tensor(idM, eps, TM, Tr).compose(rho)
     ident = structured_identity(car)
+    counit = structured_map_tensor(ident, eps, TM, Tr).compose(rho)
     rep.add("counit-law", counit.descrs == ident.descrs, counit.descrs)
     rep.add("coaction-splits", counit.descrs == ident.descrs)
     return rep
@@ -397,9 +381,6 @@ def comodule_equalizer(f: LinearMap, g: LinearMap, M: Semicomodule, N: Semicomod
     """
     C = M.coring
     eq_els = [m for m in M.carrier.elements() if f(m) == g(m)]
-    sub = span(M.carrier, eq_els)
-    if sub.elements != frozenset(eq_els):
-        raise FormatError("equalizer subset is not a submodule")  # cannot happen
     E = sub_table(right_module(M.carrier), eq_els, name=f"Eq({f.name},{g.name})")
     iota = LinearMap(E, M.carrier, lambda x: x[0], name="eq-incl")
     if certificate is not None and not certificate.get("mono_flat_on_family", False):

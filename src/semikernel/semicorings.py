@@ -212,19 +212,29 @@ def noncoassociative(els, rho, delta, T3):
     return None
 
 
+def structured_coassociative(car, rho, TM, C):
+    """(ok, witness) for coassociativity, (rho (x) C) rho = (car (x) delta)
+    rho, of structured maps rho: car -> TM.result = car (x) C and C's
+    delta; for a coring, car is C's carrier and rho is delta.  The
+    composites are compared by their generator images in car (x) C (x) C,
+    the rule tensor formed both ways and refused when the layouts differ."""
+    T2, idC, idM = C.cc_tensor, structured_identity(C.carrier), structured_identity(car)
+    Ta = rule_tensor(TM.result, C.carrier, over=C.base)
+    Tb = rule_tensor(car, T2.result, over=C.base)
+    if [a.describe() for a in Ta.result.atoms] != [a.describe() for a in Tb.result.atoms]:
+        raise UnsupportedError("triple tensor atom layouts differ")
+    lhs = structured_map_tensor(rho, idC, TM, Ta).compose(rho)
+    rhs = structured_map_tensor(idM, C._delta, TM, Tb).compose(rho)
+    return lhs.descrs == rhs.descrs, (lhs.descrs, rhs.descrs)
+
+
 def _check_semicoring_structured(C) -> Report:
     rep = Report(f"semicoring {C.name}")
     car = C.carrier
     T2 = C.cc_tensor
     delta, eps = C._delta, C._eps
     idC = structured_identity(car)
-    T3a = rule_tensor(T2.result, car, over=C.base)
-    T3b = rule_tensor(car, T2.result, over=C.base)
-    if [a.describe() for a in T3a.result.atoms] != [a.describe() for a in T3b.result.atoms]:
-        raise UnsupportedError("triple tensor atom layouts differ")
-    lhs = structured_map_tensor(delta, idC, T2, T3a).compose(delta)
-    rhs = structured_map_tensor(idC, delta, T2, T3b).compose(delta)
-    rep.add("coassociative", lhs.descrs == rhs.descrs, (lhs.descrs, rhs.descrs))
+    rep.add("coassociative", *structured_coassociative(car, delta, T2, C))
 
     # counit law via theta on the rule tensor with the base-as-module
     base_mod = eps.target

@@ -156,6 +156,20 @@ def test_tensor_of_qmodz_takes_rule_lane(tmp_path, left, right, cardinality):
     assert json.loads(rec["detail"])["cardinality"] == cardinality
 
 
+@pytest.mark.parametrize("left,right", [("N1", "BQ"), ("BQ", "N1")])
+def test_tensor_of_nat_and_bool_takes_the_bool_rule(tmp_path, left, right):
+    """NAT (x) BOOL = BOOL (x) NAT = BOOL: with a Q/Z atom beside BOOL the
+    pair goes to the rule lane, which gives BOOL (+) Q/Z, infinite."""
+    BQ = {"kind": "semimodule", "name": "BQ", "base": "N0", "atoms": [{"kind": "BOOL"}, {"kind": "QMODZ"}]}
+    p = tmp_path / "bq.json"
+    p.write_text(json.dumps(dict(QZ_DOC, declarations=QZ_DOC["declarations"] + [BQ])))
+    r = run_cli(["--format", "jsonl", "tensor", str(p), left, right])
+    assert r.returncode == 0, r.stderr
+    rec = json.loads(r.stdout.splitlines()[0])
+    assert rec["verdict"] == "pass"
+    assert json.loads(rec["detail"]) == {"atoms": [{"kind": "BOOL"}, {"kind": "QMODZ"}], "cardinality": None}
+
+
 def test_reports_byte_stable(doc_path):
     outs = []
     for _ in range(2):

@@ -59,6 +59,7 @@ from semikernel.tensors import TensorProduct, tensor, tensor_multi
 from semikernel.util import fold, fs_make, ordkey, unpreserved_rows
 import test_pairings
 import test_semicomodules
+from test_cayley_folds import _bool_pairs
 from test_counit_positions import reference_counit
 from test_semicorings import _noncommutative
 
@@ -527,6 +528,52 @@ def _noncommutative_comodules():
 def test_a_comodule_over_a_noncommutative_free_coring_matches_the_saturation_route(M):
     assert _certified(M)
     assert _checks(M) == reference_checks(M)
+
+
+# ---------------------------------------------------------------- rho(m) by two routes
+
+def compiled_rho(M, m):
+    """rho(m) read off the compiled coaction: the element at rhobar(m) of
+    the indexed M (x) C or, over a certified coring, the push of the sum of
+    x_i (x) gens_i over the coordinates x_i of rhobar(m)."""
+    c, ix, T = M.compiled, M.carrier.indexed(), M.mc()
+    u = c.rhobar[ix.index[m]]
+    if c.coords is None:
+        return T.result.indexed().element(u)
+    gen = M.coring.carrier.indexed().element
+    return T.push(((ix.element(x), gen(g)), 1) for x, g in zip(u, c.coords[0]))
+
+
+def _rho_comodules():
+    """Each finite gallery coring over itself, the cofree B (x) GL, the
+    coequalizer and equalizer of every criterion-9 pair, and the Sweedler
+    coring of BOOL -> BxB over itself, a two-sided carrier without
+    coordinates."""
+    for name in GALLERY_NAMES:
+        if not gallery_coring(name).structured:
+            yield name, coring_as_comodule(gallery_coring(name))
+    yield "B(x)GL", _ambients()[2]
+    for name, (f, g, A) in LIMITS:
+        yield f"Coeq:{name}", comodule_coequalizer(f, g, A, A)[0]
+        yield f"Eq:{name}", comodule_equalizer(f, g, A, A)[0]
+    yield "Sw(BxB/BOOL)", coring_as_comodule(sweedler_semicoring(SemiringMorphism(B, _bool_pairs(), lambda s: (s, s))))
+
+
+def test_rho_norm_is_the_compiled_coaction_and_reads_nothing_compiled(monkeypatch):
+    comodules = list(_rho_comodules())
+    assert len(comodules) == 9 + 1 + 2 * 48 + 1  # nine of the gallery corings are finite
+    Sw = comodules[-1][1]
+    assert two_sided(Sw.carrier.atoms[0]) and not _certified(Sw)
+    compiled = {(name, m): compiled_rho(M, m) for name, M in comodules for m in M.carrier.elements()}
+
+    def refused(M):
+        raise AssertionError("rho_norm read the compiled coaction")
+
+    monkeypatch.setattr(Semicomodule, "compiled", property(refused))
+    pushed = {(name, m): M.rho_norm(m) for name, M in comodules for m in M.carrier.elements()}
+    assert pushed == compiled
+    CC = coring_as_comodule(GL)
+    assert [CC.rho_norm(c) for c in GL.carrier.elements()] == [compiled[GL.name, c] for c in GL.carrier.elements()]
 
 
 # ---------------------------------------------------------------- work

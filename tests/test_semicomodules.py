@@ -242,6 +242,23 @@ def test_finiteness_closure_lift_pushes_back_to_the_coaction():
             assert T.push(Nc.coaction[e], (lambda x: x[0], None)) == CC.rho_norm(e[0])
 
 
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        # 0, e_x and e_y are fixed and e_x + e_y is not
+        (lambda els, m: els[0] if m == els[-1] else m, "TABLE add not closed"),
+        # only e_x + e_y is fixed, and 0 = (e_x + e_y) * 0 is not
+        (lambda els, m: els[-1], "TABLE action not closed"),
+    ],
+)
+def test_the_equalizer_of_non_linear_maps_is_refused_by_its_table(image, message):
+    CC = coring_as_comodule(GL)
+    els = CC.carrier.elements()
+    g = LinearMap(CC.carrier, CC.carrier, lambda m: image(els, m), name="g")
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        comodule_equalizer(identity_map(CC.carrier), g, CC, CC)
+
+
 def test_lift_coaction_reports_the_first_collision():
     """2Z/8 in Z/8 over NAT collapses under - (x) Z/4: k (2 (x) 1) maps to
     2k (1 (x) 1), so images repeat twice and the first repeat is reported."""

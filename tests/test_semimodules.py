@@ -44,6 +44,7 @@ from semikernel.semimodules import (
 )
 from semikernel.semirings import bool_semiring, nat, natcap, tropcap, zmod
 from semikernel.util import ordkey, sorted_elems
+from test_cayley_folds import _bool_pairs
 
 B = bool_semiring()
 N = nat()
@@ -573,3 +574,45 @@ def test_negative_counts_raise_at_once():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+def test_axioms_of_an_effective_sum_are_sampled():
+    M = direct_sum([free_semimodule(N, 1), cyclic_module(N, 4)])[0]
+    rep = check_semimodule_axioms(M)
+    assert [(c.name, c.ok) for c in rep.checks] == [
+        (name, True)
+        for name in ("add-commutative", "add-identity", "add-associative", "act-one", "act-zero-scalar",
+                     "act-zero-element", "act-distributes-scalar", "act-distributes-element", "act-associative")
+    ]
+    assert rep.sampled is True
+
+
+def _bxb_table(elements, action):
+    """A max-table over BxB = BOOL x BOOL with the given action rows, one
+    function of x per scalar of BxB in order."""
+    S = _bool_pairs()
+    return table_module(S, elements, {(a, b): max(a, b) for a in elements for b in elements},
+                        {(x, s): act[x] for s, act in zip(S.elements, action) for x in elements})
+
+
+@pytest.mark.parametrize(
+    "elements,action,law,witness",
+    [
+        # the 3-chain with (1, 0) acting as 2 -> 0, not monotone, so (1 + 2)(1, 0) = 0 but 1(1, 0) + 2(1, 0) = 1
+        ([0, 1, 2], [(0, 0, 0), (0, 0, 2), (0, 1, 0), (0, 1, 2)], "act-distributes-element", ((1,), (2,), (1, 0))),
+        # BOOL with every non-zero scalar acting as the identity: 1((0, 1)(1, 0)) = 0 but (1(0, 1))(1, 0) = 1
+        ([0, 1], [(0, 0), (0, 1), (0, 1), (0, 1)], "act-associative", ((1,), (0, 1), (1, 0))),
+    ],
+)
+def test_a_table_breaking_one_action_law_is_witnessed(elements, action, law, witness):
+    rep = check_semimodule_axioms(_bxb_table(elements, action))
+    assert [(c.name, c.witness) for c in rep.checks if not c.ok] == [(law, witness)]
+    assert rep.sampled is False
+
+
+def test_cancellative_reflection_of_effective_carriers():
+    M = free_semimodule(N, 1)
+    Q, pi = cancellative_reflection(M)
+    assert Q is M and [pi((k,)) for k in range(5)] == [(k,) for k in range(5)]
+    with pytest.raises(UnsupportedError, match="^cancellative reflection of this effective carrier$"):
+        cancellative_reflection(direct_sum([M, bool_module(N)])[0])

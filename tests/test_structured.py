@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from semikernel.atoms import CyclicAtom, NatAtom
+from semikernel.atoms import CyclicAtom, NatAtom, TableAtom
 from semikernel.errors import UnsupportedError
 from semikernel.semimodules import (
     LinearMap,
@@ -181,3 +181,11 @@ def test_mono_flat_probe_negative_and_positive():
     NA = single(NatAtom(N))
     rep2 = structured_mono_flat_probe(NA, [iota])
     assert rep2["mono_flat_on_family"]
+
+
+def test_the_rule_lane_refuses_a_pair_of_tables():
+    """Finite factors are tensored by saturation; the rule lane has no
+    TABLE rule and refuses the pair rather than saturating it."""
+    T = Semimodule(N, [TableAtom(N, [0, 1], {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)})], name="T")
+    with pytest.raises(UnsupportedError, match=r"^no tensor rule for atom pair TABLE \(x\) TABLE$"):
+        rule_tensor(T, T)
