@@ -374,12 +374,17 @@ def sub_table(M, members, name, raw=lambda m: m):
     """The submodule of a finite M on the given members, as a table module
     on the raw elements raw(m): by default M's own, so that the table's
     elements wrap them in a 1-tuple.  Read from M's rows (_read_table): a
-    sum or action outside the members raises the table's FormatError."""
+    sum or action outside the members raises the table's FormatError, and
+    so does missing M's zero, which no action row asks for over an
+    infinite base."""
     ix = M.indexed()
     pos = sorted(ix.index[m] for m in members)
     local = {p: k for k, p in enumerate(pos)}
     to = [local.get(i, -1) for i in range(len(ix.elements))]
-    return _read_table(M, pos, to, [raw(ix.elements[p]) for p in pos], name)
+    E = _read_table(M, pos, to, [raw(ix.elements[p]) for p in pos], name)
+    if ix.index[M.zero] not in local:
+        raise FormatError("TABLE misses the zero")
+    return E
 
 
 def direct_sum(mods, name=None):

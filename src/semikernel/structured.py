@@ -1,11 +1,12 @@
 """Rule-based tensor lane for structured carriers with infinite atoms.
 
 Tensors of atom sums distribute over the direct sum; each atom pair is
-resolved by a rule giving the result atom and the bilinear pure-tensor map,
-and a pair with no rule is refused (finite factors are tensored by
-saturation, tensors.tensor).  Maps between structured modules are stored
-symbolically (generator images; integer multipliers out of Q/Z), which
-keeps equality of composites decidable even on infinite carriers.
+resolved by a rule giving the result atom and the bilinear pure-tensor map.
+Finite x finite pairs with no rule fall back to saturation: a TABLE atom
+beside a Q/Z atom sends its factor here, and meets the other factor's
+CYCLIC atoms.  Maps between structured modules are stored symbolically
+(generator images; integer multipliers out of Q/Z), which keeps equality of
+composites decidable even on infinite carriers.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from math import gcd
 from .atoms import BoolAtom, CyclicAtom, NatAtom, QmodzAtom
 from .errors import FormatError, InternalInvariantError, UnsupportedError
 from .semimodules import Semimodule
-from .tensors import TensorProduct
+from .tensors import SaturationTensor, TensorProduct
 from .util import fs_eval
 
 ZERO_RULE = "zero"
@@ -60,6 +61,12 @@ def atom_rule(A, B, base):
         return ZERO_RULE, None
     if (ka, kb) in (("QMODZ", "CYCLIC"), ("CYCLIC", "QMODZ")):
         return ZERO_RULE, None
+    if A.finite and B.finite:
+        Ma = Semimodule(base, [A], name="a")
+        Mb = Semimodule(base, [B], name="b")
+        T = SaturationTensor([Ma, Mb], base)
+        atom = T.result.atoms[0]
+        return atom, lambda a, b, T=T: T.pure((a,), (b,))[0]
     raise UnsupportedError(f"no tensor rule for atom pair {ka} (x) {kb}")
 
 

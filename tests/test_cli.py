@@ -125,27 +125,37 @@ QZ_DOC = {
     ],
     "commands": [],
 }
-# C_n (+) Q/Z in either atom order, n = 10^7
+# C_n (+) Q/Z in either atom order, n = 10^7; BOOL (+) Q/Z; Q/Z (+) a TABLE
 QZ_CYCLIC = [
     {"kind": "semimodule", "name": "CQ", "base": "N0", "atoms": [{"kind": "CYCLIC", "n": 10**7}, {"kind": "QMODZ"}]},
     {"kind": "semimodule", "name": "QC", "base": "N0", "atoms": [{"kind": "QMODZ"}, {"kind": "CYCLIC", "n": 10**7}]},
+    {"kind": "semimodule", "name": "BQ", "base": "N0", "atoms": [{"kind": "BOOL"}, {"kind": "QMODZ"}]},
+    {"kind": "semimodule", "name": "TQ", "base": "N0", "atoms": [
+        {"kind": "QMODZ"}, {"kind": "TABLE", "elements": [0, 1], "add": [[0, 1], [1, 1]]}]},
 ]
+QMODZ, CYCLIC = {"kind": "QMODZ"}, {"kind": "CYCLIC", "n": 10**7}
 
 
 @pytest.mark.parametrize(
-    "left,right,cardinality",
+    "left,right,atoms,cardinality",
     [
         # Q/Z is divisible and C4 torsion, so the tensor is 0
-        ("QZ", "C4", 1),
+        ("QZ", "C4", [], 1),
         # NAT (x) Q/Z = Q/Z, infinite
-        ("N1", "QZ", None),
+        ("N1", "QZ", [QMODZ], None),
         # a Q/Z atom sends C_n (+) Q/Z to the rule lane, in either atom
         # order, before C_n (n = 10^7) is presented
-        ("CQ", "N1", None),
-        ("QC", "N1", None),
+        ("CQ", "N1", [CYCLIC, QMODZ], None),
+        ("QC", "N1", [QMODZ, CYCLIC], None),
+        # NAT (x) BOOL = BOOL (x) NAT = BOOL
+        ("N1", "BQ", [{"kind": "BOOL"}, QMODZ], None),
+        ("BQ", "N1", [{"kind": "BOOL"}, QMODZ], None),
+        # the TABLE meets C4 in the rule lane, which has no rule for the
+        # pair and saturates it: an idempotent class of order 4 is 0
+        ("TQ", "C4", [{"kind": "TABLE", "size": 1}], 1),
     ],
 )
-def test_tensor_of_qmodz_takes_rule_lane(tmp_path, left, right, cardinality):
+def test_tensor_of_qmodz_takes_rule_lane(tmp_path, left, right, atoms, cardinality):
     p = tmp_path / "qz.json"
     p.write_text(json.dumps(dict(QZ_DOC, declarations=QZ_DOC["declarations"] + QZ_CYCLIC)))
     r = run_cli(["--format", "jsonl", "tensor", str(p), left, right])
@@ -153,21 +163,7 @@ def test_tensor_of_qmodz_takes_rule_lane(tmp_path, left, right, cardinality):
     assert "Traceback" not in r.stderr
     rec = json.loads(r.stdout.splitlines()[0])
     assert rec["verdict"] == "pass"
-    assert json.loads(rec["detail"])["cardinality"] == cardinality
-
-
-@pytest.mark.parametrize("left,right", [("N1", "BQ"), ("BQ", "N1")])
-def test_tensor_of_nat_and_bool_takes_the_bool_rule(tmp_path, left, right):
-    """NAT (x) BOOL = BOOL (x) NAT = BOOL: with a Q/Z atom beside BOOL the
-    pair goes to the rule lane, which gives BOOL (+) Q/Z, infinite."""
-    BQ = {"kind": "semimodule", "name": "BQ", "base": "N0", "atoms": [{"kind": "BOOL"}, {"kind": "QMODZ"}]}
-    p = tmp_path / "bq.json"
-    p.write_text(json.dumps(dict(QZ_DOC, declarations=QZ_DOC["declarations"] + [BQ])))
-    r = run_cli(["--format", "jsonl", "tensor", str(p), left, right])
-    assert r.returncode == 0, r.stderr
-    rec = json.loads(r.stdout.splitlines()[0])
-    assert rec["verdict"] == "pass"
-    assert json.loads(rec["detail"]) == {"atoms": [{"kind": "BOOL"}, {"kind": "QMODZ"}], "cardinality": None}
+    assert json.loads(rec["detail"]) == {"atoms": atoms, "cardinality": cardinality}
 
 
 def test_reports_byte_stable(doc_path):

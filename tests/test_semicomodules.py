@@ -259,6 +259,18 @@ def test_the_equalizer_of_non_linear_maps_is_refused_by_its_table(image, message
         comodule_equalizer(identity_map(CC.carrier), g, CC, CC)
 
 
+def test_the_equalizer_over_an_infinite_base_must_hold_the_zero():
+    """Over NAT no action row asks for the zero: two maps that agree only at
+    x = x + x != 0 give {x}, closed under sums, which is refused all the same."""
+    Nat = nat()
+    T = table_module(Nat, [0, 1], {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)})
+    x = next(m for m in T.elements() if m != T.zero)
+    M = SimpleNamespace(coring=None, carrier=T)
+    g = LinearMap(T, T, lambda m: x, name="g")
+    with pytest.raises(FormatError, match="^TABLE misses the zero$"):
+        comodule_equalizer(identity_map(T), g, M, M)
+
+
 def test_lift_coaction_reports_the_first_collision():
     """2Z/8 in Z/8 over NAT collapses under - (x) Z/4: k (2 (x) 1) maps to
     2k (1 (x) 1), so images repeat twice and the first repeat is reported."""

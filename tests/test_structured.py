@@ -183,9 +183,10 @@ def test_mono_flat_probe_negative_and_positive():
     assert rep2["mono_flat_on_family"]
 
 
-def test_the_rule_lane_refuses_a_pair_of_tables():
-    """Finite factors are tensored by saturation; the rule lane has no
-    TABLE rule and refuses the pair rather than saturating it."""
-    T = Semimodule(N, [TableAtom(N, [0, 1], {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)})], name="T")
-    with pytest.raises(UnsupportedError, match=r"^no tensor rule for atom pair TABLE \(x\) TABLE$"):
-        rule_tensor(T, T)
+def test_the_rule_lane_saturates_a_finite_pair_without_a_rule():
+    """A TABLE atom has no rule: beside a finite atom the pair is tensored
+    by saturation (Z/2 (x) C_4 = C_2), beside NAT it is refused."""
+    T = Semimodule(N, [TableAtom(N, [0, 1], {(a, b): (a + b) % 2 for a in (0, 1) for b in (0, 1)})], name="T")
+    assert len(rule_tensor(T, cyclic_module(N, 4)).result.elements()) == 2
+    with pytest.raises(UnsupportedError, match=r"^no tensor rule for atom pair TABLE \(x\) NAT$"):
+        rule_tensor(T, single(NatAtom(N)))
